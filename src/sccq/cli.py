@@ -32,7 +32,8 @@ def _add_log_arguments(sub: argparse.ArgumentParser) -> None:
 
 
 def _load(args: argparse.Namespace):
-    with open(args.log, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte order mark that some spreadsheet exports write.
+    with open(args.log, newline="", encoding="utf-8-sig") as fh:
         return load_event_log(fh, eid_col=args.eid_col, cid_col=args.cid_col, ts_col=args.ts_col)
 
 
@@ -120,8 +121,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if (args.query is None and args.file is None) or args.log is None:
         print("error: check needs a query and --log, or --random N", file=sys.stderr)
         return 1
-    with open(args.log, newline="", encoding="utf-8") as fh:
-        log = load_event_log(fh, eid_col=args.eid_col, cid_col=args.cid_col, ts_col=args.ts_col)
+    log = _load(args)
     query = parse_query(_query_text(args), strict_grammar=args.strict_grammar)
     report = cross_check(query, log)
     print(report.summary())

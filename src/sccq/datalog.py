@@ -1,17 +1,18 @@
 """Datalog back end: fact extraction, query translation, evaluation.
 
 The extensional database holds one ``event(C,E,T)`` fact per event, one
-``attr_<name>(C,E,V)`` fact per non-null attribute value and precomputed
-``segment(Ts,Te,C)`` facts for every timestamp pair of a case. Patterns
+``attr_<name>(C,E,V)`` fact per non-null attribute value and one
+``next(C,T1,T2)`` fact per pair of consecutive events of a case. Patterns
 translate to one intensional predicate per subformula; a query adds an
-``output`` rule per combination of optional pattern atoms.
+``output`` rule per combination of optional pattern atoms, and only the
+helpers its pattern rules use.
 
 Negation is kept safe and stratified by construction: the only negated
 predicates are EDB relations and helper predicates defined exclusively from
-EDB atoms (hasEarlier/hasLater/hasBetween for the positional constraints,
-plus one conjunction helper per negated behaviour reference). ``evaluate``
-checks both properties before running a semi-naive fixpoint; the same audit
-is exposed for static scans.
+EDB atoms (hasEarlier/hasLater for START and END, plus one conjunction helper
+per negated behaviour reference). ``evaluate`` checks both properties before
+running a semi-naive fixpoint with hash-indexed joins; the same audit is
+exposed for static scans.
 
 Constants are namespaced by sort (case id, event id, timestamp, attribute
 value) so equalities across sorts never unify by accident; timestamps are
@@ -116,12 +117,12 @@ def attribute_predicate(name: str) -> str:
 
 
 def facts_from_log(log: EventLog) -> FactSet:
-    """Extract the EDB: event/3, attr_<name>/3 per non-null value, and all
-    segment/3 facts per case."""
+    """Extract the EDB: event/3, attr_<name>/3 per non-null value, and one
+    next/3 fact per pair of consecutive events of a case."""
     preds = {name: attribute_predicate(name) for name in log.schema}
     if len(set(preds.values())) != len(preds):
         raise MalformedCsv(f"attribute names collide as predicates: {sorted(preds.values())}")
-    facts: FactSet = {"event": set(), "segment": set()}
+    facts: FactSet = {"event": set(), "next": set()}
     for pred in preds.values():
         facts[pred] = set()
     for ev in log.events:
@@ -133,44 +134,25 @@ def facts_from_log(log: EventLog) -> FactSet:
     for es in event_sets(log):
         c = cid_const(es.cid)
         ts = es.timestamps
-        for i in range(len(ts)):
-            for j in range(i, len(ts)):
-                facts["segment"].add((ts[i], ts[j], c))
+        facts["next"].update((c, t1, t2) for t1, t2 in zip(ts, ts[1:]))
     return facts
 
 
 def edb_predicates(schema: tuple[str, ...]) -> frozenset[str]:
-    return frozenset({"event", "segment", *(attribute_predicate(a) for a in schema)})
+    return frozenset({"event", "next", *(attribute_predicate(a) for a in schema)})
 
 
 # --- helper predicate definitions -------------------------------------------
-# The head timestamp variables carry an extra binding event atom so the rules
-# satisfy the same safety condition the validator enforces; the use sites only
-# ever query event timestamps, so the meaning is unchanged.
+# An event has an earlier (later) event in its case iff it has a predecessor
+# (successor), so both helpers read the successor relation alone.
 
 def _helper_rules(names: Iterable[str]) -> list[Rule]:
-    t2, e2, e1, t1 = Var("T2"), Var("E2"), Var("E1"), Var("T1")
+    t2 = Var("T2")
     defs = {
-        "hasEarlier": Rule(
-            Atom("hasEarlier", (_C, _T)),
-            (Atom("event", (_C, _E, _T)), Atom("event", (_C, e2, t2)), Cmp("<", t2, _T)),
-        ),
-        "hasLater": Rule(
-            Atom("hasLater", (_C, _T)),
-            (Atom("event", (_C, _E, _T)), Atom("event", (_C, e2, t2)), Cmp(">", t2, _T)),
-        ),
-        "hasBetween": Rule(
-            Atom("hasBetween", (_C, t1, t2)),
-            (
-                Atom("event", (_C, e1, t1)),
-                Atom("event", (_C, e2, t2)),
-                Atom("event", (_C, _E, _T)),
-                Cmp("<", t1, _T),
-                Cmp("<", _T, t2),
-            ),
-        ),
+        "hasEarlier": Rule(Atom("hasEarlier", (_C, _T)), (Atom("next", (_C, t2, _T)),)),
+        "hasLater": Rule(Atom("hasLater", (_C, _T)), (Atom("next", (_C, _T, t2)),)),
     }
-    return [defs[name] for name in ("hasEarlier", "hasLater", "hasBetween") if name in set(names)]
+    return [defs[name] for name in ("hasEarlier", "hasLater") if name in set(names)]
 
 
 class _Translation:
@@ -212,12 +194,12 @@ class _Translation:
         if isinstance(expr, NotExpr):
             return self.negated_idexpr_pred(expr.inner)
         pred = self.fresh_pred()
-        single = (Atom("segment", (_T, _T, _C)), Atom("event", (_C, _E, _T)))
+        single = Atom("event", (_C, _E, _T))
         if isinstance(expr, Literal):
             attr = attribute_predicate(self.pattern.attribute or "")
-            self.emit(Atom(pred, (_T, _T, _C)), *single, Atom(attr, (_C, _E, value_const(expr.value))))
+            self.emit(Atom(pred, (_T, _T, _C)), single, Atom(attr, (_C, _E, value_const(expr.value))))
         elif isinstance(expr, BehaviourRef):
-            self.emit(Atom(pred, (_T, _T, _C)), *single, *self._conjunct_atoms(expr.name))
+            self.emit(Atom(pred, (_T, _T, _C)), single, *self._conjunct_atoms(expr.name))
         elif isinstance(expr, OrExpr):
             ts, te = Var("Ts"), Var("Te")
             for sub in (expr.left, expr.right):
@@ -234,17 +216,17 @@ class _Translation:
             self.emit(Atom(pred, (ts, te, _C)), Atom(inner, (ts, te, _C)))
             return pred
         pred = self.fresh_pred()
-        single = (Atom("segment", (_T, _T, _C)), Atom("event", (_C, _E, _T)))
+        single = Atom("event", (_C, _E, _T))
         if isinstance(expr, Literal):
             attr = attribute_predicate(self.pattern.attribute or "")
             self.emit(
                 Atom(pred, (_T, _T, _C)),
-                *single,
+                single,
                 Atom(attr, (_C, _E, value_const(expr.value)), negated=True),
             )
         elif isinstance(expr, BehaviourRef):
             holds = self._behaviour_holds_pred(expr.name)
-            self.emit(Atom(pred, (_T, _T, _C)), *single, Atom(holds, (_C, _E), negated=True))
+            self.emit(Atom(pred, (_T, _T, _C)), single, Atom(holds, (_C, _E), negated=True))
         elif isinstance(expr, OrExpr):
             left = self.negated_idexpr_pred(expr.left)
             right = self.negated_idexpr_pred(expr.right)
@@ -278,35 +260,29 @@ class _Translation:
             return self.idexpr_pred(node.expr)
         if isinstance(node, AnyEvent):
             pred = self.fresh_pred()
-            self.emit(Atom(pred, (_T, _T, _C)), Atom("segment", (_T, _T, _C)), Atom("event", (_C, _E, _T)))
+            self.emit(Atom(pred, (_T, _T, _C)), Atom("event", (_C, _E, _T)))
             return pred
         if isinstance(node, (Follows, DirectlyFollows)):
             left = self.formula_pred(node.left)
             right = self.formula_pred(node.right)
             pred = self.fresh_pred()
-            body: list[BodyItem] = [
-                Atom("segment", (ts, te2, _C)),
-                Atom(left, (ts, te, _C)),
-                Atom(right, (ts2, te2, _C)),
-                Cmp("<", te, ts2),
-            ]
+            first, second = Atom(left, (ts, te, _C)), Atom(right, (ts2, te2, _C))
             if isinstance(node, DirectlyFollows):
-                self.helpers.add("hasBetween")
-                body.append(Atom("hasBetween", (_C, te, ts2), negated=True))
-            self.emit(Atom(pred, (ts, te2, _C)), *body)
+                # The successor atom sits between the operands, so the right
+                # operand is probed on a bound start and case.
+                self.emit(Atom(pred, (ts, te2, _C)), first, Atom("next", (_C, te, ts2)), second)
+            else:
+                self.emit(Atom(pred, (ts, te2, _C)), first, second, Cmp("<", te, ts2))
             return pred
         if isinstance(node, Star):
             inner = self.formula_pred(node.inner)
             pred = self.fresh_pred()
-            self.helpers.add("hasBetween")
             self.emit(Atom(pred, (ts, te, _C)), Atom(inner, (ts, te, _C)))
             self.emit(
                 Atom(pred, (ts, te2, _C)),
-                Atom("segment", (ts, te2, _C)),
                 Atom(inner, (ts, te, _C)),
+                Atom("next", (_C, te, ts2)),
                 Atom(pred, (ts2, te2, _C)),
-                Cmp("<", te, ts2),
-                Atom("hasBetween", (_C, te, ts2), negated=True),
             )
             return pred
         if isinstance(node, Start):
@@ -340,25 +316,6 @@ def translate_pattern(pattern: CompiledPattern) -> list[Rule]:
     return [*_helper_rules(ctx.helpers), *ctx.rules]
 
 
-# The two segment rules from the source model, repaired to pass the safety
-# check. They are emitted for documentation; segment facts are precomputed,
-# so they derive nothing new.
-def _segment_rules() -> list[Rule]:
-    ts, te, ts2, te2 = Var("Ts"), Var("Te"), Var("Ts2"), Var("Te2")
-    return [
-        Rule(Atom("segment", (_T, _T, _C)), (Atom("event", (_C, _E, _T)),)),
-        Rule(
-            Atom("segment", (ts, te2, _C)),
-            (
-                Atom("segment", (ts, te, _C)),
-                Atom("segment", (ts2, te2, _C)),
-                Cmp("<", te, ts2),
-                Atom("hasBetween", (_C, te, ts2), negated=True),
-            ),
-        ),
-    ]
-
-
 def _column_term(ref: ColumnRef, attr_vars: dict[str, Var]) -> Term:
     if ref.kind == "eid":
         return _E
@@ -380,8 +337,8 @@ def _const_term(ref: ColumnRef, value: str | int) -> Const:
 
 
 def translate_query(query: Query, schema: tuple[str, ...], source: str = DEFAULT_SOURCE) -> DatalogProgram:
-    """Translate a whole query: output rules, pattern rules, helper
-    definitions and the two documentation segment rules."""
+    """Translate a whole query: output rules, then pattern rules, then the
+    definitions of the helpers that the pattern rules negate."""
     plan: Plan = compile_plan(query, schema, source)
 
     referenced: list[str] = []
@@ -436,10 +393,9 @@ def translate_query(query: Query, schema: tuple[str, ...], source: str = DEFAULT
         seen_variant.add(key)
         rules.append(Rule(head, tuple([*base_body, *combo])))
 
-    helper_names = {"hasBetween", *(ctx.helpers if ctx else set())}
-    rules.extend(ctx.rules if ctx else [])
-    rules.extend(_helper_rules(helper_names))
-    rules.extend(_segment_rules())
+    if ctx is not None:
+        rules.extend(ctx.rules)
+        rules.extend(_helper_rules(ctx.helpers))
     return DatalogProgram(tuple(rules), edb_predicates(schema))
 
 
@@ -513,68 +469,170 @@ def _check_program(program: DatalogProgram) -> None:
 
 
 # --- evaluation ---------------------------------------------------------------
+# Each rule is compiled once into a join plan: its positive atoms in body
+# order, each probed through a hash index on the argument positions already
+# bound when it is reached (constants, and variables bound by earlier atoms).
+# Comparisons and negated atoms are tested at the first atom after which all
+# of their variables are bound. Variables live in numbered slots of one list.
 
-def _resolve(term: Term, subst: dict[str, Const]) -> Const:
-    return subst[term.name] if isinstance(term, Var) else term
+_Ref = tuple[bool, object]  # (True, slot number) or (False, constant)
+_Check = tuple[str, object, object]  # (op, left ref, right ref) or ("!", pred, arg refs)
+_Index = dict[tuple[Const, ...], list[tuple[Const, ...]]]
 
 
-def _cmp_holds(item: Cmp, subst: dict[str, Const]) -> bool:
-    left, right = _resolve(item.left, subst), _resolve(item.right, subst)
-    if item.op == "=":
-        return left == right
-    if not (isinstance(left, int) and isinstance(right, int)):
-        return False
-    return left < right if item.op == "<" else left > right
+@dataclass(frozen=True)
+class _Step:
+    """One positive body atom of a join plan."""
+
+    pred: str
+    arity: int
+    key_positions: tuple[int, ...]  # argument positions bound when the atom is reached
+    key: tuple[_Ref, ...]  # the values at those positions
+    binds: tuple[tuple[int, int], ...]  # (argument position, slot) for each newly bound variable
+    repeats: tuple[tuple[int, int], ...]  # (position, earlier position) of a new variable seen twice
+    checks: tuple[_Check, ...]  # the filters ready after this atom
+
+
+@dataclass(frozen=True)
+class _JoinPlan:
+    head: tuple[_Ref, ...]
+    checks: tuple[_Check, ...]  # filters that need no atom's bindings
+    steps: tuple[_Step, ...]
+    slots: int
+
+
+def _item_vars(item: BodyItem) -> set[str]:
+    if isinstance(item, Cmp):
+        return _term_vars(item.left) | _term_vars(item.right)
+    return {name for arg in item.args for name in _term_vars(arg)}
+
+
+def _compile_rule(rule: Rule) -> _JoinPlan:
+    slots: dict[str, int] = {}
+    pending = [item for item in rule.body if not (isinstance(item, Atom) and not item.negated)]
+
+    def ref(term: Term) -> _Ref:
+        return (True, slots[term.name]) if isinstance(term, Var) else (False, term)
+
+    def ready_checks() -> tuple[_Check, ...]:
+        nonlocal pending
+        ready = [item for item in pending if _item_vars(item) <= slots.keys()]
+        pending = [item for item in pending if not _item_vars(item) <= slots.keys()]
+        return tuple(
+            (item.op, ref(item.left), ref(item.right)) if isinstance(item, Cmp)
+            else ("!", item.pred, tuple(ref(a) for a in item.args))
+            for item in ready
+        )
+
+    checks = ready_checks()
+    steps: list[_Step] = []
+    for item in rule.body:
+        if not isinstance(item, Atom) or item.negated:
+            continue
+        key_positions: list[int] = []
+        key: list[_Ref] = []
+        first: dict[str, int] = {}
+        repeats: list[tuple[int, int]] = []
+        for i, arg in enumerate(item.args):
+            if isinstance(arg, Var) and arg.name not in slots:
+                if arg.name in first:
+                    repeats.append((i, first[arg.name]))
+                else:
+                    first[arg.name] = i
+            else:
+                key_positions.append(i)
+                key.append(ref(arg))
+        binds = []
+        for name, i in first.items():
+            slots[name] = len(slots)
+            binds.append((i, slots[name]))
+        steps.append(
+            _Step(item.pred, len(item.args), tuple(key_positions), tuple(key),
+                  tuple(binds), tuple(repeats), ready_checks())
+        )
+    return _JoinPlan(tuple(ref(a) for a in rule.head.args), checks, tuple(steps), len(slots))
+
+
+class _Relations:
+    """Relations by predicate, each with hash indexes that are built on first
+    use and extended as tuples are added."""
+
+    def __init__(self, rels: FactSet):
+        self.rels = rels
+        self._indexes: dict[str, dict[tuple[tuple[int, ...], int], _Index]] = {}
+
+    def index(self, pred: str, positions: tuple[int, ...], arity: int) -> _Index:
+        """The tuples of arity `arity`, keyed by their values at `positions`."""
+        by_shape = self._indexes.setdefault(pred, {})
+        idx = by_shape.get((positions, arity))
+        if idx is None:
+            idx = by_shape[(positions, arity)] = {}
+            _extend_index(idx, self.rels.get(pred, ()), positions, arity)
+        return idx
+
+    def add(self, pred: str, tuples: set[tuple[Const, ...]]) -> None:
+        """Add tuples that are not yet in the relation."""
+        self.rels[pred] |= tuples
+        for (positions, arity), idx in self._indexes.get(pred, {}).items():
+            _extend_index(idx, tuples, positions, arity)
+
+
+def _extend_index(idx: _Index, tuples: Iterable[tuple[Const, ...]], positions: tuple[int, ...], arity: int) -> None:
+    for tup in tuples:
+        if len(tup) == arity:
+            idx.setdefault(tuple(tup[i] for i in positions), []).append(tup)
+
+
+def _checks_hold(checks: tuple[_Check, ...], env: list, rels: FactSet) -> bool:
+    for op, left, right in checks:
+        if op == "!":
+            if tuple(env[x] if is_slot else x for is_slot, x in right) in rels.get(left, ()):
+                return False
+            continue
+        a = env[left[1]] if left[0] else left[1]
+        b = env[right[1]] if right[0] else right[1]
+        if op == "=":
+            if a != b:
+                return False
+        elif not (isinstance(a, int) and isinstance(b, int)) or not (a < b if op == "<" else a > b):
+            return False
+    return True
 
 
 def _eval_rule(
-    rule: Rule,
-    rels: dict[str, set[tuple[Const, ...]]],
-    delta_pos: int | None = None,
-    delta: set[tuple[Const, ...]] | None = None,
+    plan: _JoinPlan,
+    rels: _Relations,
+    delta_step: int | None = None,
+    delta: _Relations | None = None,
 ) -> set[tuple[Const, ...]]:
-    positives = [
-        (i, item) for i, item in enumerate(rule.body) if isinstance(item, Atom) and not item.negated
-    ]
-    filters = [item for item in rule.body if not (isinstance(item, Atom) and not item.negated)]
+    """Head tuples of one rule; step `delta_step` reads `delta` in place of
+    its relation."""
     out: set[tuple[Const, ...]] = set()
+    env: list = [None] * plan.slots
+    if not _checks_hold(plan.checks, env, rels.rels):
+        return out
+    steps = plan.steps
+    indexes = [
+        (delta if k == delta_step else rels).index(step.pred, step.key_positions, step.arity)
+        for k, step in enumerate(steps)
+    ]
 
-    def walk(k: int, subst: dict[str, Const]) -> None:
-        if k == len(positives):
-            for item in filters:
-                if isinstance(item, Cmp):
-                    if not _cmp_holds(item, subst):
-                        return
-                else:
-                    ground = tuple(_resolve(a, subst) for a in item.args)
-                    if ground in rels.get(item.pred, set()):
-                        return
-            out.add(tuple(_resolve(a, subst) for a in rule.head.args))
+    def walk(k: int) -> None:
+        if k == len(steps):
+            out.add(tuple(env[x] if is_slot else x for is_slot, x in plan.head))
             return
-        pos, atom = positives[k]
-        source = delta if (delta_pos is not None and pos == delta_pos) else rels.get(atom.pred, set())
-        for tup in source or ():
-            if len(tup) != len(atom.args):
+        step = steps[k]
+        key = tuple(env[x] if is_slot else x for is_slot, x in step.key)
+        for tup in indexes[k].get(key, ()):
+            for i, slot in step.binds:
+                env[slot] = tup[i]
+            if step.repeats and any(tup[i] != tup[j] for i, j in step.repeats):
                 continue
-            bound = subst
-            ok = True
-            for arg, val in zip(atom.args, tup):
-                if isinstance(arg, Var):
-                    seen = bound.get(arg.name)
-                    if seen is None:
-                        if bound is subst:
-                            bound = dict(subst)
-                        bound[arg.name] = val
-                    elif seen != val:
-                        ok = False
-                        break
-                elif arg != val:
-                    ok = False
-                    break
-            if ok:
-                walk(k + 1, bound)
+            if step.checks and not _checks_hold(step.checks, env, rels.rels):
+                continue
+            walk(k + 1)
 
-    walk(0, {})
+    walk(0)
     return out
 
 
@@ -587,6 +645,7 @@ def evaluate(program: DatalogProgram, facts: FactSet) -> FactSet:
         rels.setdefault(rule.head.pred, set())
     for pred in program.edb_predicates:
         rels.setdefault(pred, set())
+    store = _Relations(rels)
 
     negated = {
         item.pred
@@ -594,39 +653,37 @@ def evaluate(program: DatalogProgram, facts: FactSet) -> FactSet:
         for item in rule.body
         if isinstance(item, Atom) and item.negated and item.pred not in program.edb_predicates
     }
-    helper_rules = [r for r in program.rules if r.head.pred in negated]
-    main_rules = [r for r in program.rules if r.head.pred not in negated]
+    helper_plans = [(r.head.pred, _compile_rule(r)) for r in program.rules if r.head.pred in negated]
+    main_plans = [(r.head.pred, _compile_rule(r)) for r in program.rules if r.head.pred not in negated]
 
     # Helpers are nonrecursive and EDB-only; close them before any negation.
     changed = True
     while changed:
         changed = False
-        for rule in helper_rules:
-            fresh = _eval_rule(rule, rels) - rels[rule.head.pred]
+        for pred, plan in helper_plans:
+            fresh = _eval_rule(plan, store) - rels[pred]
             if fresh:
-                rels[rule.head.pred] |= fresh
+                store.add(pred, fresh)
                 changed = True
 
     delta: dict[str, set[tuple[Const, ...]]] = {}
-    for rule in main_rules:
-        fresh = _eval_rule(rule, rels) - rels[rule.head.pred]
+    for pred, plan in main_plans:
+        fresh = _eval_rule(plan, store) - rels[pred]
         if fresh:
-            delta.setdefault(rule.head.pred, set()).update(fresh)
+            delta.setdefault(pred, set()).update(fresh)
     while delta:
         for pred, tuples in delta.items():
-            rels[pred] |= tuples
+            store.add(pred, tuples)
+        seeds = _Relations(delta)
         next_delta: dict[str, set[tuple[Const, ...]]] = {}
-        for rule in main_rules:
-            for pos, item in enumerate(rule.body):
-                if not (isinstance(item, Atom) and not item.negated):
+        for pred, plan in main_plans:
+            for k, step in enumerate(plan.steps):
+                if not delta.get(step.pred):
                     continue
-                seeds = delta.get(item.pred)
-                if not seeds:
-                    continue
-                fresh = _eval_rule(rule, rels, delta_pos=pos, delta=seeds) - rels[rule.head.pred]
-                fresh -= next_delta.get(rule.head.pred, set())
+                fresh = _eval_rule(plan, store, k, seeds) - rels[pred]
+                fresh -= next_delta.get(pred, set())
                 if fresh:
-                    next_delta.setdefault(rule.head.pred, set()).update(fresh)
+                    next_delta.setdefault(pred, set()).update(fresh)
         delta = next_delta
     return rels
 

@@ -179,9 +179,10 @@ def _row_selected(event: Event, selection: RowSelection) -> bool:
 def execute(plan: Plan, log: EventLog, *, set_semantics: bool = False) -> ResultTable:
     """Run the plan. Pattern selections see the full per-case event sets;
     their surviving case sets are intersected before row filtering."""
-    surviving = {es.cid for es in event_sets(log)}
+    sets = event_sets(log)
+    surviving = {es.cid for es in sets}
     for pattern in plan.pattern_selections:
-        surviving &= {es.cid for es in event_sets(log) if case_satisfies(pattern, es)}
+        surviving &= {es.cid for es in sets if case_satisfies(pattern, es)}
     rows = []
     for event in log.events:  # already in (cid, ts) order
         if event.cid not in surviving:

@@ -161,7 +161,22 @@ def test_translate(capsys, quotes_csv_path):
     )
     assert code == 0
     assert 'event("0001","e0001",1675086864052).' in out
-    assert out.count("segment(") > 16  # one rule head plus 16 facts
+    program, facts = out.split("\n\n")
+    assert program == "output(C) :- event(C,E,T)."  # no helper rule without a pattern
+    # one successor fact per pair of consecutive events: 7 events in 2 cases
+    assert facts.count("next(") == 5
+    assert 'next("0002",1675147138009,1675213914098).' in facts
+
+
+def test_log_with_byte_order_mark(capsys, tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_text("eid,cid,ts,event_name\ne1,c1,10,a\ne2,c1,20,b\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    query = "SELECT eid FROM eventlog WHERE event_name MATCHES ('a' -> 'b')"
+    code, out, err = run(capsys, "query", query, "--log", str(path), "--format", "csv")
+    assert (code, err) == (0, "") and out.splitlines() == ["eid", "e1", "e2"]
+    code, out, err = run(capsys, "check", query, "--log", str(path))
+    assert (code, err) == (0, "") and out == "EQUAL (2 distinct tuples)\n"
 
 
 def test_check_fixture_and_mismatch(capsys, quotes_csv_path, tmp_path):

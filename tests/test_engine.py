@@ -94,6 +94,25 @@ def test_never_matching_literals_give_empty_table(quotes_log):
     assert table.rows == ()
 
 
+def test_execute_groups_cases_once(quotes_log, monkeypatch):
+    import sccq.engine
+
+    calls = []
+
+    def counting(log):
+        calls.append(log)
+        return event_sets(log)
+
+    monkeypatch.setattr(sccq.engine, "event_sets", counting)
+    table = run(
+        "SELECT cid FROM eventlog WHERE event_name MATCHES ('Review request' ~> 'Send quote') "
+        "AND status MATCHES ('NEW' -> 'WIP')",
+        quotes_log,
+    )
+    assert len(calls) == 1
+    assert set(table.rows) == {("0002",)}
+
+
 def test_const_equalities(quotes_log):
     assert run("SELECT eid FROM eventlog WHERE ts = 1675147138009", quotes_log).rows == (("e0002",),)
     # a quoted constant never equals a timestamp
