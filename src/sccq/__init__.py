@@ -5,147 +5,4 @@ over CSV event logs with a relational back end, and cross-checks against an
 independently generated datalog program.
 """
 
-from .ast import (
-    AnyEvent,
-    AttrEqAttr,
-    AttrEqConst,
-    BehaviourDef,
-    BehaviourMatch,
-    BehaviourRef,
-    DirectlyFollows,
-    End,
-    Follows,
-    Identifier,
-    Literal,
-    NotExpr,
-    OrExpr,
-    Query,
-    SimpleMatch,
-    Star,
-    Start,
-    matches_empty,
-)
-from .datalog import (
-    CheckReport,
-    DatalogProgram,
-    audit_program,
-    cross_check,
-    evaluate,
-    facts_from_log,
-    facts_to_text,
-    program_to_text,
-    translate_pattern,
-    translate_query,
-)
-from .engine import Plan, ResultTable, compile_plan, execute, explain
-from .errors import (
-    BadTimestamp,
-    KeyViolation,
-    MalformedCsv,
-    OracleBoundExceeded,
-    ParseError,
-    SccError,
-    StratificationViolation,
-    UnboundBehaviourName,
-    UnknownAttribute,
-    UnknownColumn,
-    UnknownSource,
-    UnsafeRule,
-    UnsupportedFeature,
-)
-from .eventlog import (
-    EMPTY_SEGMENT,
-    Event,
-    EventLog,
-    EventSet,
-    Segment,
-    case_events,
-    enumerate_segments,
-    event_sets,
-    load_event_log,
-    merge_cases,
-    serialize_event_log,
-)
-from .matcher import (
-    CompiledPattern,
-    MatchResult,
-    case_satisfies,
-    compile_pattern,
-    oracle_satisfying_segments,
-    pattern_select,
-    satisfying_segments,
-)
-from .parser import parse_pattern, parse_query, pretty_print, pretty_print_pattern
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnyEvent",
-    "AttrEqAttr",
-    "AttrEqConst",
-    "BadTimestamp",
-    "BehaviourDef",
-    "BehaviourMatch",
-    "BehaviourRef",
-    "CheckReport",
-    "CompiledPattern",
-    "DatalogProgram",
-    "DirectlyFollows",
-    "EMPTY_SEGMENT",
-    "End",
-    "Event",
-    "EventLog",
-    "EventSet",
-    "Follows",
-    "Identifier",
-    "KeyViolation",
-    "Literal",
-    "MalformedCsv",
-    "MatchResult",
-    "NotExpr",
-    "OrExpr",
-    "OracleBoundExceeded",
-    "ParseError",
-    "Plan",
-    "Query",
-    "ResultTable",
-    "SccError",
-    "Segment",
-    "SimpleMatch",
-    "Star",
-    "Start",
-    "StratificationViolation",
-    "UnboundBehaviourName",
-    "UnknownAttribute",
-    "UnknownColumn",
-    "UnknownSource",
-    "UnsafeRule",
-    "UnsupportedFeature",
-    "audit_program",
-    "case_events",
-    "case_satisfies",
-    "compile_pattern",
-    "compile_plan",
-    "cross_check",
-    "enumerate_segments",
-    "evaluate",
-    "event_sets",
-    "execute",
-    "explain",
-    "facts_from_log",
-    "facts_to_text",
-    "load_event_log",
-    "matches_empty",
-    "merge_cases",
-    "oracle_satisfying_segments",
-    "parse_pattern",
-    "parse_query",
-    "pattern_select",
-    "pretty_print",
-    "pretty_print_pattern",
-    "program_to_text",
-    "satisfying_segments",
-    "serialize_event_log",
-    "translate_pattern",
-    "translate_query",
-]

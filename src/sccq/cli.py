@@ -198,8 +198,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Built once: parsing arguments leaves the parser unchanged.
+_ARG_PARSER = build_arg_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    args = _ARG_PARSER.parse_args(argv)
     try:
         return args.func(args)
     except OSError as exc:

@@ -364,7 +364,6 @@ def translate_query(query: Query, schema: tuple[str, ...], source: str = DEFAULT
 
     ctx: _Translation | None = None
     pattern_atoms: list[tuple[Atom, bool]] = []
-    rules: list[Rule] = []
     for i, pattern in enumerate(plan.pattern_selections):
         if ctx is None:
             ctx = _Translation(pattern)
@@ -383,15 +382,9 @@ def translate_query(query: Query, schema: tuple[str, ...], source: str = DEFAULT
     for atom, optional in pattern_atoms:
         extended = [combo + [atom] for combo in variants]
         if optional:
-            extended.extend(combo + [] for combo in variants)
+            extended.extend(variants)
         variants = extended
-    seen_variant: set[tuple] = set()
-    for combo in variants:
-        key = tuple(a.pred for a in combo)
-        if key in seen_variant:
-            continue
-        seen_variant.add(key)
-        rules.append(Rule(head, tuple([*base_body, *combo])))
+    rules = [Rule(head, tuple([*base_body, *combo])) for combo in variants]
 
     if ctx is not None:
         rules.extend(ctx.rules)
@@ -656,15 +649,10 @@ def evaluate(program: DatalogProgram, facts: FactSet) -> FactSet:
     helper_plans = [(r.head.pred, _compile_rule(r)) for r in program.rules if r.head.pred in negated]
     main_plans = [(r.head.pred, _compile_rule(r)) for r in program.rules if r.head.pred not in negated]
 
-    # Helpers are nonrecursive and EDB-only; close them before any negation.
-    changed = True
-    while changed:
-        changed = False
-        for pred, plan in helper_plans:
-            fresh = _eval_rule(plan, store) - rels[pred]
-            if fresh:
-                store.add(pred, fresh)
-                changed = True
+    # The audit guarantees that helper bodies read EDB atoms only, so one
+    # pass closes them before any negation.
+    for pred, plan in helper_plans:
+        store.add(pred, _eval_rule(plan, store) - rels[pred])
 
     delta: dict[str, set[tuple[Const, ...]]] = {}
     for pred, plan in main_plans:

@@ -2,9 +2,8 @@
 
 A query compiles to a plan of three layers, applied in this order:
 
-1. every pattern selection runs against the *original* per-case event sets
-   and the surviving case sets are intersected (so a row filter can never
-   hide events from a pattern);
+1. a case survives when every pattern selection holds on its *original*
+   event set (so a row filter can never hide events from a pattern);
 2. row equality selections filter individual events;
 3. the projection emits one row per surviving event, duplicates preserved
    unless set semantics is requested.
@@ -26,7 +25,7 @@ from .ast import AttrEqAttr, AttrEqConst, BehaviourMatch, Query, SimpleMatch
 from .errors import UnknownColumn, UnknownSource
 from .eventlog import Event, EventLog, event_sets
 from .matcher import CompiledPattern, case_satisfies, compile_pattern
-from .parser import pretty_print_pattern, quote_string
+from .parser import behaviour_defs_text, const_text, pretty_print_pattern
 
 DEFAULT_SOURCE = "eventlog"
 
@@ -177,12 +176,13 @@ def _row_selected(event: Event, selection: RowSelection) -> bool:
 
 
 def execute(plan: Plan, log: EventLog, *, set_semantics: bool = False) -> ResultTable:
-    """Run the plan. Pattern selections see the full per-case event sets;
-    their surviving case sets are intersected before row filtering."""
-    sets = event_sets(log)
-    surviving = {es.cid for es in sets}
-    for pattern in plan.pattern_selections:
-        surviving &= {es.cid for es in sets if case_satisfies(pattern, es)}
+    """Run the plan. Pattern selections see the full per-case event sets,
+    and a case is kept before row filtering only if it satisfies them all;
+    a case that fails one pattern is not matched against the later ones."""
+    surviving = {
+        es.cid for es in event_sets(log)
+        if all(case_satisfies(pattern, es) for pattern in plan.pattern_selections)
+    }
     rows = []
     for event in log.events:  # already in (cid, ts) order
         if event.cid not in surviving:
@@ -204,24 +204,12 @@ def _pattern_selection_text(pattern: CompiledPattern) -> str:
     body = pretty_print_pattern(pattern.formula)
     if pattern.is_simple:
         return f"{pattern.attribute}: {body}"
-    def conjunct_text(c: AttrEqAttr | AttrEqConst) -> str:
-        if isinstance(c, AttrEqConst):
-            rendered = str(c.value) if isinstance(c.value, int) else quote_string(c.value)
-            return f"{c.attr} = {rendered}"
-        return f"{c.left} = {c.right}"
-
-    defs = ", ".join(
-        " AND ".join(conjunct_text(c) for c in d.conjuncts) + f" AS {d.name}"
-        for d in pattern.behaviours
-    )
-    return f"{defs}: {body}"
+    return f"{behaviour_defs_text(pattern.behaviours)}: {body}"
 
 
 def _row_selection_text(selection: RowSelection) -> str:
     if isinstance(selection, ConstEquality):
-        value = selection.value
-        rendered = str(value) if isinstance(value, int) else quote_string(value)
-        return f"{selection.column.name} = {rendered}"
+        return f"{selection.column.name} = {const_text(selection.value)}"
     return f"{selection.left.name} = {selection.right.name}"
 
 

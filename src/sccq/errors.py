@@ -50,7 +50,7 @@ class UnknownAttribute(SccError):
 
 
 class UnboundBehaviourName(SccError):
-    """A pattern identifier is not bound by any behaviour definition."""
+    """A pattern identifier is not bound by exactly one behaviour definition."""
 
 
 class UnknownColumn(SccError):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
 from typing import Iterable, TextIO
@@ -53,11 +53,6 @@ def parse_timestamp(text: str) -> int:
     if millis < 0:
         raise BadTimestamp(f"timestamp {raw!r} is before the epoch")
     return millis
-
-
-def millis_to_iso(ts: int) -> str:
-    """Render epoch milliseconds as an ISO-8601 UTC string (for display only)."""
-    return datetime.fromtimestamp(ts / 1000, tz=timezone.utc).isoformat().replace("+00:00", "Z")
 
 
 @dataclass(frozen=True)
@@ -154,10 +149,6 @@ class EventSet:
         i = self._index[ts] + 1
         return self.timestamps[i] if i < len(self.timestamps) else None
 
-    def events_between(self, lo: int, hi: int) -> int:
-        """Number of events with lo < ts < hi."""
-        return sum(1 for ts in self.timestamps if lo < ts < hi)
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -177,10 +168,6 @@ class Segment:
     def interval(start: int, end: int) -> "Segment":
         return Segment(start, end)
 
-    @staticmethod
-    def empty() -> "Segment":
-        return EMPTY_SEGMENT
-
     @property
     def is_empty(self) -> bool:
         return self.start is None
@@ -198,27 +185,6 @@ class Segment:
 
 
 EMPTY_SEGMENT = Segment(None, None)
-
-
-@dataclass(frozen=True)
-class CaseSet:
-    """Per-case attribute rows. Ingestible and validatable; the query
-    pipeline never touches it."""
-
-    schema: tuple[str, ...]
-    rows: tuple[tuple[str, tuple[str | None, ...]], ...]
-
-    def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for cid, values in self.rows:
-            if cid in seen:
-                raise KeyViolation(f"duplicate case id {cid!r}")
-            if len(values) != len(self.schema):
-                raise MalformedCsv(f"case {cid!r} has {len(values)} values for {len(self.schema)} attributes")
-            seen.add(cid)
-
-    def case_ids(self) -> frozenset[str]:
-        return frozenset(cid for cid, _ in self.rows)
 
 
 def _resolve_role(header: list[str], wanted: str | None, aliases: tuple[str, ...], role: str) -> int:
@@ -294,34 +260,9 @@ def serialize_event_log(log: EventLog) -> str:
     return out.getvalue()
 
 
-def load_case_set(source: str | TextIO, *, cid_col: str | None = None) -> CaseSet:
-    """Read a per-case attribute CSV. Case ids must be unique."""
-    stream = io.StringIO(source) if isinstance(source, str) else source
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MalformedCsv("missing header row") from None
-    ci = _resolve_role(header, cid_col, CID_ALIASES, "case id")
-    attr_cols = [i for i in range(len(header)) if i != ci]
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise MalformedCsv(f"row {lineno} has {len(row)} fields, header has {len(header)}")
-        rows.append((row[ci], tuple(row[i] if row[i] != "" else None for i in attr_cols)))
-    return CaseSet(schema=tuple(header[i] for i in attr_cols), rows=tuple(rows))
-
-
 def cases(log: EventLog) -> frozenset[str]:
     """The distinct case ids of the log."""
     return frozenset(e.cid for e in log.events)
-
-
-def case_events(log: EventLog, cid: str) -> EventSet:
-    """The case's events ascending by timestamp; empty for an absent cid."""
-    return EventSet(cid=cid, events=tuple(e for e in log.events if e.cid == cid))
 
 
 def event_sets(log: EventLog) -> list[EventSet]:

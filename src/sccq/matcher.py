@@ -98,7 +98,8 @@ def compile_pattern(condition: SimpleMatch | BehaviourMatch, schema: tuple[str, 
     """Bind a MATCHES condition against the log schema.
 
     Raises UnknownAttribute for attribute names outside the schema and
-    UnboundBehaviourName for identifiers with no matching behaviour.
+    UnboundBehaviourName for identifiers with no matching behaviour and for
+    behaviour names defined more than once.
     """
     if isinstance(condition, SimpleMatch):
         if condition.attribute not in schema:
@@ -114,7 +115,7 @@ def compile_pattern(condition: SimpleMatch | BehaviourMatch, schema: tuple[str, 
 
     names = [d.name for d in condition.behaviours]
     if len(set(names)) != len(names):
-        raise ValueError(f"duplicate behaviour names in {names}")
+        raise UnboundBehaviourName(f"duplicate behaviour names in {names}")
     for d in condition.behaviours:
         for conj in d.conjuncts:
             attrs = (conj.left, conj.right) if isinstance(conj, AttrEqAttr) else (conj.attr,)
@@ -237,12 +238,13 @@ class _Generator:
     ) -> frozenset[Segment]:
         # Composition needs nonempty witnesses on both sides; a star operand
         # contributes only its nonempty members.
+        nonempty_rights = [b for b in rights if not b.is_empty]
         out = set()
         for a in lefts:
             if a.is_empty:
                 continue
-            for b in rights:
-                if b.is_empty or a.end >= b.start:
+            for b in nonempty_rights:
+                if a.end >= b.start:
                     continue
                 if contiguous and self.es.successor(a.end) != b.start:
                     continue
@@ -250,19 +252,13 @@ class _Generator:
         return frozenset(out)
 
     def _star(self, inner: frozenset[Segment]) -> frozenset[Segment]:
-        base = [s for s in inner if not s.is_empty]
-        result: set[Segment] = set(base)
-        frontier = list(base)
+        # Grow concatenations leftwards from the newest ones until no new
+        # segment appears.
+        frontier = frozenset(s for s in inner if not s.is_empty)
+        result = set(frontier)
         while frontier:
-            fresh = []
-            for right in frontier:
-                for left in base:
-                    if left.end < right.start and self.es.successor(left.end) == right.start:
-                        joined = Segment.interval(left.start, right.end)
-                        if joined not in result:
-                            result.add(joined)
-                            fresh.append(joined)
-            frontier = fresh
+            frontier = self._combine(inner, frontier, contiguous=True) - result
+            result |= frontier
         result.add(EMPTY_SEGMENT)
         return frozenset(result)
 

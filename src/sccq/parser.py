@@ -18,7 +18,9 @@ END bind tightest, then ``->``, then ``~>``):
     idterm     := string | name | NOT "(" idexpr ")" | "(" idexpr ")"
 
 Inside a plain MATCHES the identifiers must be quoted strings; inside a
-BEHAVIOUR match they must be bound behaviour names. ``~>``/``->`` have the
+BEHAVIOUR match they must be bound behaviour names. A pattern nests at most
+MAX_PATTERN_NESTING levels deep, counting every parenthesised group, START,
+NOT and operator. ``~>``/``->`` have the
 arrow aliases U+21DD/U+2192 on input. Keywords are case-insensitive; string
 literals take either quote character with a doubled quote as escape. The
 pretty printer emits the canonical form (upper-case keywords, single quotes,
@@ -28,6 +30,7 @@ ASCII arrows) and parse of that form reproduces the tree exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 from .ast import (
     AnyEvent,
@@ -60,6 +63,12 @@ KEYWORDS = {
 # Recognised so they can be rejected with a pointed error instead of a
 # generic syntax failure.
 UNSUPPORTED_FUNCTIONS = {"FIRST", "LAST", "AVG"}
+# Deepest pattern accepted. Every parenthesised group, START, NOT and
+# operator node is one level; the matcher, the oracle and the Datalog
+# translation recurse once or twice per level.
+MAX_PATTERN_NESTING = 100
+
+_Node = TypeVar("_Node", PatternFormula, IdentifierExpr)
 
 
 @dataclass(frozen=True)
@@ -167,6 +176,8 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.strict_grammar = strict_grammar
+        self.open_groups = 0
+        self.heights: dict[int, int] = {}  # id(node) -> its nesting levels; leaves are 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -214,6 +225,40 @@ class _Parser:
         if upper in UNSUPPORTED_FUNCTIONS and self.peek(1).kind == "LPAREN":
             raise UnsupportedFeature(upper, tok.line, tok.column)
         return self.next()
+
+    # -- pattern nesting ------------------------------------------------------
+
+    def height(self, node: PatternFormula | IdentifierExpr) -> int:
+        return self.heights.get(id(node), 0)
+
+    def check_nesting(self, tok: Token, height: int) -> None:
+        if self.open_groups + height > MAX_PATTERN_NESTING:
+            raise ParseError(f"pattern nested more than {MAX_PATTERN_NESTING} levels deep",
+                             tok.line, tok.column)
+
+    def nested(self, tok: Token, node: _Node, height: int) -> _Node:
+        """Record that `node`, written at `tok`, is `height` levels deep; fail
+        if it and the groups around it pass the bound."""
+        self.check_nesting(tok, height)
+        self.heights[id(node)] = height
+        return node
+
+    def binary(self, tok: Token, cls: type, left: _Node, right: _Node) -> _Node:
+        return self.nested(tok, cls(left, right), max(self.height(left), self.height(right)) + 1)
+
+    def group(
+        self, tok: Token, parse: Callable[[frozenset[str] | None], _Node],
+        behaviour_names: frozenset[str] | None,
+    ) -> tuple[_Node, int]:
+        """Parse "(" parse(behaviour_names) ")" one level below `tok`; returns
+        the inner node and the height of the group."""
+        self.open_groups += 1
+        self.check_nesting(tok, 0)
+        self.expect("LPAREN", "(")
+        inner = parse(behaviour_names)
+        self.expect("RPAREN", ")")
+        self.open_groups -= 1
+        return inner, self.height(inner) + 1
 
     def check_subquery(self) -> None:
         if self.peek().kind == "LPAREN" and self.peek(1).keyword == "SELECT":
@@ -318,15 +363,17 @@ class _Parser:
     def pattern(self, behaviour_names: frozenset[str] | None) -> PatternFormula:
         node = self.pattern_seq(behaviour_names)
         while self.peek().kind == "FOLLOWS":
-            self.next()
-            node = Follows(node, self.pattern_seq(behaviour_names))
+            tok = self.next()
+            right = self.pattern_seq(behaviour_names)
+            node = self.binary(tok, Follows, node, right)
         return node
 
     def pattern_seq(self, behaviour_names: frozenset[str] | None) -> PatternFormula:
         node = self.pattern_unit(behaviour_names)
         while self.peek().kind == "DFOLLOWS":
-            self.next()
-            node = DirectlyFollows(node, self.pattern_unit(behaviour_names))
+            tok = self.next()
+            right = self.pattern_unit(behaviour_names)
+            node = self.binary(tok, DirectlyFollows, node, right)
         return node
 
     def pattern_unit(self, behaviour_names: frozenset[str] | None) -> PatternFormula:
@@ -335,10 +382,10 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "STAR":
                 self.next()
-                node = Star(node)
+                node = self.nested(tok, Star(node), self.height(node) + 1)
             elif tok.keyword == "END":
                 self.next()
-                node = End(node)
+                node = self.nested(tok, End(node), self.height(node) + 1)
             else:
                 return node
 
@@ -349,25 +396,22 @@ class _Parser:
             return AnyEvent()
         if tok.keyword == "START":
             self.next()
-            self.expect("LPAREN", "(")
-            inner = self.pattern(behaviour_names)
-            self.expect("RPAREN", ")")
-            return Start(inner)
+            inner, height = self.group(tok, self.pattern, behaviour_names)
+            return self.nested(tok, Start(inner), height)
         if tok.kind == "LPAREN":
-            self.next()
-            inner = self.pattern(behaviour_names)
-            self.expect("RPAREN", ")")
-            return inner
+            return self.nested(tok, *self.group(tok, self.pattern, behaviour_names))
         if tok.kind == "STRING" or tok.keyword == "NOT" or tok.kind == "IDENT":
-            return Identifier(self.identifier_expr(behaviour_names))
+            expr = self.identifier_expr(behaviour_names)
+            return self.nested(tok, Identifier(expr), self.height(expr))
         raise self.fail(f"unexpected {self.describe(tok)}",
                         ("string", "ANY", "START", "NOT", "("))
 
     def identifier_expr(self, behaviour_names: frozenset[str] | None) -> IdentifierExpr:
         node = self.identifier_term(behaviour_names)
         while self.at_keyword("OR"):
-            self.next()
-            node = OrExpr(node, self.identifier_term(behaviour_names))
+            tok = self.next()
+            right = self.identifier_term(behaviour_names)
+            node = self.binary(tok, OrExpr, node, right)
         return node
 
     def identifier_term(self, behaviour_names: frozenset[str] | None) -> IdentifierExpr:
@@ -380,15 +424,10 @@ class _Parser:
             return Literal(tok.value)
         if tok.keyword == "NOT":
             self.next()
-            self.expect("LPAREN", "(")
-            inner = self.identifier_expr(behaviour_names)
-            self.expect("RPAREN", ")")
-            return NotExpr(inner)
+            inner, height = self.group(tok, self.identifier_expr, behaviour_names)
+            return self.nested(tok, NotExpr(inner), height)
         if tok.kind == "LPAREN":
-            self.next()
-            inner = self.identifier_expr(behaviour_names)
-            self.expect("RPAREN", ")")
-            return inner
+            return self.nested(tok, *self.group(tok, self.identifier_expr, behaviour_names))
         if tok.kind == "IDENT" and tok.keyword is None:
             if behaviour_names is None:
                 raise self.fail(f"bare identifier {tok.value!r}; attribute values must be quoted",
@@ -466,22 +505,25 @@ def pretty_print_pattern(node: PatternFormula) -> str:
     return _pattern_text(node, 0)
 
 
-def _const_text(value: str | int) -> str:
+def const_text(value: str | int) -> str:
     return str(value) if isinstance(value, int) else quote_string(value)
+
+
+def behaviour_defs_text(defs: tuple[BehaviourDef, ...]) -> str:
+    return ", ".join(
+        " AND ".join(_condition_text(c) for c in d.conjuncts) + f" AS {d.name}" for d in defs
+    )
 
 
 def _condition_text(cond: Condition) -> str:
     if isinstance(cond, AttrEqAttr):
         return f"{cond.left} = {cond.right}"
     if isinstance(cond, AttrEqConst):
-        return f"{cond.attr} = {_const_text(cond.value)}"
+        return f"{cond.attr} = {const_text(cond.value)}"
     if isinstance(cond, SimpleMatch):
         return f"{cond.attribute} MATCHES ({pretty_print_pattern(cond.pattern)})"
     if isinstance(cond, BehaviourMatch):
-        defs = ", ".join(
-            " AND ".join(_condition_text(c) for c in d.conjuncts) + f" AS {d.name}"
-            for d in cond.behaviours
-        )
+        defs = behaviour_defs_text(cond.behaviours)
         return f"BEHAVIOUR {defs} MATCHES ({pretty_print_pattern(cond.pattern)})"
     raise TypeError(f"not a condition: {cond!r}")
 

@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from sccq import load_event_log
+from sccq.eventlog import load_event_log
 
 # Quote-handling process log: two cases, seven events, epoch-millisecond
 # timestamps. Headers use the alias names on purpose so every test that

@@ -4,6 +4,7 @@ import pytest
 
 from sccq.cli import main
 from sccq.eventlog import load_event_log
+from sccq.parser import MAX_PATTERN_NESTING
 
 
 def run(capsys, *argv):
@@ -240,3 +241,23 @@ def test_bad_usage_exits_via_argparse():
         main([])
     with pytest.raises(SystemExit):
         main(["query"])  # missing required --log and query
+
+
+@pytest.mark.parametrize("command", ["query", "match", "translate", "check"])
+def test_pattern_nesting_bound(capsys, four_csv_path, command):
+    def parens(depth):
+        return "(" * depth + "'e1'" + ")" * depth
+
+    def chain(depth):
+        return " ~> ".join(["'e1'"] * (depth + 1))
+
+    prefix = "" if command == "match" else "SELECT cid FROM eventlog WHERE event_name MATCHES "
+    bound = MAX_PATTERN_NESTING
+    # Parsing stops at the group or the operator one level past the bound.
+    for shape, before_stop in ((parens, "(" * bound), (chain, chain(bound) + " ")):
+        code, _, err = run(capsys, command, prefix + shape(bound), "--log", four_csv_path)
+        assert code == 0, err
+        code, _, err = run(capsys, command, prefix + shape(bound + 1), "--log", four_csv_path)
+        assert code == 1
+        column = len(prefix + before_stop) + 1
+        assert f"nested more than {bound} levels deep at line 1, column {column}" in err

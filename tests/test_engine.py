@@ -113,6 +113,27 @@ def test_execute_groups_cases_once(quotes_log, monkeypatch):
     assert set(table.rows) == {("0002",)}
 
 
+def test_execute_skips_later_patterns_for_failed_cases(quotes_log, monkeypatch):
+    import sccq.engine
+
+    calls = []
+    original = sccq.engine.case_satisfies
+
+    def counting(pattern, es):
+        calls.append((pattern.attribute, es.cid))
+        return original(pattern, es)
+
+    monkeypatch.setattr(sccq.engine, "case_satisfies", counting)
+    # Only case 0002 sends a quote; both cases go from NEW to WIP.
+    table = run(
+        "SELECT cid FROM eventlog WHERE event_name MATCHES ('Review request' ~> 'Send quote') "
+        "AND status MATCHES ('NEW' -> 'WIP')",
+        quotes_log,
+    )
+    assert calls == [("event_name", "0001"), ("event_name", "0002"), ("status", "0002")]
+    assert set(table.rows) == {("0002",)}
+
+
 def test_const_equalities(quotes_log):
     assert run("SELECT eid FROM eventlog WHERE ts = 1675147138009", quotes_log).rows == (("e0002",),)
     # a quoted constant never equals a timestamp

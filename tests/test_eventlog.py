@@ -9,14 +9,11 @@ from sccq.eventlog import (
     EventLog,
     EventSet,
     Segment,
-    case_events,
     cases,
     enumerate_segments,
     event_sets,
-    load_case_set,
     load_event_log,
     merge_cases,
-    millis_to_iso,
     parse_timestamp,
     serialize_event_log,
 )
@@ -40,11 +37,6 @@ def test_parse_timestamp_iso():
 def test_parse_timestamp_rejects(bad):
     with pytest.raises(BadTimestamp):
         parse_timestamp(bad)
-
-
-def test_millis_to_iso_round():
-    assert millis_to_iso(0) == "1970-01-01T00:00:00Z"
-    assert parse_timestamp(millis_to_iso(1675086864052)) == 1675086864052
 
 
 def test_event_accessors():
@@ -141,14 +133,10 @@ def test_serialize_null_as_empty_field():
 
 def test_cases_and_case_events(quotes_log):
     assert cases(quotes_log) == frozenset({"0001", "0002"})
-    assert [e.eid for e in case_events(quotes_log, "0001").events] == ["e0001", "e0003", "e0005"]
-    assert [e.eid for e in case_events(quotes_log, "0002").events] == [
-        "e0002",
-        "e0004",
-        "e0006",
-        "e0007",
-    ]
-    assert len(case_events(quotes_log, "0999")) == 0
+    sets = event_sets(quotes_log)
+    assert [es.cid for es in sets] == ["0001", "0002"]
+    assert [e.eid for e in sets[0].events] == ["e0001", "e0003", "e0005"]
+    assert [e.eid for e in sets[1].events] == ["e0002", "e0004", "e0006", "e0007"]
 
 
 def test_event_set_navigation(four_event_log):
@@ -157,8 +145,6 @@ def test_event_set_navigation(four_event_log):
     assert es.successor(10) == 20
     assert es.successor(90) is None
     assert es.event_at(30).eid == "e3"
-    assert es.events_between(10, 90) == 2
-    assert es.events_between(20, 30) == 0
 
 
 def test_event_set_rejects_foreign_event():
@@ -178,7 +164,6 @@ def test_segment_invariants():
     assert EMPTY_SEGMENT.is_empty
     assert str(EMPTY_SEGMENT) == "empty"
     assert str(Segment.interval(3, 9)) == "(3,9)"
-    assert Segment.empty() is EMPTY_SEGMENT
     with pytest.raises(ValueError):
         Segment(5, None)
     with pytest.raises(ValueError):
@@ -226,12 +211,3 @@ def test_load_header_only_csv():
     assert log.events == ()
     assert event_sets(log) == []
     assert load_event_log(serialize_event_log(log)) == log
-
-
-def test_load_case_set():
-    cs = load_case_set("case_id,region\n0001,north\n0002,\n")
-    assert cs.schema == ("region",)
-    assert cs.case_ids() == frozenset({"0001", "0002"})
-    assert cs.rows[1][1] == (None,)
-    with pytest.raises(KeyViolation):
-        load_case_set("cid,a\nc1,x\nc1,y\n")

@@ -190,6 +190,10 @@ def test_compile_errors(quotes_log):
             ),
             quotes_log.schema,
         )
+    # The parser rejects duplicate names; the API reports them as an SccError.
+    twice = BehaviourDef("p", (AttrEqConst("status", "NEW"),))
+    with pytest.raises(UnboundBehaviourName, match="duplicate behaviour names"):
+        compile_pattern(BehaviourMatch((twice, twice), Identifier(BehaviourRef("p"))), quotes_log.schema)
 
 
 def test_pattern_select_case_closure(quotes_log):

@@ -23,7 +23,13 @@ from sccq.ast import (
 )
 from sccq.errors import ParseError, UnsupportedFeature
 from sccq.gen import random_query_ast
-from sccq.parser import parse_pattern, parse_query, pretty_print, pretty_print_pattern
+from sccq.parser import (
+    MAX_PATTERN_NESTING,
+    parse_pattern,
+    parse_query,
+    pretty_print,
+    pretty_print_pattern,
+)
 
 
 def lit(v):
@@ -222,3 +228,18 @@ def test_query_round_trip_seeded():
     for _ in range(100):
         q = random_query_ast(rng)
         assert parse_query(pretty_print(q)) == q
+
+
+@pytest.mark.parametrize(
+    "level", ["({})", "START ({})", "NOT ({})", "{}*", "{} END", "{} OR 'b'", "{} -> 'b'", "{} ~> 'b'"]
+)
+def test_every_construct_is_one_nesting_level(level):
+    def nest(depth):
+        text = "'a'"
+        for _ in range(depth):
+            text = level.format(text)
+        return text
+
+    parse_pattern(nest(MAX_PATTERN_NESTING))
+    with pytest.raises(ParseError, match="nested more than"):
+        parse_pattern(nest(MAX_PATTERN_NESTING + 1))
