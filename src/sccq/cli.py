@@ -17,7 +17,7 @@ import sys
 from .ast import SimpleMatch
 from .datalog import cross_check, facts_from_log, facts_to_text, program_to_text, translate_query
 from .engine import compile_plan, execute, explain
-from .errors import SccError
+from .errors import MalformedCsv, SccError
 from .eventlog import event_sets, load_event_log, merge_cases, serialize_event_log
 from .gen import display_log, random_pair
 from .matcher import compile_pattern, oracle_satisfying_segments, satisfying_segments
@@ -31,10 +31,26 @@ def _add_log_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--ts-col", help="column holding the timestamp")
 
 
+def _not_utf8(path: str) -> str:
+    """Name the line of a file's first byte that is not UTF-8. Reads the
+    file again, as bytes: a decoder reports offsets within its last chunk."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        return f"{path}: line {line}: byte {raw[exc.start]:#04x} is not UTF-8"
+    return f"{path} is not UTF-8"
+
+
 def _load(args: argparse.Namespace):
     # utf-8-sig drops the byte order mark that some spreadsheet exports write.
-    with open(args.log, newline="", encoding="utf-8-sig") as fh:
-        return load_event_log(fh, eid_col=args.eid_col, cid_col=args.cid_col, ts_col=args.ts_col)
+    try:
+        with open(args.log, newline="", encoding="utf-8-sig") as fh:
+            return load_event_log(fh, eid_col=args.eid_col, cid_col=args.cid_col, ts_col=args.ts_col)
+    except UnicodeDecodeError:
+        raise MalformedCsv(_not_utf8(args.log)) from None
 
 
 def _query_text(args: argparse.Namespace) -> str:
@@ -42,8 +58,11 @@ def _query_text(args: argparse.Namespace) -> str:
     if args.file is not None:
         if args.query is not None:
             raise SccError("give the query either inline or with --file, not both")
-        with open(args.file, encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(args.file, encoding="utf-8") as fh:
+                return fh.read()
+        except UnicodeDecodeError:
+            raise SccError(_not_utf8(args.file)) from None
     if args.query is None:
         raise SccError("missing query text (inline argument or --file)")
     return args.query

@@ -3,8 +3,9 @@
 The extensional database holds one ``event(C,E,T)`` fact per event, one
 ``attr_<name>(C,E,V)`` fact per non-null attribute value and one
 ``next(C,T1,T2)`` fact per pair of consecutive events of a case. Patterns
-translate to one intensional predicate per subformula; a query adds an
-``output`` rule per combination of optional pattern atoms, and only the
+translate to one intensional predicate per subformula; a query adds one
+``output`` rule, which joins the base body with the root atom of every
+pattern that is not a star (a star holds on every case), and only the
 helpers its pattern rules use.
 
 Negation is kept safe and stratified by construction: the only negated
@@ -363,28 +364,23 @@ def translate_query(query: Query, schema: tuple[str, ...], source: str = DEFAULT
             base_body.append(Cmp("=", _column_term(sel.left, attr_vars), _column_term(sel.right, attr_vars)))
 
     ctx: _Translation | None = None
-    pattern_atoms: list[tuple[Atom, bool]] = []
+    pattern_atoms: list[Atom] = []
     for i, pattern in enumerate(plan.pattern_selections):
+        # A star pattern holds on every case through the empty segment, which
+        # no derived tuple witnesses, so its atom could never narrow the
+        # output: it gets neither an atom nor rules.
+        if matches_empty(pattern.formula):
+            continue
         if ctx is None:
             ctx = _Translation(pattern)
         else:
             ctx.pattern = pattern
             ctx.beh_helpers = {}
         root = ctx.formula_pred(pattern.formula)
-        atom = Atom(root, (Var(f"Ps{i}"), Var(f"Pe{i}"), _C))
-        pattern_atoms.append((atom, matches_empty(pattern.formula)))
+        pattern_atoms.append(Atom(root, (Var(f"Ps{i}"), Var(f"Pe{i}"), _C)))
 
     head = Atom(OUTPUT_PRED, tuple(_column_term(ref, attr_vars) for ref in plan.projection))
-    # One output rule per combination of optional pattern atoms: a star
-    # pattern is satisfied by the empty segment, which no derived tuple
-    # witnesses, so a variant without that atom keeps those cases selected.
-    variants: list[list[Atom]] = [[]]
-    for atom, optional in pattern_atoms:
-        extended = [combo + [atom] for combo in variants]
-        if optional:
-            extended.extend(variants)
-        variants = extended
-    rules = [Rule(head, tuple([*base_body, *combo])) for combo in variants]
+    rules = [Rule(head, tuple([*base_body, *pattern_atoms]))]
 
     if ctx is not None:
         rules.extend(ctx.rules)

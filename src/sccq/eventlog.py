@@ -37,8 +37,11 @@ def parse_timestamp(text: str) -> int:
     if not raw:
         raise BadTimestamp("empty timestamp field")
     body = raw[1:] if raw[0] in "+-" else raw
-    if body.isdigit():
-        value = int(raw)
+    if body.isdecimal():
+        try:
+            value = int(raw)
+        except ValueError:  # longer than the interpreter converts
+            raise BadTimestamp(f"timestamp of {len(raw)} characters has too many digits") from None
         if value < 0:
             raise BadTimestamp(f"negative timestamp {raw!r}")
         return value

@@ -4,23 +4,34 @@ A pattern denotes a set of segments of a case's timeline:
 
 * an identifier (or ANY) denotes the single-event segments whose event
   matches it;
-* ``A ~> B`` spans from the start of an A-segment to the end of a strictly
-  later-starting B-segment; ``A -> B`` additionally requires that no event
-  lies strictly between the end of A and the start of B. Both operands must
-  be witnessed by nonempty segments;
+* ``A ~> B`` spans from the start of an A-segment to the end of a B-segment
+  that starts after the A-segment ends; ``A -> B`` additionally requires
+  that no event lies strictly between the end of A and the start of B. Both
+  operands must be witnessed by nonempty segments;
 * ``A*`` denotes the empty segment plus every contiguous concatenation of
   one or more A-segments;
 * ``START (A)`` / ``(A) END`` keep only the A-segments that begin at the
   case's first event / end at its last event.
 
-``satisfying_segments`` computes the set bottom-up. The brute-force oracle
-re-derives it top-down by testing every candidate segment against the
-definition clauses; the two share nothing but the AST and segment types.
+Three evaluators serve three roles:
+
+* ``case_satisfies`` decides selection, which needs only whether some
+  segment satisfies the pattern. It runs a Thompson NFA, compiled once per
+  pattern, in one pass over the case's events;
+* ``satisfying_segments`` lists the segments (for ``sccq match``) by
+  computing the set bottom-up;
+* the brute-force oracle re-derives the set top-down by testing every
+  candidate segment against the definition clauses, and checks both.
+
+The NFA and the generator share the identifier test
+``event_matches_identifier``; the oracle re-derives even that, and shares
+only the AST and the segment types with them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .ast import (
     AnyEvent,
@@ -41,6 +52,7 @@ from .ast import (
     SimpleMatch,
     Star,
     Start,
+    matches_empty,
 )
 from .errors import OracleBoundExceeded, UnboundBehaviourName, UnknownAttribute
 from .eventlog import (
@@ -74,6 +86,11 @@ class CompiledPattern:
             if d.name == name:
                 return d
         raise UnboundBehaviourName(f"behaviour name {name!r} is not defined")
+
+    @cached_property
+    def nfa(self) -> _Nfa:
+        """The existence automaton of the formula, built on first use."""
+        return _Nfa(self.formula)
 
 
 def _identifier_leaves(formula: PatternFormula):
@@ -196,14 +213,16 @@ class _Generator:
     def __init__(self, pattern: CompiledPattern, es: EventSet):
         self.pattern = pattern
         self.es = es
-        self.memo: dict[PatternFormula, frozenset[Segment]] = {}
+        # Keyed by id: hashing a frozen node hashes its whole subtree. The
+        # nodes live as long as self.pattern, so no id is reused meanwhile.
+        self.memo: dict[int, frozenset[Segment]] = {}
 
     def eval(self, node: PatternFormula) -> frozenset[Segment]:
-        cached = self.memo.get(node)
+        cached = self.memo.get(id(node))
         if cached is not None:
             return cached
         result = self._eval(node)
-        self.memo[node] = result
+        self.memo[id(node)] = result
         return result
 
     def _eval(self, node: PatternFormula) -> frozenset[Segment]:
@@ -268,8 +287,107 @@ def satisfying_segments(pattern: CompiledPattern, es: EventSet) -> MatchResult:
     return MatchResult(_Generator(pattern, es).eval(pattern.formula))
 
 
+# --- existence check ----------------------------------------------------------
+
+_CONSUME, _SPLIT, _AT_START, _AT_END, _ACCEPT = range(5)
+
+
+class _Nfa:
+    """Thompson automaton for "some nonempty segment satisfies the formula".
+
+    Every operand witness is nonempty, so the automaton is compiled over the
+    nonempty semantics: an identifier or ANY is one state that consumes an
+    event it matches, ``A -> B`` is concatenation, ``A ~> B`` is A, then a
+    gap of ANY*, then B, a star is A+ and START / END are zero-width
+    assertions at position 0 / position n. Every fragment consumes at least
+    one event, so no cycle of epsilon moves exists. A root star is left to
+    the caller: it holds through the empty segment.
+    """
+
+    def __init__(self, formula: PatternFormula):
+        self.kind: list[int] = []
+        self.leaf: list[IdentifierExpr | None] = []  # None: ANY
+        self.out: list[list[int]] = []
+        self.accept = self._add(_ACCEPT, None)
+        entry = self._build(formula, self.accept)
+        # Epsilon closures, resolved once per position class: the first
+        # position passes START assertions, the last passes END assertions.
+        consuming = [s for s, kind in enumerate(self.kind) if kind == _CONSUME]
+        self.entry_first = self._closure(entry, at_start=True, at_end=False)
+        self.entry_later = self._closure(entry, at_start=False, at_end=False)
+        self.follow_inner = {s: self._closure(self.out[s][0], False, False) for s in consuming}
+        self.follow_last = {s: self._closure(self.out[s][0], False, True) for s in consuming}
+
+    def _add(self, kind: int, leaf: IdentifierExpr | None, *out: int) -> int:
+        self.kind.append(kind)
+        self.leaf.append(leaf)
+        self.out.append(list(out))
+        return len(self.kind) - 1
+
+    def _build(self, node: PatternFormula, nxt: int) -> int:
+        """Add the states of node, continuing to nxt; return its entry."""
+        if isinstance(node, Identifier):
+            return self._add(_CONSUME, node.expr, nxt)
+        if isinstance(node, AnyEvent):
+            return self._add(_CONSUME, None, nxt)
+        if isinstance(node, DirectlyFollows):
+            return self._build(node.left, self._build(node.right, nxt))
+        if isinstance(node, Follows):
+            gap = self._add(_SPLIT, None, self._build(node.right, nxt))
+            self.out[gap].append(self._add(_CONSUME, None, gap))
+            return self._build(node.left, gap)
+        if isinstance(node, Star):
+            loop = self._add(_SPLIT, None, nxt)
+            entry = self._build(node.inner, loop)
+            self.out[loop].append(entry)
+            return entry
+        if isinstance(node, Start):
+            return self._add(_AT_START, None, self._build(node.inner, nxt))
+        if isinstance(node, End):
+            return self._build(node.inner, self._add(_AT_END, None, nxt))
+        raise TypeError(f"not a pattern formula: {node!r}")
+
+    def _closure(self, state: int, at_start: bool, at_end: bool) -> frozenset[int]:
+        """The consuming and accepting states reachable from state by epsilon
+        moves whose assertions hold at the position."""
+        reached: set[int] = set()
+        stack = [state]
+        while stack:
+            s = stack.pop()
+            if s in reached:
+                continue
+            reached.add(s)
+            kind = self.kind[s]
+            if kind == _SPLIT or (kind == _AT_START and at_start) or (kind == _AT_END and at_end):
+                stack.extend(self.out[s])
+        return frozenset(s for s in reached if self.kind[s] in (_CONSUME, _ACCEPT))
+
+    def accepts_some_segment(self, pattern: CompiledPattern, events: tuple[Event, ...]) -> bool:
+        """One pass: a new run enters at every position, each active state
+        tests its leaf once per event, and the first accept ends the scan."""
+        accept, leaf = self.accept, self.leaf
+        last = len(events) - 1
+        active: set[int] = set()
+        for i, event in enumerate(events):
+            current = active | (self.entry_later if i else self.entry_first)
+            follow = self.follow_last if i == last else self.follow_inner
+            active = set()
+            for s in current:
+                expr = leaf[s]
+                if expr is None or event_matches_identifier(expr, event, pattern):
+                    active |= follow[s]
+            if accept in active:
+                return True
+        return False
+
+
 def case_satisfies(pattern: CompiledPattern, es: EventSet) -> bool:
-    return satisfying_segments(pattern, es).satisfied
+    """Does some segment of the case satisfy the pattern? Decided without
+    building segments: a root star holds through the empty segment, and any
+    other formula by one pass of the pattern's NFA."""
+    if matches_empty(pattern.formula):
+        return True
+    return pattern.nfa.accepts_some_segment(pattern, es.events)
 
 
 def pattern_select(pattern: CompiledPattern, log: EventLog) -> EventLog:

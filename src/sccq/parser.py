@@ -124,9 +124,9 @@ def tokenize(text: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # the digits int() reads; isdigit() also takes '²'
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(Token("INT", text[i:j], start_line, start_col))
             col += j - i
@@ -193,6 +193,14 @@ class _Parser:
     def fail(self, message: str, expected: tuple[str, ...] = ()) -> ParseError:
         tok = self.peek()
         return ParseError(message, tok.line, tok.column, expected)
+
+    def integer(self) -> int:
+        try:
+            value = int(self.peek().value)
+        except ValueError:  # longer than the interpreter converts
+            raise self.fail("integer constant has too many digits") from None
+        self.next()
+        return value
 
     def expect(self, kind: str, what: str | None = None) -> Token:
         tok = self.peek()
@@ -312,8 +320,7 @@ class _Parser:
             self.next()
             return AttrEqConst(col, tok.value)
         if tok.kind == "INT":
-            self.next()
-            return AttrEqConst(col, int(tok.value))
+            return AttrEqConst(col, self.integer())
         if tok.kind == "IDENT" and tok.keyword is None:
             return AttrEqAttr(col, self.name_token("column name").value)
         raise self.fail(f"unexpected {self.describe(tok)}", ("column name", "string", "integer"))
@@ -350,8 +357,10 @@ class _Parser:
             if self.strict_grammar:
                 raise self.fail("constants are not allowed in behaviour conditions under --strict-grammar",
                                 ("attribute name",))
+            if tok.kind == "INT":
+                return AttrEqConst(col, self.integer())
             self.next()
-            return AttrEqConst(col, tok.value if tok.kind == "STRING" else int(tok.value))
+            return AttrEqConst(col, tok.value)
         if tok.kind == "IDENT" and tok.keyword is None:
             return AttrEqAttr(col, self.name_token("attribute name").value)
         raise self.fail(f"unexpected {self.describe(tok)}", ("attribute name", "string", "integer"))

@@ -1,7 +1,9 @@
 import json
+import random
 
 import pytest
 
+from conftest import FOUR_CSV, QUOTES_CSV
 from sccq.cli import main
 from sccq.eventlog import load_event_log
 from sccq.parser import MAX_PATTERN_NESTING
@@ -180,6 +182,29 @@ def test_log_with_byte_order_mark(capsys, tmp_path):
     assert (code, err) == (0, "") and out == "EQUAL (2 distinct tuples)\n"
 
 
+def test_inputs_python_cannot_decode_exit_1(capsys, tmp_path):
+    small = tmp_path / "small.csv"
+    small.write_text("eid,cid,ts,a\ne1,c1,10,x\n", encoding="utf-8")
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"eid,cid,ts,event_name\ne1,c1,10,a\ne2,c1,20,caf\xe9\n")
+    code, _, err = run(capsys, "query", "SELECT eid FROM eventlog", "--log", str(latin1))
+    assert code == 1 and f"{latin1}: line 3: byte 0xe9 is not UTF-8" in err
+    query_file = tmp_path / "query.txt"
+    query_file.write_bytes(b"SELECT eid\nFROM \xff")
+    code, _, err = run(capsys, "query", "--file", str(query_file), "--log", str(small))
+    assert code == 1 and f"{query_file}: line 2: byte 0xff is not UTF-8" in err
+
+    many = "9" * 5000  # past the interpreter's int() conversion limit
+    code, _, err = run(capsys, "query", f"SELECT eid FROM eventlog WHERE ts = {many}", "--log", str(small))
+    assert code == 1 and "integer constant has too many digits at line 1, column 37" in err
+    code, _, err = run(capsys, "query", "SELECT eid FROM eventlog WHERE ts = \u00b2", "--log", str(small))
+    assert code == 1 and "unexpected character '\u00b2' at line 1, column 37" in err
+    for ts in (many, "\u00b2"):
+        small.write_text(f"eid,cid,ts,a\ne1,c1,{ts},x\n", encoding="utf-8")
+        code, _, err = run(capsys, "query", "SELECT eid FROM eventlog", "--log", str(small))
+        assert code == 1 and "row 2: " in err
+
+
 def test_check_fixture_and_mismatch(capsys, quotes_csv_path, tmp_path):
     code, out, _ = run(
         capsys, "check",
@@ -261,3 +286,79 @@ def test_pattern_nesting_bound(capsys, four_csv_path, command):
         assert code == 1
         column = len(prefix + before_stop) + 1
         assert f"nested more than {bound} levels deep at line 1, column {column}" in err
+
+
+# Starting points for the mutation fuzz test. Each construct of the grammar
+# appears in some query, and the last inputs hold an integer longer than
+# int() converts and bytes that are not UTF-8.
+_FUZZ_QUERIES = (
+    "SELECT case_id FROM eventlog WHERE event_name MATCHES ('Review request' ~> 'Send quote')",
+    "SELECT eid, ts FROM eventlog WHERE status = 'SENT' AND cid = '0002' AND ts = 1675414104525",
+    "SELECT cid, status FROM eventlog WHERE status MATCHES (START ('NEW' -> 'WIP'*) END)",
+    "SELECT eid FROM eventlog WHERE BEHAVIOUR status = 'WIP' AS w, status = event_name AS n "
+    "MATCHES (n ~> NOT (w) OR w)",
+    "SELECT eid FROM eventlog WHERE event_name MATCHES ((ANY -> ANY)*) AND event_name = status",
+    "SELECT eid FROM eventlog WHERE ts = " + "9" * 5000,
+)
+_FUZZ_PATTERNS = ("'e1' ~> 'e4'", "START ((ANY -> ANY)*) END", "NOT ('e1' OR 'e2')* -> ANY")
+_FUZZ_LOGS = (
+    QUOTES_CSV.encode(),
+    FOUR_CSV.encode(),
+    b"eid,cid,ts,a,b\n1,c,2,x,\n2,c,3,,y\n3,d,1970-01-01T00:00:01Z,x,x\n",
+    b"eid,cid,ts,a\n1,c," + b"9" * 5000 + b",x\n2,c,5,\xff\n",
+)
+_QUERY_PIECES = (
+    *"'\"()*~->,=:;!_ \n\t0123456789aeSTZ\\\x00\u00e9\u2192\u21dd\u00b2",
+    "START", "END", "ANY", "NOT", "OR", "AND", "AS", "MATCHES", "BEHAVIOUR", "SELECT", "FROM", "WHERE",
+)
+_LOG_PIECES = (
+    *(bytes([b]) for b in b",\n\r\"'abc019-:TZ"), b"\xff", b"\xc3", b"\xef\xbb\xbf", b"\x00", b"\xc2\xb2",
+)
+
+
+def _mutate(rng, text, pieces):
+    """One to four edits: delete, insert, repeat or replace a span, or cut."""
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randint(0, len(text))
+        j = min(len(text), i + rng.randint(0, 8))
+        edit = rng.randrange(5)
+        if edit == 0:
+            text = text[:i] + text[j:]
+        elif edit == 1:
+            text = text[:i] + rng.choice(pieces) + text[i:]
+        elif edit == 2:
+            text = text[:i] + text[i:j] * rng.randint(2, 5) + text[j:]
+        elif edit == 3:
+            text = text[:i] + rng.choice(pieces) + text[j:]
+        else:
+            text = text[:i]
+    return text
+
+
+def test_mutated_inputs_end_in_an_exit_code(capsys, tmp_path):
+    rng = random.Random(5)
+    path = tmp_path / "log.csv"
+    codes = set()
+    for _ in range(600):
+        data = rng.choice(_FUZZ_LOGS)
+        if rng.random() < 0.6:
+            data = _mutate(rng, data, _LOG_PIECES)
+        path.write_bytes(data)
+        command = rng.choice(("query", "translate", "check", "match"))
+        if command == "match":
+            text, options = rng.choice(_FUZZ_PATTERNS), ["--oracle-bound", "6"]
+        else:
+            text, options = rng.choice(_FUZZ_QUERIES), []
+        if rng.random() < 0.7:
+            text = _mutate(rng, text, _QUERY_PIECES)
+        # "--" ends the options, so a mutated text that starts with "-" is
+        # still the query and not a usage error.
+        argv = [command, "--log", str(path), *options, "--", text]
+        try:
+            code = main(argv)
+        except (Exception, SystemExit) as exc:
+            pytest.fail(f"{command} {text[:200]!r} on {data[:200]!r} raised {exc!r}")
+        assert code in (0, 1, 2, 3), (argv, data)
+        codes.add(code)
+        capsys.readouterr()
+    assert codes >= {0, 1}

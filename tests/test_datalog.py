@@ -329,13 +329,29 @@ def test_translate_query_emits_only_used_helpers(quotes_log):
     ]
 
 
-def test_translate_query_star_gets_optional_output_rule(quotes_log):
+def test_translate_query_drops_star_patterns(quotes_log):
+    # A star pattern holds on every case, so it adds no atom and no rule.
     query = parse_query("SELECT cid FROM eventlog WHERE event_name MATCHES (('a' ~> 'b')*)")
+    assert program_to_text(translate_query(query, quotes_log.schema)) == "output(C) :- event(C,E,T)."
+    mixed = parse_query(
+        "SELECT cid FROM eventlog WHERE event_name MATCHES (START ('a')*) "
+        "AND status MATCHES ('x' -> 'y') AND event_name MATCHES ('b'*)"
+    )
+    assert program_to_text(translate_query(mixed, quotes_log.schema)).splitlines() == [
+        "output(C) :- event(C,E,T), p2(Ps1,Pe1,C).",
+        'p0(T,T,C) :- event(C,E,T), attr_status(C,E,"x").',
+        'p1(T,T,C) :- event(C,E,T), attr_status(C,E,"y").',
+        "p2(Ts,Te2,C) :- p0(Ts,Te,C), next(C,Te,Ts2), p1(Ts2,Te2,C).",
+    ]
+
+
+def test_many_star_conditions_give_one_output_rule(quotes_log):
+    stars = " AND ".join(f"event_name MATCHES ('x{i}'*)" for i in range(12))
+    query = parse_query(f"SELECT cid FROM eventlog WHERE {stars}")
     program = translate_query(query, quotes_log.schema)
-    out = [r for r in program.rules if r.head.pred == OUTPUT_PRED]
-    assert len(out) == 2
-    with_atom, without = (out[0], out[1]) if len(out[0].body) > len(out[1].body) else (out[1], out[0])
-    assert len(with_atom.body) == len(without.body) + 1
+    assert [r.head.pred for r in program.rules] == [OUTPUT_PRED]
+    report = cross_check(query, quotes_log)
+    assert report.equal and report.datalog_rows == {("0001",), ("0002",)}
 
 
 def test_edb_predicates(quotes_log):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import sccq.matcher as matcher
 from sccq.ast import (
     AnyEvent,
     AttrEqAttr,
@@ -19,7 +20,7 @@ from sccq.ast import (
     matches_empty,
 )
 from sccq.errors import OracleBoundExceeded, UnboundBehaviourName, UnknownAttribute
-from sccq.eventlog import EMPTY_SEGMENT, Event, EventLog, Segment, cases, event_sets
+from sccq.eventlog import EMPTY_SEGMENT, Event, EventLog, Segment, cases, event_sets, merge_cases
 from sccq.gen import random_event_log, random_pattern
 from sccq.matcher import (
     compile_pattern,
@@ -259,3 +260,92 @@ def test_match_result_interface(four_event_log):
     assert result.ordered()[0] is EMPTY_SEGMENT
     empty = satisfying_segments(simple("'zz'"), es)
     assert not empty.satisfied and empty.ordered() == []
+
+
+# --- the NFA existence check against its two references ----------------------
+
+_NFA_BEHAVIOURS = (
+    BehaviourDef("p", (AttrEqConst("event_name", "a"),)),
+    BehaviourDef("q", (AttrEqAttr("event_name", "resource"),)),
+    BehaviourDef("r", (AttrEqConst("resource", "b"), AttrEqConst("event_name", "c"))),
+)
+# Shapes that random patterns reach only rarely: nested and inner stars, and
+# START / END inside concatenations.
+_NFA_SHAPES = (
+    "(('a'*)*) -> 'b'",
+    "'a'* -> 'b'",
+    "('a' -> 'b'*)* ~> ('c' OR NOT ('a'))",
+    "'c' -> START ('a')",
+    "START ('a') ~> ('b' END)",
+    "('a' END) -> 'b'",
+    "(START ('a' -> ANY)*) ~> 'c' END",
+    "ANY ~> (ANY -> 'b')* ~> ANY END",
+)
+
+
+def _nfa_corpus(rng, count, min_events, max_events):
+    """Seeded (pattern, case) pairs on null-bearing logs: literal patterns on
+    either attribute, behaviour patterns, and the shapes above."""
+    schema = ("event_name", "resource")
+    pairs = []
+    while len(pairs) < count:
+        log = random_event_log(
+            rng, cases=4, max_events=max_events, schema=schema, values=("a", "b", "c"), allow_null=True
+        )
+        roll = rng.random()
+        if roll < 0.4:
+            cond = SimpleMatch(rng.choice(schema), random_pattern(rng, depth=3, values=("a", "b", "c")))
+        elif roll < 0.7:
+            names = tuple(d.name for d in _NFA_BEHAVIOURS)
+            cond = BehaviourMatch(_NFA_BEHAVIOURS, random_pattern(rng, depth=3, behaviour_names=names))
+        else:
+            cond = SimpleMatch(rng.choice(schema), parse_pattern(rng.choice(_NFA_SHAPES)))
+        pattern = compile_pattern(cond, schema)
+        pairs.extend((pattern, es) for es in event_sets(log) if min_events <= len(es) <= max_events)
+    return pairs[:count]
+
+
+def test_nfa_agrees_with_generator_beyond_oracle_bound():
+    corpus = _nfa_corpus(random.Random(17), 160, 20, 80)
+    answers = [case_satisfies(p, es) for p, es in corpus]
+    expected = [bool(satisfying_segments(p, es).segments) for p, es in corpus]
+    assert answers == expected
+    assert 0 < sum(answers) < len(answers)
+
+
+def test_nfa_agrees_with_oracle_on_short_cases():
+    corpus = _nfa_corpus(random.Random(19), 1500, 1, 8)
+    answers = [case_satisfies(p, es) for p, es in corpus]
+    expected = [bool(oracle_satisfying_segments(p, es).segments) for p, es in corpus]
+    assert answers == expected
+    assert 0 < sum(answers) < len(answers)
+
+
+@pytest.mark.parametrize("text, leaves", [("('a' ~> 'b') ~> 'c'", 3), ("ANY* -> 'c'", 2)])
+def test_case_satisfies_is_one_pass(monkeypatch, text, leaves):
+    def no_segments(*args):
+        raise AssertionError("case_satisfies built segments")
+
+    calls = 0
+    test = matcher.event_matches_identifier
+
+    def counted(expr, event, pattern):
+        nonlocal calls
+        calls += 1
+        return test(expr, event, pattern)
+
+    monkeypatch.setattr(matcher, "satisfying_segments", no_segments)
+    monkeypatch.setattr(matcher, "event_matches_identifier", counted)
+    log = merge_cases(random_event_log(
+        random.Random(23), cases=2000, max_events=1, schema=("event_name",), values=("a", "b", "d")
+    ))
+    *head, last = log.events
+    with_c = EventLog(log.schema, (*head, Event(last.eid, last.cid, last.ts, (("event_name", "c"),))))
+    pattern = simple(text)
+    # Both cases are scanned to their last event: one ends in the only 'c'.
+    for case_log, answer in ((log, False), (with_c, True)):
+        es = event_sets(case_log)[0]
+        assert len(es) == 2000
+        calls = 0
+        assert case_satisfies(pattern, es) is answer
+        assert calls <= len(es) * leaves
