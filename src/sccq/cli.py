@@ -4,8 +4,8 @@ Subcommands: query (relational evaluation), match (per-case satisfying
 segments), translate (datalog program for a query), check (differential
 comparison of the two back ends), gen (random example log as CSV).
 
-Exit codes: 0 success, 1 syntax or binding or data error, 2 I/O error,
-3 back-end or oracle mismatch.
+Exit codes: 0 success, 1 syntax or binding or data error, 2 I/O error or
+bad usage (argparse), 3 back-end or oracle mismatch.
 """
 
 from __future__ import annotations
@@ -160,6 +160,17 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """Argument type for counts and bounds: an integer of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sccq", description="Query engine for business-process event logs."
@@ -183,8 +194,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     m.add_argument("--attribute", help="attribute the pattern reads (default: first in schema)")
     m.add_argument("--merge-cases", action="store_true",
                    help="merge all cases into one before matching")
-    m.add_argument("--oracle-bound", type=int, metavar="N",
-                   help="cross-validate against the brute-force oracle for cases of at most N events")
+    m.add_argument("--oracle-bound", type=_count, metavar="N",
+                   help="cross-validate against the brute-force oracle; a case with more than "
+                        "N events is an error (exit 1)")
     m.add_argument("--case", metavar="CID", help="restrict the listing to one case")
     m.set_defaults(func=cmd_match)
 
@@ -204,14 +216,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     c.add_argument("--cid-col")
     c.add_argument("--ts-col")
     c.add_argument("--strict-grammar", action="store_true")
-    c.add_argument("--random", type=int, metavar="N", help="check N generated (query, log) pairs")
+    c.add_argument("--random", type=_count, metavar="N", help="check N generated (query, log) pairs")
     c.add_argument("--seed", type=int, default=0)
     c.set_defaults(func=cmd_check)
 
     g = sub.add_parser("gen", help="print a random example log as CSV")
-    g.add_argument("--cases", type=int, default=3)
-    g.add_argument("--events", type=int, default=5, help="maximum events per case")
-    g.add_argument("--attrs", type=int, default=0, help="extra numeric attribute columns")
+    g.add_argument("--cases", type=_count, default=3)
+    g.add_argument("--events", type=_count, default=5,
+                   help="maximum events per case (every case has at least 2)")
+    g.add_argument("--attrs", type=_count, default=0, help="extra numeric attribute columns")
     g.add_argument("--seed", type=int, default=0)
     g.set_defaults(func=cmd_gen)
     return ap

@@ -13,23 +13,26 @@ A pattern denotes a set of segments of a case's timeline:
 * ``START (A)`` / ``(A) END`` keep only the A-segments that begin at the
   case's first event / end at its last event.
 
-Three evaluators serve three roles:
+Two evaluators derive the set:
 
-* ``case_satisfies`` decides selection, which needs only whether some
-  segment satisfies the pattern. It runs a Thompson NFA, compiled once per
-  pattern, in one pass over the case's events;
-* ``satisfying_segments`` lists the segments (for ``sccq match``) by
-  computing the set bottom-up;
+* a Thompson NFA, compiled once per pattern, serves both selection and
+  listing. ``case_satisfies`` decides whether some segment satisfies the
+  pattern in one pass over the case's events that stops at the first
+  accept; ``satisfying_segments`` lists the segments (for ``sccq match``)
+  in one pass whose runs carry their start positions;
 * the brute-force oracle re-derives the set top-down by testing every
-  candidate segment against the definition clauses, and checks both.
+  candidate segment against the definition clauses, and checks the NFA on
+  small cases. It re-derives even the identifier test, and shares only the
+  AST and the segment types with the NFA.
 
-The NFA and the generator share the identifier test
-``event_matches_identifier``; the oracle re-derives even that, and shares
-only the AST and the segment types with them.
+The Datalog translation (``datalog.py``) is the second, independent
+reference: its root relation is the listing's nonempty part on cases of
+any length.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -89,7 +92,7 @@ class CompiledPattern:
 
     @cached_property
     def nfa(self) -> _Nfa:
-        """The existence automaton of the formula, built on first use."""
+        """The automaton of the formula's nonempty segments, built on first use."""
         return _Nfa(self.formula)
 
 
@@ -207,101 +210,21 @@ class MatchResult:
         return sorted(self.segments, key=Segment.sort_key)
 
 
-class _Generator:
-    """Bottom-up segment-set evaluation, memoised per formula node."""
-
-    def __init__(self, pattern: CompiledPattern, es: EventSet):
-        self.pattern = pattern
-        self.es = es
-        # Keyed by id: hashing a frozen node hashes its whole subtree. The
-        # nodes live as long as self.pattern, so no id is reused meanwhile.
-        self.memo: dict[int, frozenset[Segment]] = {}
-
-    def eval(self, node: PatternFormula) -> frozenset[Segment]:
-        cached = self.memo.get(id(node))
-        if cached is not None:
-            return cached
-        result = self._eval(node)
-        self.memo[id(node)] = result
-        return result
-
-    def _eval(self, node: PatternFormula) -> frozenset[Segment]:
-        if isinstance(node, Identifier):
-            return frozenset(
-                Segment.interval(ev.ts, ev.ts)
-                for ev in self.es.events
-                if event_matches_identifier(node.expr, ev, self.pattern)
-            )
-        if isinstance(node, AnyEvent):
-            return frozenset(Segment.interval(ts, ts) for ts in self.es.timestamps)
-        if isinstance(node, Follows):
-            return self._combine(self.eval(node.left), self.eval(node.right), contiguous=False)
-        if isinstance(node, DirectlyFollows):
-            return self._combine(self.eval(node.left), self.eval(node.right), contiguous=True)
-        if isinstance(node, Star):
-            return self._star(self.eval(node.inner))
-        if isinstance(node, Start):
-            if not self.es.events:
-                return frozenset()
-            first = self.es.timestamps[0]
-            return frozenset(s for s in self.eval(node.inner) if not s.is_empty and s.start == first)
-        if isinstance(node, End):
-            if not self.es.events:
-                return frozenset()
-            last = self.es.timestamps[-1]
-            return frozenset(s for s in self.eval(node.inner) if not s.is_empty and s.end == last)
-        raise TypeError(f"not a pattern formula: {node!r}")
-
-    def _combine(
-        self, lefts: frozenset[Segment], rights: frozenset[Segment], contiguous: bool
-    ) -> frozenset[Segment]:
-        # Composition needs nonempty witnesses on both sides; a star operand
-        # contributes only its nonempty members.
-        nonempty_rights = [b for b in rights if not b.is_empty]
-        out = set()
-        for a in lefts:
-            if a.is_empty:
-                continue
-            for b in nonempty_rights:
-                if a.end >= b.start:
-                    continue
-                if contiguous and self.es.successor(a.end) != b.start:
-                    continue
-                out.add(Segment.interval(a.start, b.end))
-        return frozenset(out)
-
-    def _star(self, inner: frozenset[Segment]) -> frozenset[Segment]:
-        # Grow concatenations leftwards from the newest ones until no new
-        # segment appears.
-        frontier = frozenset(s for s in inner if not s.is_empty)
-        result = set(frontier)
-        while frontier:
-            frontier = self._combine(inner, frontier, contiguous=True) - result
-            result |= frontier
-        result.add(EMPTY_SEGMENT)
-        return frozenset(result)
-
-
-def satisfying_segments(pattern: CompiledPattern, es: EventSet) -> MatchResult:
-    """All segments of the case satisfying the pattern."""
-    return MatchResult(_Generator(pattern, es).eval(pattern.formula))
-
-
-# --- existence check ----------------------------------------------------------
+# --- the automaton: selection and listing -----------------------------------
 
 _CONSUME, _SPLIT, _AT_START, _AT_END, _ACCEPT = range(5)
 
 
 class _Nfa:
-    """Thompson automaton for "some nonempty segment satisfies the formula".
+    """Thompson automaton for the nonempty segments satisfying the formula.
 
     Every operand witness is nonempty, so the automaton is compiled over the
     nonempty semantics: an identifier or ANY is one state that consumes an
     event it matches, ``A -> B`` is concatenation, ``A ~> B`` is A, then a
     gap of ANY*, then B, a star is A+ and START / END are zero-width
     assertions at position 0 / position n. Every fragment consumes at least
-    one event, so no cycle of epsilon moves exists. A root star is left to
-    the caller: it holds through the empty segment.
+    one event, so no cycle of epsilon moves exists. The empty segment is
+    left to the caller: a root star holds through it.
     """
 
     def __init__(self, formula: PatternFormula):
@@ -380,6 +303,32 @@ class _Nfa:
                 return True
         return False
 
+    def spans(self, pattern: CompiledPattern, events: tuple[Event, ...]) -> Iterator[tuple[int, int]]:
+        """Yield (i, j) for every satisfying nonempty segment from events[i]
+        to events[j]. One pass: every active state carries the start
+        positions of the runs inside it, as a bitmask, and tests its leaf
+        once per event; each start that reaches the accept state at j gives
+        a segment ending there."""
+        accept, leaf = self.accept, self.leaf
+        last = len(events) - 1
+        active: dict[int, int] = {}
+        for j, event in enumerate(events):
+            for s in self.entry_later if j else self.entry_first:
+                active[s] = active.get(s, 0) | (1 << j)
+            follow = self.follow_last if j == last else self.follow_inner
+            reached: dict[int, int] = {}
+            for s, starts in active.items():
+                expr = leaf[s]
+                if expr is None or event_matches_identifier(expr, event, pattern):
+                    for t in follow[s]:
+                        reached[t] = reached.get(t, 0) | starts
+            starts = reached.pop(accept, 0)
+            while starts:
+                low = starts & -starts
+                yield low.bit_length() - 1, j
+                starts ^= low
+            active = reached
+
 
 def case_satisfies(pattern: CompiledPattern, es: EventSet) -> bool:
     """Does some segment of the case satisfy the pattern? Decided without
@@ -388,6 +337,16 @@ def case_satisfies(pattern: CompiledPattern, es: EventSet) -> bool:
     if matches_empty(pattern.formula):
         return True
     return pattern.nfa.accepts_some_segment(pattern, es.events)
+
+
+def satisfying_segments(pattern: CompiledPattern, es: EventSet) -> MatchResult:
+    """All segments of the case satisfying the pattern: the empty segment
+    exactly for a root star, the others by one pass of the pattern's NFA."""
+    ts = es.timestamps
+    segments = {Segment.interval(ts[i], ts[j]) for i, j in pattern.nfa.spans(pattern, es.events)}
+    if matches_empty(pattern.formula):
+        segments.add(EMPTY_SEGMENT)
+    return MatchResult(frozenset(segments))
 
 
 def pattern_select(pattern: CompiledPattern, log: EventLog) -> EventLog:

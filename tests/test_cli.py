@@ -261,11 +261,24 @@ def test_exit_codes(capsys, quotes_csv_path):
     assert code == 1 and "AVG" in err
 
 
-def test_bad_usage_exits_via_argparse():
+def test_bad_usage_exits_via_argparse(capsys):
     with pytest.raises(SystemExit):
         main([])
     with pytest.raises(SystemExit):
         main(["query"])  # missing required --log and query
+    # Counts and bounds below 0 take the same path as a count that is not a number.
+    for argv in (
+        ["check", "--random", "abc"],
+        ["check", "--random", "-1"],
+        ["gen", "--cases", "-1"],
+        ["gen", "--events", "-1"],
+        ["gen", "--attrs", "-2"],
+        ["match", "ANY", "--log", "x.csv", "--oracle-bound", "-1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().out == "", argv
 
 
 @pytest.mark.parametrize("command", ["query", "match", "translate", "check"])

@@ -4,7 +4,6 @@ import pytest
 
 import sccq.matcher as matcher
 from sccq.ast import (
-    AnyEvent,
     AttrEqAttr,
     AttrEqConst,
     BehaviourDef,
@@ -14,11 +13,11 @@ from sccq.ast import (
     Identifier,
     Literal,
     NotExpr,
-    OrExpr,
     SimpleMatch,
     Star,
     matches_empty,
 )
+from sccq.datalog import DatalogProgram, edb_predicates, evaluate, facts_from_log, translate_pattern
 from sccq.errors import OracleBoundExceeded, UnboundBehaviourName, UnknownAttribute
 from sccq.eventlog import EMPTY_SEGMENT, Event, EventLog, Segment, cases, event_sets, merge_cases
 from sccq.gen import random_event_log, random_pattern
@@ -262,7 +261,7 @@ def test_match_result_interface(four_event_log):
     assert not empty.satisfied and empty.ordered() == []
 
 
-# --- the NFA existence check against its two references ----------------------
+# --- the NFA's selection and listing against their two references ----------
 
 _NFA_BEHAVIOURS = (
     BehaviourDef("p", (AttrEqConst("event_name", "a"),)),
@@ -305,47 +304,88 @@ def _nfa_corpus(rng, count, min_events, max_events):
     return pairs[:count]
 
 
-def test_nfa_agrees_with_generator_beyond_oracle_bound():
+def test_listing_agrees_with_datalog_beyond_oracle_bound():
+    # Past the oracle's bound, the Datalog translation is the reference: its
+    # root relation is the listing's nonempty part, and a case is selected
+    # when that relation is nonempty or the pattern holds on the empty segment.
+    schema = ("event_name", "resource")
     corpus = _nfa_corpus(random.Random(17), 160, 20, 80)
-    answers = [case_satisfies(p, es) for p, es in corpus]
-    expected = [bool(satisfying_segments(p, es).segments) for p, es in corpus]
-    assert answers == expected
+    answers = []
+    for p, es in corpus:
+        rules = translate_pattern(p)
+        program = DatalogProgram(tuple(rules), edb_predicates(schema))
+        derived = evaluate(program, facts_from_log(EventLog(schema, es.events)))
+        root = {(s, e) for s, e, _ in derived[rules[-1].head.pred]}
+        listed = {(s.start, s.end) for s in satisfying_segments(p, es).segments if not s.is_empty}
+        assert listed == root
+        answers.append(case_satisfies(p, es))
+        assert answers[-1] == (bool(root) or matches_empty(p.formula))
     assert 0 < sum(answers) < len(answers)
 
 
 def test_nfa_agrees_with_oracle_on_short_cases():
     corpus = _nfa_corpus(random.Random(19), 1500, 1, 8)
     answers = [case_satisfies(p, es) for p, es in corpus]
-    expected = [bool(oracle_satisfying_segments(p, es).segments) for p, es in corpus]
-    assert answers == expected
+    oracle = [oracle_satisfying_segments(p, es).segments for p, es in corpus]
+    assert answers == [bool(segments) for segments in oracle]
+    assert [satisfying_segments(p, es).segments for p, es in corpus] == oracle
     assert 0 < sum(answers) < len(answers)
 
 
-@pytest.mark.parametrize("text, leaves", [("('a' ~> 'b') ~> 'c'", 3), ("ANY* -> 'c'", 2)])
-def test_case_satisfies_is_one_pass(monkeypatch, text, leaves):
-    def no_segments(*args):
-        raise AssertionError("case_satisfies built segments")
-
-    calls = 0
+def _count_leaf_tests(monkeypatch):
+    """Route the matcher's identifier test through a counter, returned as a
+    one-element list."""
+    calls = [0]
     test = matcher.event_matches_identifier
 
     def counted(expr, event, pattern):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return test(expr, event, pattern)
 
-    monkeypatch.setattr(matcher, "satisfying_segments", no_segments)
     monkeypatch.setattr(matcher, "event_matches_identifier", counted)
+    return calls
+
+
+def _one_pass_cases():
+    """One 2,000-event merged case without 'c', and the same case whose last
+    event is its only 'c'; each paired with whether it holds a 'c'."""
     log = merge_cases(random_event_log(
         random.Random(23), cases=2000, max_events=1, schema=("event_name",), values=("a", "b", "d")
     ))
     *head, last = log.events
     with_c = EventLog(log.schema, (*head, Event(last.eid, last.cid, last.ts, (("event_name", "c"),))))
+    pairs = [(event_sets(log)[0], False), (event_sets(with_c)[0], True)]
+    assert all(len(es) == 2000 for es, _ in pairs)
+    return pairs
+
+
+_ONE_PASS_PATTERNS = [("('a' ~> 'b') ~> 'c'", 3), ("ANY* -> 'c'", 2)]
+
+
+@pytest.mark.parametrize("text, leaves", _ONE_PASS_PATTERNS)
+def test_case_satisfies_is_one_pass(monkeypatch, text, leaves):
+    def no_segments(*args):
+        raise AssertionError("case_satisfies built segments")
+
+    monkeypatch.setattr(matcher, "satisfying_segments", no_segments)
+    calls = _count_leaf_tests(monkeypatch)
     pattern = simple(text)
     # Both cases are scanned to their last event: one ends in the only 'c'.
-    for case_log, answer in ((log, False), (with_c, True)):
-        es = event_sets(case_log)[0]
-        assert len(es) == 2000
-        calls = 0
+    for es, answer in _one_pass_cases():
+        calls[0] = 0
         assert case_satisfies(pattern, es) is answer
-        assert calls <= len(es) * leaves
+        assert calls[0] <= len(es) * leaves
+
+
+@pytest.mark.parametrize("text, leaves", _ONE_PASS_PATTERNS)
+def test_satisfying_segments_is_one_pass(monkeypatch, text, leaves):
+    # A scan that restarts from every start position would test each leaf
+    # up to once per (start, event) pair.
+    calls = _count_leaf_tests(monkeypatch)
+    pattern = simple(text)
+    for es, has_c in _one_pass_cases():
+        calls[0] = 0
+        listed = satisfying_segments(pattern, es).segments
+        assert calls[0] <= len(es) * leaves
+        assert bool(listed) is has_c
+        assert all(s.end == es.timestamps[-1] for s in listed)
