@@ -24,8 +24,11 @@ from .matcher import compile_pattern, oracle_satisfying_segments, satisfying_seg
 from .parser import parse_pattern, parse_query, pretty_print
 
 
-def _add_log_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--log", required=True, metavar="CSV", help="event log CSV file")
+_STRICT_GRAMMAR_HELP = "reject constants in behaviour definitions"
+
+
+def _add_log_arguments(sub: argparse.ArgumentParser, *, required: bool = True) -> None:
+    sub.add_argument("--log", required=required, metavar="CSV", help="event log CSV file")
     sub.add_argument("--eid-col", help="column holding the event id")
     sub.add_argument("--cid-col", help="column holding the case id")
     sub.add_argument("--ts-col", help="column holding the timestamp")
@@ -183,8 +186,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_log_arguments(q)
     q.add_argument("--format", choices=("csv", "jsonl", "pretty"), default="pretty")
     q.add_argument("--set-semantics", action="store_true", help="deduplicate result rows")
-    q.add_argument("--strict-grammar", action="store_true",
-                   help="reject constants in behaviour definitions")
+    q.add_argument("--strict-grammar", action="store_true", help=_STRICT_GRAMMAR_HELP)
     q.add_argument("--explain", action="store_true", help="print the plan instead of evaluating")
     q.set_defaults(func=cmd_query)
 
@@ -204,18 +206,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     t.add_argument("query", nargs="?", help="query text (or use --file)")
     t.add_argument("--file", metavar="PATH", help="read the query text from a file")
     _add_log_arguments(t)
-    t.add_argument("--strict-grammar", action="store_true")
+    t.add_argument("--strict-grammar", action="store_true", help=_STRICT_GRAMMAR_HELP)
     t.add_argument("--with-facts", action="store_true", help="also print the extracted facts")
     t.set_defaults(func=cmd_translate)
 
     c = sub.add_parser("check", help="compare relational and datalog results")
     c.add_argument("query", nargs="?", help="query text (omit with --random)")
     c.add_argument("--file", metavar="PATH", help="read the query text from a file")
-    c.add_argument("--log", metavar="CSV", help="event log CSV file")
-    c.add_argument("--eid-col")
-    c.add_argument("--cid-col")
-    c.add_argument("--ts-col")
-    c.add_argument("--strict-grammar", action="store_true")
+    _add_log_arguments(c, required=False)
+    c.add_argument("--strict-grammar", action="store_true", help=_STRICT_GRAMMAR_HELP)
     c.add_argument("--random", type=_count, metavar="N", help="check N generated (query, log) pairs")
     c.add_argument("--seed", type=int, default=0)
     c.set_defaults(func=cmd_check)

@@ -70,10 +70,10 @@ class Atom:
 
 @dataclass(frozen=True)
 class Cmp:
-    """Built-in comparison. < and > are defined on timestamps only; = is
-    plain sort-aware equality."""
+    """Built-in comparison. < is defined on timestamps only; = is plain
+    sort-aware equality."""
 
-    op: str  # "<", ">", "="
+    op: str  # "<" or "="
     left: Term
     right: Term
 
@@ -583,7 +583,7 @@ def _checks_hold(checks: tuple[_Check, ...], env: list, rels: FactSet) -> bool:
         if op == "=":
             if a != b:
                 return False
-        elif not (isinstance(a, int) and isinstance(b, int)) or not (a < b if op == "<" else a > b):
+        elif not (isinstance(a, int) and isinstance(b, int) and a < b):
             return False
     return True
 

@@ -23,18 +23,14 @@ from dataclasses import dataclass
 
 from .ast import AttrEqAttr, AttrEqConst, BehaviourMatch, Query, SimpleMatch
 from .errors import UnknownColumn, UnknownSource
-from .eventlog import Event, EventLog, event_sets
+from .eventlog import CID_ALIASES, EID_ALIASES, TS_ALIASES, Event, EventLog, event_sets
 from .matcher import CompiledPattern, case_satisfies, compile_pattern
 from .parser import behaviour_defs_text, const_text, pretty_print_pattern
 
 DEFAULT_SOURCE = "eventlog"
 
 # Query-side aliases for the fixed columns; attribute names take precedence.
-_ROLE_ALIASES = {
-    "eid": ("eid", "event_id"),
-    "cid": ("cid", "case_id"),
-    "ts": ("ts", "timestamp", "event_time"),
-}
+_ROLE_ALIASES = {"eid": EID_ALIASES, "cid": CID_ALIASES, "ts": TS_ALIASES}
 
 
 @dataclass(frozen=True)
@@ -190,13 +186,7 @@ def execute(plan: Plan, log: EventLog, *, set_semantics: bool = False) -> Result
         if all(_row_selected(event, sel) for sel in plan.row_selections):
             rows.append(tuple(_output_value(event, ref) for ref in plan.projection))
     if set_semantics:
-        seen = set()
-        unique = []
-        for row in rows:
-            if row not in seen:
-                seen.add(row)
-                unique.append(row)
-        rows = unique
+        rows = list(dict.fromkeys(rows))
     return ResultTable(tuple(ref.name for ref in plan.projection), tuple(rows))
 
 

@@ -6,8 +6,11 @@ attribute. Two key candidates hold: (eid, cid) and (cid, ts). Within one
 case timestamps are therefore unique, which totally orders the case.
 
 Timestamps are integer epoch milliseconds everywhere inside the package;
-ISO-8601 text is converted once at ingestion. All model types are frozen
-and safe to share.
+ISO-8601 text is converted once at ingestion.
+
+EventLog is the one type that enforces the keys and the order: it sorts its
+events by (cid, ts) and checks them in one pass. Event, EventSet and Segment
+are immutable values derived from it and are not checked again.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ import io
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
-from typing import Iterable, TextIO
+from itertools import groupby
+from operator import attrgetter
+from typing import NamedTuple, TextIO
 
 from .errors import BadTimestamp, KeyViolation, MalformedCsv
 
@@ -58,8 +63,7 @@ def parse_timestamp(text: str) -> int:
     return millis
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One event row. ``attrs`` is an ordered (name, value) mapping; a value
     of None is the null marker."""
 
@@ -67,11 +71,6 @@ class Event:
     cid: str
     ts: int
     attrs: tuple[tuple[str, str | None], ...]
-
-    def __post_init__(self) -> None:
-        if self.ts < 0:
-            raise BadTimestamp(f"event {self.eid!r}: negative timestamp {self.ts}")
-        object.__setattr__(self, "attrs", tuple(self.attrs))
 
     def value(self, name: str) -> str | None:
         for key, val in self.attrs:
@@ -82,18 +81,6 @@ class Event:
     def att(self) -> tuple[str | None, ...]:
         """The event's attribute tuple, in schema order."""
         return tuple(val for _, val in self.attrs)
-
-
-def _check_keys(events: Iterable[Event]) -> None:
-    seen_eid_cid: set[tuple[str, str]] = set()
-    seen_cid_ts: set[tuple[str, int]] = set()
-    for ev in events:
-        if (ev.eid, ev.cid) in seen_eid_cid:
-            raise KeyViolation(f"duplicate (eid, cid) pair ({ev.eid!r}, {ev.cid!r})")
-        if (ev.cid, ev.ts) in seen_cid_ts:
-            raise KeyViolation(f"duplicate (cid, ts) pair ({ev.cid!r}, {ev.ts})")
-        seen_eid_cid.add((ev.eid, ev.cid))
-        seen_cid_ts.add((ev.cid, ev.ts))
 
 
 @dataclass(frozen=True)
@@ -108,30 +95,34 @@ class EventLog:
         schema = tuple(self.schema)
         if len(set(schema)) != len(schema):
             raise MalformedCsv(f"duplicate attribute names in schema {schema}")
-        ordered = tuple(sorted(self.events, key=lambda e: (e.cid, e.ts)))
+        ordered = tuple(sorted(self.events, key=attrgetter("cid", "ts")))
+        seen_eid_cid: set[tuple[str, str]] = set()
+        prev = None
         for ev in ordered:
+            if ev.ts < 0:
+                raise BadTimestamp(f"event {ev.eid!r}: negative timestamp {ev.ts}")
             if tuple(name for name, _ in ev.attrs) != schema:
                 raise KeyViolation(
                     f"event {ev.eid!r} attribute names do not match schema {schema}"
                 )
-        _check_keys(ordered)
+            if (ev.eid, ev.cid) in seen_eid_cid:
+                raise KeyViolation(f"duplicate (eid, cid) pair ({ev.eid!r}, {ev.cid!r})")
+            seen_eid_cid.add((ev.eid, ev.cid))
+            # Sorting put equal (cid, ts) pairs side by side.
+            if prev is not None and prev.ts == ev.ts and prev.cid == ev.cid:
+                raise KeyViolation(f"duplicate (cid, ts) pair ({ev.cid!r}, {ev.ts})")
+            prev = ev
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "events", ordered)
 
 
 @dataclass(frozen=True)
 class EventSet:
-    """All events of one case, ascending by timestamp."""
+    """All events of one case, ascending by timestamp: a run of an
+    EventLog's ordered events."""
 
     cid: str
     events: tuple[Event, ...]
-
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.events, key=lambda e: e.ts))
-        for ev in ordered:
-            if ev.cid != self.cid:
-                raise KeyViolation(f"event {ev.eid!r} belongs to case {ev.cid!r}, not {self.cid!r}")
-        object.__setattr__(self, "events", ordered)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -153,19 +144,13 @@ class EventSet:
         return self.timestamps[i] if i < len(self.timestamps) else None
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """A contiguous stretch of one case's timeline, named by its endpoint
-    timestamps, or the distinguished empty segment (both endpoints None)."""
+    timestamps (start <= end), or the distinguished empty segment (both
+    endpoints None)."""
 
     start: int | None
     end: int | None
-
-    def __post_init__(self) -> None:
-        if (self.start is None) != (self.end is None):
-            raise ValueError("segment endpoints must both be set or both be None")
-        if self.start is not None and self.start > self.end:  # type: ignore[operator]
-            raise ValueError(f"segment start {self.start} after end {self.end}")
 
     @staticmethod
     def interval(start: int, end: int) -> "Segment":
@@ -270,10 +255,7 @@ def cases(log: EventLog) -> frozenset[str]:
 
 def event_sets(log: EventLog) -> list[EventSet]:
     """All per-case event sets, ordered by case id."""
-    grouped: dict[str, list[Event]] = {}
-    for ev in log.events:
-        grouped.setdefault(ev.cid, []).append(ev)
-    return [EventSet(cid=cid, events=tuple(evs)) for cid, evs in sorted(grouped.items())]
+    return [EventSet(cid, tuple(run)) for cid, run in groupby(log.events, key=attrgetter("cid"))]
 
 
 def enumerate_segments(es: EventSet) -> list[Segment]:

@@ -231,6 +231,23 @@ def test_check_needs_arguments(capsys):
     assert code == 1 and "query" in err
 
 
+def _option_help(capsys, command):
+    """Each option's help line from `sccq <command> --help`, spacing collapsed."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    lines = [" ".join(line.split()) for line in capsys.readouterr().out.splitlines()]
+    return {line.split()[0]: line for line in lines if line.startswith("--")}
+
+
+def test_log_options_share_help_across_commands(capsys):
+    shared = ("--log", "--eid-col", "--cid-col", "--ts-col", "--strict-grammar")
+    query = _option_help(capsys, "query")
+    assert all(len(query[opt].split()) > 2 for opt in shared)  # every option has help text
+    for command in ("translate", "check"):
+        assert {opt: _option_help(capsys, command)[opt] for opt in shared} == {opt: query[opt] for opt in shared}
+
+
 def test_gen_deterministic_and_loadable(capsys):
     code, out1, _ = run(capsys, "gen", "--cases", "2", "--events", "4", "--seed", "9")
     assert code == 0
