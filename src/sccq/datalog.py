@@ -1,23 +1,24 @@
 """Datalog back end: fact extraction, query translation, evaluation.
 
 The extensional database holds one ``event(C,E,T)`` fact per event, one
-``attr_<name>(C,E,V)`` fact per non-null attribute value and one
-``next(C,T1,T2)`` fact per pair of consecutive events of a case. Patterns
-translate to one intensional predicate per subformula; a query adds one
-``output`` rule, which joins the base body with the root atom of every
-pattern that is not a star (a star holds on every case), and only the
-helpers its pattern rules use.
+``attr_<name>(C,E,V)`` fact per attribute value, where a null value is the
+constant ``null``, and the one fact ``null(null)``. Per case it holds one
+``next(C,T1,T2)`` fact per pair of consecutive events, and one
+``first(C,T)`` and one ``last(C,T)`` fact. Patterns translate to one
+intensional predicate per subformula; a query adds one ``output`` rule,
+which joins the base body with the root atom of every pattern that is not a
+star (a star holds on every case).
 
-Negation is kept safe and stratified by construction: the only negated
-predicates are EDB relations and helper predicates defined exclusively from
-EDB atoms (hasEarlier/hasLater for START and END, plus one conjunction helper
-per negated behaviour reference). ``evaluate`` checks both properties before
-running a semi-naive fixpoint with hash-indexed joins; the same audit is
-exposed for static scans.
+Every negated atom is an EDB atom, so a translated program is semi-positive
+by construction: START and END join ``first`` and ``last``, a negated
+behaviour reference expands by De Morgan into one rule per conjunct, and an
+equality between two attributes excludes ``null``. ``evaluate`` audits
+safety and semi-positivity, then runs one semi-naive fixpoint with
+hash-indexed joins; the same audit is exposed for static scans.
 
 Constants are namespaced by sort (case id, event id, timestamp, attribute
-value) so equalities across sorts never unify by accident; timestamps are
-plain ints so the comparison built-ins apply to them alone.
+value, null) so equalities across sorts never unify by accident; timestamps
+are plain ints so the comparison built-ins apply to them alone.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .errors import MalformedCsv, StratificationViolation, UnsafeRule
 from .eventlog import EventLog, event_sets
 from .matcher import CompiledPattern
 
-Const = Union[int, tuple[str, str]]  # int = timestamp; ("c"|"e"|"v", text) otherwise
+Const = Union[int, tuple[str, str]]  # int = timestamp; ("c"|"e"|"v"|"n", text) otherwise
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,8 @@ OUTPUT_PRED = "output"
 
 _C, _E, _T = Var("C"), Var("E"), Var("T")
 
+NULL: Const = ("n", "")  # the value of every null attribute
+
 
 def cid_const(value: str) -> Const:
     return ("c", value)
@@ -117,43 +120,38 @@ def attribute_predicate(name: str) -> str:
     return "attr_" + re.sub(r"[^0-9A-Za-z_]", "_", name)
 
 
+def edb_predicates(schema: tuple[str, ...]) -> frozenset[str]:
+    """The EDB predicates of a log with this schema. Two attribute names that
+    map to one predicate are an error."""
+    attrs = sorted(attribute_predicate(a) for a in schema)
+    if len(set(attrs)) != len(attrs):
+        raise MalformedCsv(f"attribute names collide as predicates: {attrs}")
+    return frozenset({"event", "next", "first", "last", "null", *attrs})
+
+
 def facts_from_log(log: EventLog) -> FactSet:
-    """Extract the EDB: event/3, attr_<name>/3 per non-null value, and one
-    next/3 fact per pair of consecutive events of a case."""
+    """Extract the EDB: event/3, attr_<name>/3 per value (null included) and
+    null/1, then per case next/3 per pair of consecutive events, first/2 and
+    last/2."""
+    facts: FactSet = {pred: set() for pred in edb_predicates(log.schema)}
+    facts["null"].add((NULL,))
     preds = {name: attribute_predicate(name) for name in log.schema}
-    if len(set(preds.values())) != len(preds):
-        raise MalformedCsv(f"attribute names collide as predicates: {sorted(preds.values())}")
-    facts: FactSet = {"event": set(), "next": set()}
-    for pred in preds.values():
-        facts[pred] = set()
     for ev in log.events:
         c, e = cid_const(ev.cid), eid_const(ev.eid)
         facts["event"].add((c, e, ev.ts))
         for name, value in ev.attrs:
-            if value is not None:
-                facts[preds[name]].add((c, e, value_const(value)))
+            facts[preds[name]].add((c, e, NULL if value is None else value_const(value)))
     for es in event_sets(log):
         c = cid_const(es.cid)
         ts = es.timestamps
         facts["next"].update((c, t1, t2) for t1, t2 in zip(ts, ts[1:]))
+        facts["first"].add((c, ts[0]))
+        facts["last"].add((c, ts[-1]))
     return facts
 
 
-def edb_predicates(schema: tuple[str, ...]) -> frozenset[str]:
-    return frozenset({"event", "next", *(attribute_predicate(a) for a in schema)})
-
-
-# --- helper predicate definitions -------------------------------------------
-# An event has an earlier (later) event in its case iff it has a predecessor
-# (successor), so both helpers read the successor relation alone.
-
-def _helper_rules(names: Iterable[str]) -> list[Rule]:
-    t2 = Var("T2")
-    defs = {
-        "hasEarlier": Rule(Atom("hasEarlier", (_C, _T)), (Atom("next", (_C, t2, _T)),)),
-        "hasLater": Rule(Atom("hasLater", (_C, _T)), (Atom("next", (_C, _T, t2)),)),
-    }
-    return [defs[name] for name in ("hasEarlier", "hasLater") if name in set(names)]
+def _attr_atom(attr: str, value: Term, negated: bool = False) -> Atom:
+    return Atom(attribute_predicate(attr), (_C, _E, value), negated)
 
 
 class _Translation:
@@ -162,8 +160,6 @@ class _Translation:
     def __init__(self, pattern: CompiledPattern):
         self.pattern = pattern
         self.rules: list[Rule] = []
-        self.helpers: set[str] = set()
-        self.beh_helpers: dict[str, str] = {}
         self.counter = 0
 
     def fresh_pred(self) -> str:
@@ -178,29 +174,27 @@ class _Translation:
 
     def _conjunct_atoms(self, name: str) -> list[Atom]:
         atoms: list[Atom] = []
-        fresh = 0
-        for conj in self.pattern.behaviour(name).conjuncts:
+        for i, conj in enumerate(self.pattern.behaviour(name).conjuncts):
             if isinstance(conj, AttrEqConst):
-                atoms.append(
-                    Atom(attribute_predicate(conj.attr), (_C, _E, value_const(str(conj.value))))
-                )
+                atoms.append(_attr_atom(conj.attr, value_const(str(conj.value))))
             else:
-                shared = Var(f"V{fresh}")
-                fresh += 1
-                atoms.append(Atom(attribute_predicate(conj.left), (_C, _E, shared)))
-                atoms.append(Atom(attribute_predicate(conj.right), (_C, _E, shared)))
+                shared = Var(f"V{i}")
+                atoms += [
+                    _attr_atom(conj.left, shared),
+                    _attr_atom(conj.right, shared),
+                    Atom("null", (shared,), negated=True),
+                ]
         return atoms
 
     def idexpr_pred(self, expr: IdentifierExpr) -> str:
         if isinstance(expr, NotExpr):
             return self.negated_idexpr_pred(expr.inner)
         pred = self.fresh_pred()
-        single = Atom("event", (_C, _E, _T))
+        head, single = Atom(pred, (_T, _T, _C)), Atom("event", (_C, _E, _T))
         if isinstance(expr, Literal):
-            attr = attribute_predicate(self.pattern.attribute or "")
-            self.emit(Atom(pred, (_T, _T, _C)), single, Atom(attr, (_C, _E, value_const(expr.value))))
+            self.emit(head, single, _attr_atom(self.pattern.attribute or "", value_const(expr.value)))
         elif isinstance(expr, BehaviourRef):
-            self.emit(Atom(pred, (_T, _T, _C)), single, *self._conjunct_atoms(expr.name))
+            self.emit(head, single, *self._conjunct_atoms(expr.name))
         elif isinstance(expr, OrExpr):
             ts, te = Var("Ts"), Var("Te")
             for sub in (expr.left, expr.right):
@@ -217,17 +211,20 @@ class _Translation:
             self.emit(Atom(pred, (ts, te, _C)), Atom(inner, (ts, te, _C)))
             return pred
         pred = self.fresh_pred()
-        single = Atom("event", (_C, _E, _T))
+        head, single = Atom(pred, (_T, _T, _C)), Atom("event", (_C, _E, _T))
         if isinstance(expr, Literal):
-            attr = attribute_predicate(self.pattern.attribute or "")
-            self.emit(
-                Atom(pred, (_T, _T, _C)),
-                single,
-                Atom(attr, (_C, _E, value_const(expr.value)), negated=True),
-            )
+            self.emit(head, single, _attr_atom(self.pattern.attribute or "", value_const(expr.value), True))
         elif isinstance(expr, BehaviourRef):
-            holds = self._behaviour_holds_pred(expr.name)
-            self.emit(Atom(pred, (_T, _T, _C)), single, Atom(holds, (_C, _E), negated=True))
+            # De Morgan: the behaviour fails where one of its conjuncts fails.
+            # a = b fails where a differs from b or a is null.
+            for i, conj in enumerate(self.pattern.behaviour(expr.name).conjuncts):
+                if isinstance(conj, AttrEqConst):
+                    self.emit(head, single, _attr_atom(conj.attr, value_const(str(conj.value)), True))
+                else:
+                    shared = Var(f"V{i}")
+                    left = _attr_atom(conj.left, shared)
+                    self.emit(head, single, left, _attr_atom(conj.right, shared, True))
+                    self.emit(head, single, left, Atom("null", (shared,)))
         elif isinstance(expr, OrExpr):
             left = self.negated_idexpr_pred(expr.left)
             right = self.negated_idexpr_pred(expr.right)
@@ -239,18 +236,6 @@ class _Translation:
             )
         else:
             raise TypeError(f"not an identifier expression: {expr!r}")
-        return pred
-
-    def _behaviour_holds_pred(self, name: str) -> str:
-        cached = self.beh_helpers.get(name)
-        if cached is not None:
-            return cached
-        pred = f"behaviour_{re.sub(r'[^0-9A-Za-z_]', '_', name)}_holds"
-        if any(r.head.pred == pred for r in self.rules):
-            pred = f"{pred}_{self.counter}"
-            self.counter += 1
-        self.beh_helpers[name] = pred
-        self.emit(Atom(pred, (_C, _E)), *self._conjunct_atoms(name))
         return pred
 
     # -- pattern formulas ----------------------------------------------------
@@ -286,35 +271,21 @@ class _Translation:
                 Atom(pred, (ts2, te2, _C)),
             )
             return pred
-        if isinstance(node, Start):
+        if isinstance(node, (Start, End)):
             inner = self.formula_pred(node.inner)
             pred = self.fresh_pred()
-            self.helpers.add("hasEarlier")
-            self.emit(
-                Atom(pred, (ts, te, _C)),
-                Atom(inner, (ts, te, _C)),
-                Atom("hasEarlier", (_C, ts), negated=True),
-            )
-            return pred
-        if isinstance(node, End):
-            inner = self.formula_pred(node.inner)
-            pred = self.fresh_pred()
-            self.helpers.add("hasLater")
-            self.emit(
-                Atom(pred, (ts, te, _C)),
-                Atom(inner, (ts, te, _C)),
-                Atom("hasLater", (_C, te), negated=True),
-            )
+            anchor = Atom("first", (_C, ts)) if isinstance(node, Start) else Atom("last", (_C, te))
+            self.emit(Atom(pred, (ts, te, _C)), Atom(inner, (ts, te, _C)), anchor)
             return pred
         raise TypeError(f"not a pattern formula: {node!r}")
 
 
 def translate_pattern(pattern: CompiledPattern) -> list[Rule]:
-    """Rules for every subformula of the pattern, helper definitions first.
+    """Rules for every subformula of the pattern; they negate EDB atoms only.
     The head of the final rule is the pattern's root predicate."""
     ctx = _Translation(pattern)
     ctx.formula_pred(pattern.formula)
-    return [*_helper_rules(ctx.helpers), *ctx.rules]
+    return ctx.rules
 
 
 def _column_term(ref: ColumnRef, attr_vars: dict[str, Var]) -> Term:
@@ -338,8 +309,8 @@ def _const_term(ref: ColumnRef, value: str | int) -> Const:
 
 
 def translate_query(query: Query, schema: tuple[str, ...], source: str = DEFAULT_SOURCE) -> DatalogProgram:
-    """Translate a whole query: output rules, then pattern rules, then the
-    definitions of the helpers that the pattern rules negate."""
+    """Translate a whole query: the output rule, then the pattern rules."""
+    edb = edb_predicates(schema)
     plan: Plan = compile_plan(query, schema, source)
 
     referenced: list[str] = []
@@ -354,14 +325,15 @@ def translate_query(query: Query, schema: tuple[str, ...], source: str = DEFAULT
     attr_vars = {name: Var(f"V{i}") for i, name in enumerate(referenced)}
 
     base_body: list[BodyItem] = [Atom("event", (_C, _E, _T))]
-    base_body.extend(
-        Atom(attribute_predicate(name), (_C, _E, attr_vars[name])) for name in referenced
-    )
+    base_body.extend(_attr_atom(name, attr_vars[name]) for name in referenced)
     for sel in plan.row_selections:
         if isinstance(sel, ConstEquality):
             base_body.append(Cmp("=", _column_term(sel.column, attr_vars), _const_term(sel.column, sel.value)))
         else:
-            base_body.append(Cmp("=", _column_term(sel.left, attr_vars), _column_term(sel.right, attr_vars)))
+            left = _column_term(sel.left, attr_vars)
+            base_body.append(Cmp("=", left, _column_term(sel.right, attr_vars)))
+            if sel.left.kind == sel.right.kind == "attr":
+                base_body.append(Atom("null", (left,), negated=True))
 
     ctx: _Translation | None = None
     pattern_atoms: list[Atom] = []
@@ -375,7 +347,6 @@ def translate_query(query: Query, schema: tuple[str, ...], source: str = DEFAULT
             ctx = _Translation(pattern)
         else:
             ctx.pattern = pattern
-            ctx.beh_helpers = {}
         root = ctx.formula_pred(pattern.formula)
         pattern_atoms.append(Atom(root, (Var(f"Ps{i}"), Var(f"Pe{i}"), _C)))
 
@@ -384,11 +355,10 @@ def translate_query(query: Query, schema: tuple[str, ...], source: str = DEFAULT
 
     if ctx is not None:
         rules.extend(ctx.rules)
-        rules.extend(_helper_rules(ctx.helpers))
-    return DatalogProgram(tuple(rules), edb_predicates(schema))
+    return DatalogProgram(tuple(rules), edb)
 
 
-# --- static audit (safety + stratified negation) ------------------------------
+# --- static audit (safety + semi-positive negation) ---------------------------
 
 def _term_vars(term: Term) -> set[str]:
     return {term.name} if isinstance(term, Var) else set()
@@ -396,7 +366,8 @@ def _term_vars(term: Term) -> set[str]:
 
 def audit_program(program: DatalogProgram) -> list[tuple[str, str]]:
     """Static scan; returns (kind, message) findings, empty when clean.
-    Kinds: "unsafe" and "stratification"."""
+    Kinds: "unsafe", and "stratification" for a negated atom whose predicate
+    is not EDB."""
     findings: list[tuple[str, str]] = []
     for rule in program.rules:
         positive: set[str] = set()
@@ -420,35 +391,13 @@ def audit_program(program: DatalogProgram) -> list[tuple[str, str]]:
                 for arg in item.args:
                     vars_ |= _term_vars(arg)
                 check_bound(vars_, f"negated atom {item.pred}")
+                if item.pred not in program.edb_predicates:
+                    findings.append(
+                        ("stratification", f"negated predicate {item.pred!r} in rule for "
+                                           f"{rule.head.pred!r} is not EDB")
+                    )
             elif isinstance(item, Cmp):
                 check_bound(_term_vars(item.left) | _term_vars(item.right), f"built-in {item.op}")
-
-    by_head: dict[str, list[Rule]] = {}
-    for rule in program.rules:
-        by_head.setdefault(rule.head.pred, []).append(rule)
-    for rule in program.rules:
-        for item in rule.body:
-            if not (isinstance(item, Atom) and item.negated):
-                continue
-            pred = item.pred
-            if pred in program.edb_predicates:
-                continue
-            defining = by_head.get(pred)
-            if not defining:
-                findings.append(
-                    ("stratification", f"negated predicate {pred!r} is neither EDB nor defined")
-                )
-                continue
-            for helper_rule in defining:
-                for part in helper_rule.body:
-                    if isinstance(part, Cmp):
-                        continue
-                    if part.negated or part.pred not in program.edb_predicates:
-                        findings.append(
-                            ("stratification",
-                             f"negated predicate {pred!r} is not a stratum-1 helper: "
-                             f"its rule uses {part.pred!r}")
-                        )
     return findings
 
 
@@ -635,23 +584,12 @@ def evaluate(program: DatalogProgram, facts: FactSet) -> FactSet:
     for pred in program.edb_predicates:
         rels.setdefault(pred, set())
     store = _Relations(rels)
-
-    negated = {
-        item.pred
-        for rule in program.rules
-        for item in rule.body
-        if isinstance(item, Atom) and item.negated and item.pred not in program.edb_predicates
-    }
-    helper_plans = [(r.head.pred, _compile_rule(r)) for r in program.rules if r.head.pred in negated]
-    main_plans = [(r.head.pred, _compile_rule(r)) for r in program.rules if r.head.pred not in negated]
-
-    # The audit guarantees that helper bodies read EDB atoms only, so one
-    # pass closes them before any negation.
-    for pred, plan in helper_plans:
-        store.add(pred, _eval_rule(plan, store) - rels[pred])
+    # The audit guarantees that only EDB atoms are negated, so every negation
+    # reads a relation that the fixpoint never grows.
+    plans = [(r.head.pred, _compile_rule(r)) for r in program.rules]
 
     delta: dict[str, set[tuple[Const, ...]]] = {}
-    for pred, plan in main_plans:
+    for pred, plan in plans:
         fresh = _eval_rule(plan, store) - rels[pred]
         if fresh:
             delta.setdefault(pred, set()).update(fresh)
@@ -660,7 +598,7 @@ def evaluate(program: DatalogProgram, facts: FactSet) -> FactSet:
             store.add(pred, tuples)
         seeds = _Relations(delta)
         next_delta: dict[str, set[tuple[Const, ...]]] = {}
-        for pred, plan in main_plans:
+        for pred, plan in plans:
             for k, step in enumerate(plan.steps):
                 if not delta.get(step.pred):
                     continue
@@ -677,6 +615,8 @@ def evaluate(program: DatalogProgram, facts: FactSet) -> FactSet:
 def _const_text(value: Const) -> str:
     if isinstance(value, int):
         return str(value)
+    if value == NULL:
+        return "null"
     payload = value[1].replace("\\", "\\\\").replace('"', '\\"')
     return f'"{payload}"'
 
@@ -714,7 +654,9 @@ def facts_to_text(facts: FactSet) -> str:
 
 # --- differential check -------------------------------------------------------
 
-def _untag(value: Const) -> str | int:
+def _untag(value: Const) -> str | int | None:
+    if value == NULL:
+        return None
     return value if isinstance(value, int) else value[1]
 
 

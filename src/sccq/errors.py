@@ -70,4 +70,4 @@ class UnsafeRule(SccError):
 
 
 class StratificationViolation(SccError):
-    """Negation is applied to a predicate that is not EDB or a stratum-1 helper."""
+    """A negated atom names a derived predicate: the program is not semi-positive."""

@@ -1,10 +1,9 @@
 """Seeded random generators for logs, patterns and queries.
 
 Everything takes an explicit ``random.Random`` so corpora are reproducible.
-Generated (query, log) pairs are kept null-free and small: they feed the
-differential check between the two back ends, which needs both back ends to
-agree on every row (null attribute values project differently) and the
-datalog evaluation to stay cheap.
+``random_pair`` keeps its (query, log) pairs null-free and small, so the
+corpora built on it stay fixed and the datalog evaluation stays cheap;
+null-bearing corpora pass ``allow_null=True`` to ``random_event_log``.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import FOUR_CSV, QUOTES_CSV
+from sccq import datalog
 from sccq.cli import main
 from sccq.eventlog import load_event_log
 from sccq.parser import MAX_PATTERN_NESTING
@@ -205,19 +206,34 @@ def test_inputs_python_cannot_decode_exit_1(capsys, tmp_path):
         assert code == 1 and "row 2: " in err
 
 
-def test_check_fixture_and_mismatch(capsys, quotes_csv_path, tmp_path):
-    code, out, _ = run(
-        capsys, "check",
-        "SELECT case_id FROM eventlog WHERE event_name MATCHES ('Review request' ~> 'Send quote')",
-        "--log", quotes_csv_path,
-    )
+def test_check_fixture_and_mismatch(capsys, quotes_csv_path, tmp_path, monkeypatch):
+    query = "SELECT case_id FROM eventlog WHERE event_name MATCHES ('Review request' ~> 'Send quote')"
+    code, out, _ = run(capsys, "check", query, "--log", quotes_csv_path)
     assert code == 0 and out.startswith("EQUAL")
 
     nullcsv = tmp_path / "null.csv"
     nullcsv.write_text("eid,cid,ts,a\ne1,c,1,\n", encoding="utf-8")
     code, out, _ = run(capsys, "check", "SELECT a FROM eventlog", "--log", str(nullcsv))
+    assert (code, out) == (0, "EQUAL (1 distinct tuples)\n")
+
+    # A Datalog side that loses the event facts derives no row at all.
+    extract = datalog.facts_from_log
+    monkeypatch.setattr(datalog, "facts_from_log", lambda log: {**extract(log), "event": set()})
+    code, out, _ = run(capsys, "check", query, "--log", quotes_csv_path)
     assert code == 3
-    assert out.startswith("MISMATCH") and "relational only" in out
+    assert out.splitlines() == [
+        "MISMATCH: 1 tuples only in the relational result, 0 only in the datalog result",
+        "  relational only: ('0002',)",
+    ]
+
+
+def test_attribute_predicate_collision_exits_1(capsys, tmp_path):
+    path = tmp_path / "collide.csv"
+    path.write_text("eid,cid,ts,a b,a_b\ne1,c1,10,x,y\n", encoding="utf-8")
+    for command in ("translate", "check"):
+        code, out, err = run(capsys, command, "SELECT eid FROM eventlog", "--log", str(path))
+        assert (code, out) == (1, "")
+        assert "attribute names collide as predicates: ['attr_a_b', 'attr_a_b']" in err
 
 
 def test_check_random(capsys):

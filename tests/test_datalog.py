@@ -2,8 +2,20 @@ import random
 
 import pytest
 
-from sccq.ast import SimpleMatch
+from sccq.ast import (
+    AttrEqAttr,
+    AttrEqConst,
+    BehaviourDef,
+    BehaviourMatch,
+    BehaviourRef,
+    Follows,
+    Identifier,
+    NotExpr,
+    Query,
+    SimpleMatch,
+)
 from sccq.datalog import (
+    NULL,
     OUTPUT_PRED,
     Atom,
     CheckReport,
@@ -26,9 +38,9 @@ from sccq.datalog import (
 from sccq.engine import compile_plan, execute
 from sccq.errors import MalformedCsv, StratificationViolation, UnsafeRule
 from sccq.eventlog import Event, EventLog, event_sets, load_event_log
-from sccq.gen import random_event_log, random_pair, random_pattern
+from sccq.gen import random_event_log, random_pair, random_pattern, random_query
 from sccq.matcher import compile_pattern, satisfying_segments
-from sccq.parser import parse_pattern, parse_query, pretty_print
+from sccq.parser import parse_pattern, parse_query, pretty_print, pretty_print_pattern
 
 
 def simple(text, schema=("event_name",), attribute="event_name"):
@@ -107,26 +119,8 @@ def naive_evaluate(program, facts):
     for pred in program.edb_predicates:
         rels.setdefault(pred, set())
 
-    negated = {
-        item.pred
-        for rule in program.rules
-        for item in rule.body
-        if isinstance(item, Atom) and item.negated and item.pred not in program.edb_predicates
-    }
-    helper_rules = [r for r in program.rules if r.head.pred in negated]
-    main_rules = [r for r in program.rules if r.head.pred not in negated]
-
-    changed = True
-    while changed:
-        changed = False
-        for rule in helper_rules:
-            fresh = _naive_eval_rule(rule, rels) - rels[rule.head.pred]
-            if fresh:
-                rels[rule.head.pred] |= fresh
-                changed = True
-
     delta = {}
-    for rule in main_rules:
+    for rule in program.rules:
         fresh = _naive_eval_rule(rule, rels) - rels[rule.head.pred]
         if fresh:
             delta.setdefault(rule.head.pred, set()).update(fresh)
@@ -134,7 +128,7 @@ def naive_evaluate(program, facts):
         for pred, tuples in delta.items():
             rels[pred] |= tuples
         next_delta = {}
-        for rule in main_rules:
+        for rule in program.rules:
             for pos, item in enumerate(rule.body):
                 if not (isinstance(item, Atom) and not item.negated):
                     continue
@@ -150,10 +144,13 @@ def naive_evaluate(program, facts):
 
 
 _C, _E, _T = Var("C"), Var("E"), Var("T")
-# q holds for every case; r copies q; s negates q, an EDB-only helper.
+# q holds for every case; r copies q; s holds for every event but a case's
+# first, through the negated EDB relation first.
 _BASE = Rule(Atom("q", (_C,)), (Atom("event", (_C, _E, _T)),))
 _DERIVED = Rule(Atom("r", (_C,)), (Atom("q", (_C,)),))
-_NEGATES_BASE = Rule(Atom("s", (_C,)), (Atom("event", (_C, _E, _T)), Atom("q", (_C,), negated=True)))
+_NEGATES_BASE = Rule(
+    Atom("s", (_C, _E)), (Atom("event", (_C, _E, _T)), Atom("first", (_C, _T), negated=True))
+)
 
 # A log on which ('a' -> 'b')* and 'a' ~> 'b' both hold.
 ALTERNATING_CSV = "eid,cid,ts,event_name\n1,c,10,a\n2,c,20,b\n3,c,30,a\n4,c,40,b\n5,c,50,a\n"
@@ -171,7 +168,7 @@ def hand_built_programs(schema):
     )
     return [
         DatalogProgram((_BASE, _DERIVED), frozenset({"event"})),
-        DatalogProgram((_BASE, _NEGATES_BASE), frozenset({"event"})),
+        DatalogProgram((_BASE, _NEGATES_BASE), frozenset({"event", "first"})),
         DatalogProgram(tuple(translate_pattern(simple("('a' -> 'b')*"))), edb),
         DatalogProgram(tuple(translate_pattern(simple("'a' ~> 'b'"))), edb),
         DatalogProgram(tuple(translate_pattern(simple("START (ANY) -> NOT ('b') END"))), edb),
@@ -219,11 +216,22 @@ def test_fact_constants_are_sort_tagged(quotes_log):
     assert all(v[0] == "v" for _, _, v in facts["attr_status"])
 
 
-def test_null_values_produce_no_attr_fact():
-    log = EventLog(("a",), (Event("e1", "c", 1, (("a", None),)),))
+def test_null_values_produce_null_attr_facts():
+    log = EventLog(("a", "b"), (Event("e1", "c", 1, (("a", None), ("b", "x"))),))
     facts = facts_from_log(log)
-    assert facts["attr_a"] == set()
+    c, e = ("c", "c"), ("e", "e1")
+    assert facts["attr_a"] == {(c, e, NULL)}
+    assert facts["attr_b"] == {(c, e, ("v", "x"))}
+    assert facts["null"] == {(NULL,)}
+    assert facts["first"] == facts["last"] == {(c, 1)}
     assert len(facts["event"]) == 1
+
+
+def test_first_and_last_facts_per_case(quotes_log):
+    facts = facts_from_log(quotes_log)
+    sets = {("c", es.cid): es.timestamps for es in event_sets(quotes_log)}
+    assert facts["first"] == {(c, ts[0]) for c, ts in sets.items()}
+    assert facts["last"] == {(c, ts[-1]) for c, ts in sets.items()}
 
 
 def test_attribute_predicate_names():
@@ -231,6 +239,8 @@ def test_attribute_predicate_names():
     assert attribute_predicate("event name") == "attr_event_name"
     with pytest.raises(MalformedCsv, match="collide"):
         facts_from_log(EventLog(("a b", "a_b"), ()))
+    with pytest.raises(MalformedCsv, match="collide"):
+        translate_query(parse_query("SELECT eid FROM eventlog"), ("a b", "a_b"))
 
 
 def test_translate_literal_rule_shape():
@@ -277,22 +287,45 @@ def test_translate_or_and_negation():
     assert rule_to_text(double[-1]).startswith(f"{double[-1].head.pred}(Ts,Te,C) :- {double[0].head.pred}(")
 
 
-def test_translate_negated_behaviour_ref_uses_conjunction_helper(quotes_log):
+def test_translate_negated_behaviour_ref_by_de_morgan(quotes_log):
     query = parse_query(
-        "SELECT cid FROM eventlog WHERE BEHAVIOUR status = 'WIP' AND event_name = event_name AS w "
+        "SELECT cid FROM eventlog WHERE BEHAVIOUR status = 'WIP' AND event_name = status AS w "
         "MATCHES (NOT (w))"
     )
     program = translate_query(query, quotes_log.schema)
-    helper = [r for r in program.rules if r.head.pred == "behaviour_w_holds"]
-    assert len(helper) == 1
-    assert all(isinstance(b, Atom) and not b.negated for b in helper[0].body)
-    assert any(
-        isinstance(b, Atom) and b.negated and b.pred == "behaviour_w_holds"
-        for r in program.rules
-        for b in r.body
-    )
-    # still passes the static scan: the helper is EDB-only
+    # one rule per failing conjunct; a = b fails where a differs from b or a is null
+    assert program_to_text(program).splitlines()[1:] == [
+        'p0(T,T,C) :- event(C,E,T), !attr_status(C,E,"WIP").',
+        "p0(T,T,C) :- event(C,E,T), attr_event_name(C,E,V1), !attr_status(C,E,V1).",
+        "p0(T,T,C) :- event(C,E,T), attr_event_name(C,E,V1), null(V1).",
+    ]
     assert audit_program(program) == []
+
+    positive = translate_query(
+        parse_query("SELECT cid FROM eventlog WHERE BEHAVIOUR event_name = status AS w MATCHES (w)"),
+        quotes_log.schema,
+    )
+    assert rule_to_text(positive.rules[-1]) == (
+        "p0(T,T,C) :- event(C,E,T), attr_event_name(C,E,V0), attr_status(C,E,V0), !null(V0)."
+    )
+
+
+def test_negated_behaviour_with_nulls_agrees_with_relational():
+    # every combination of null, equal and different values of a and b
+    values = [(None, None), (None, "x"), ("x", None), ("x", "x"), ("x", "y")]
+    log = EventLog(
+        ("a", "b"),
+        tuple(Event(f"e{i}", f"c{i}", 1, (("a", a), ("b", b))) for i, (a, b) in enumerate(values)),
+    )
+    for pattern in ("w", "NOT (w)"):
+        query = parse_query(f"SELECT cid, a, b FROM eventlog WHERE BEHAVIOUR a = b AS w MATCHES ({pattern})")
+        report = cross_check(query, log)
+        assert report.equal, report.summary()
+        holds = {("c3", "x", "x")}
+        fails = {("c0", None, None), ("c1", None, "x"), ("c2", "x", None), ("c4", "x", "y")}
+        assert report.datalog_rows == (holds if pattern == "w" else fails)
+    rows = cross_check(parse_query("SELECT cid FROM eventlog WHERE a = b"), log)
+    assert rows.equal and rows.datalog_rows == {("c3",)}
 
 
 def test_translate_query_output_rules(quotes_log):
@@ -316,16 +349,16 @@ def test_translate_query_output_rules(quotes_log):
 
 
 def test_translate_query_emits_only_used_helpers(quotes_log):
-    def heads(text):
-        return [r.head.pred for r in translate_query(parse_query(text), quotes_log.schema).rules]
+    # No query needs a helper: START and END join the EDB relations first
+    # and last, so a program holds the output rule and its pattern rules.
+    def text(query):
+        return program_to_text(translate_query(parse_query(query), quotes_log.schema)).splitlines()
 
-    assert heads("SELECT cid FROM eventlog") == [OUTPUT_PRED]
-    assert heads("SELECT cid FROM eventlog WHERE event_name MATCHES (ANY -> ANY)") == [
-        OUTPUT_PRED, "p0", "p1", "p2",
-    ]
-    assert heads("SELECT cid FROM eventlog WHERE event_name MATCHES (START (ANY))")[-1] == "hasEarlier"
-    assert heads("SELECT cid FROM eventlog WHERE event_name MATCHES (START (ANY) END)")[-2:] == [
-        "hasEarlier", "hasLater",
+    assert text("SELECT cid FROM eventlog") == ["output(C) :- event(C,E,T)."]
+    assert text("SELECT cid FROM eventlog WHERE event_name MATCHES (START (ANY) END)")[1:] == [
+        "p0(T,T,C) :- event(C,E,T).",
+        "p1(Ts,Te,C) :- p0(Ts,Te,C), first(C,Ts).",
+        "p2(Ts,Te,C) :- p1(Ts,Te,C), last(C,Te).",
     ]
 
 
@@ -356,7 +389,7 @@ def test_many_star_conditions_give_one_output_rule(quotes_log):
 
 def test_edb_predicates(quotes_log):
     assert edb_predicates(quotes_log.schema) == frozenset(
-        {"event", "next", "attr_event_name", "attr_status"}
+        {"event", "next", "first", "last", "null", "attr_event_name", "attr_status"}
     )
 
 
@@ -399,23 +432,25 @@ def test_audit_flags_unsafe_rules():
 
 
 def test_audit_flags_negation_strata():
-    edb = frozenset({"event"})
+    edb = frozenset({"event", "first"})
     c, e, t = _C, _E, _T
     base, derived = _BASE, _DERIVED
-    # negating r is not allowed: r's body uses the IDB predicate q
-    bad = Rule(Atom("s", (c,)), (Atom("event", (c, e, t)), Atom("r", (c,), negated=True)))
-    program = DatalogProgram((base, derived, bad), edb)
-    findings = audit_program(program)
-    assert any(k == "stratification" and "'r'" in m for k, m in findings)
-    with pytest.raises(StratificationViolation):
-        evaluate(program, {"event": set()})
+    # only EDB relations may be negated: r is IDB, and so is q, though its
+    # rule reads the EDB alone
+    for negated in ("r", "q"):
+        bad = Rule(Atom("s", (c,)), (Atom("event", (c, e, t)), Atom(negated, (c,), negated=True)))
+        findings = audit_program(DatalogProgram((base, derived, bad), edb))
+        assert findings == [
+            ("stratification", f"negated predicate {negated!r} in rule for 's' is not EDB")
+        ]
+        with pytest.raises(StratificationViolation, match="is not EDB"):
+            evaluate(DatalogProgram((base, derived, bad), edb), {"event": set()})
 
     undefined = DatalogProgram(
         (Rule(Atom("s", (c,)), (Atom("event", (c, e, t)), Atom("ghost", (c,), negated=True))),),
         edb,
     )
     assert audit_program(undefined)[0][0] == "stratification"
-    # negating a helper with an EDB-only body is fine
     ok = DatalogProgram((base, _NEGATES_BASE), edb)
     assert audit_program(ok) == []
 
@@ -468,26 +503,26 @@ def test_evaluate_monotone_for_negation_free_programs():
         isinstance(item, Atom) and item.negated for rule in rules for item in rule.body
     )
     program = DatalogProgram(tuple(rules), edb_predicates(small.schema))
-    lo = evaluate(program, facts_from_log(small))
-    hi = evaluate(program, facts_from_log(big))
+    lo_facts = facts_from_log(small)
+    # the larger fact set must contain the smaller one: last of the longer
+    # log is not a superset of last of the shorter
+    hi_facts = {pred: tuples | lo_facts[pred] for pred, tuples in facts_from_log(big).items()}
+    lo = evaluate(program, lo_facts)
+    hi = evaluate(program, hi_facts)
     for pred, tuples in lo.items():
         assert tuples <= hi[pred]
 
 
-def test_evaluate_helper_relations(quotes_log):
+def test_evaluate_start_and_end_relations(quotes_log):
     query = parse_query("SELECT cid FROM eventlog WHERE event_name MATCHES (START (ANY) END)")
     program = translate_query(query, quotes_log.schema)
     derived = evaluate(program, facts_from_log(quotes_log))
-    sets = {es.cid: es.timestamps for es in event_sets(quotes_log)}
-    expected_earlier = {
-        (("c", cid), t) for cid, ts in sets.items() for t in ts if t != ts[0]
-    }
-    assert derived["hasEarlier"] == expected_earlier
-    expected_later = {(("c", cid), t) for cid, ts in sets.items() for t in ts if t != ts[-1]}
-    assert derived["hasLater"] == expected_later
-    # no case has a single-event segment that both starts and ends the case
-    # unless it is the only event, so output is empty here
-    assert derived[OUTPUT_PRED] == set()
+    sets = {("c", es.cid): es.timestamps for es in event_sets(quotes_log)}
+    # p1 is START (ANY): the first event of each case; p2 adds END
+    assert derived["p1"] == {(ts[0], ts[0], c) for c, ts in sets.items()}
+    # every case has more than one event, so no single event both starts
+    # and ends its case
+    assert derived["p2"] == derived[OUTPUT_PRED] == set()
 
 
 def test_evaluate_does_not_mutate_input(quotes_log):
@@ -514,6 +549,8 @@ def test_translated_programs_define_no_edb_predicate():
             assert rule.head.pred not in program.edb_predicates, rule_to_text(rule)
             atoms = [b.pred for b in rule.body if isinstance(b, Atom)]
             assert "segment" not in atoms and "hasBetween" not in atoms, rule_to_text(rule)
+            negated = {b.pred for b in rule.body if isinstance(b, Atom) and b.negated}
+            assert negated <= program.edb_predicates, rule_to_text(rule)
 
 
 def test_cross_check_fixtures(quotes_log):
@@ -541,15 +578,14 @@ def test_cross_check_agrees_with_execute(quotes_log):
     assert report.datalog_rows == frozenset(table.rows)
 
 
-def test_cross_check_reports_null_projection_divergence():
-    # Known, documented divergence: the relational side keeps a row whose
-    # projected attribute is null, the datalog side has no fact to bind.
-    log = EventLog(("a",), (Event("e1", "c", 1, (("a", None),)),))
+def test_cross_check_projects_null():
+    # a null attribute binds the null constant, which projects as None
+    log = EventLog(("a",), (Event("e1", "c", 1, (("a", None),)), Event("e2", "c", 2, (("a", "x"),))))
     report = cross_check(parse_query("SELECT a FROM eventlog"), log)
-    assert not report.equal
-    assert report.ra_only == frozenset({(None,)})
-    assert report.datalog_only == frozenset()
-    assert report.summary().startswith("MISMATCH")
+    assert report.equal and report.summary() == "EQUAL (2 distinct tuples)"
+    assert report.datalog_rows == frozenset({(None,), ("x",)})
+    alone = cross_check(parse_query("SELECT a FROM eventlog"), EventLog(("a",), log.events[:1]))
+    assert alone.equal and alone.datalog_rows == frozenset({(None,)})
 
 
 def test_cross_check_random_corpus():
@@ -558,6 +594,56 @@ def test_cross_check_random_corpus():
         query, log = random_pair(rng)
         report = cross_check(query, log)
         assert report.equal, report.summary()
+
+
+def null_bearing_pair(rng):
+    """A null-bearing log and a random_query on it. Some pairs gain a
+    BEHAVIOUR condition with an a = b conjunct, sometimes under NOT, some a
+    further MATCHES condition on a literal pattern, and some an a = b row
+    filter. a and b may name one attribute: a = a fails only on nulls."""
+    values = ("a", "b", "c")[: rng.randint(2, 3)]
+    log = random_event_log(rng, cases=rng.randint(1, 3), max_events=6, values=values, allow_null=True)
+    query = random_query(rng, log)
+    extra = []
+    if rng.random() < 0.6:
+        conjuncts = (AttrEqAttr(rng.choice(log.schema), rng.choice(log.schema)),)
+        if rng.random() < 0.3:
+            conjuncts += (AttrEqConst("resource", rng.choice(values)),)
+        holds, fails = Identifier(BehaviourRef("q")), Identifier(NotExpr(BehaviourRef("q")))
+        pattern = rng.choice(
+            [random_pattern(rng, behaviour_names=("q",)), fails, Follows(holds, fails), Follows(fails, holds)]
+        )
+        extra.append(BehaviourMatch((BehaviourDef("q", conjuncts),), pattern))
+    if rng.random() < 0.4:
+        extra.append(SimpleMatch(rng.choice(log.schema), random_pattern(rng, values=values)))
+    if rng.random() < 0.3:
+        extra.append(AttrEqAttr(rng.choice(log.schema), rng.choice(log.schema)))
+    return Query(query.projection, query.source, query.conditions + tuple(extra)), log
+
+
+def test_cross_check_null_bearing_corpus():
+    rng = random.Random(85)
+    mismatches, empty, nonempty, null_rows, multi_match, negated_eq = [], 0, 0, 0, 0, 0
+    for i in range(300):
+        query, log = null_bearing_pair(rng)
+        assert audit_program(translate_query(query, log.schema)) == [], pretty_print(query)
+        report = cross_check(query, log)
+        if not report.equal:
+            mismatches.append(f"pair {i}: {report.summary()}  {pretty_print(query)}")
+        empty += not report.ra_rows
+        nonempty += bool(report.ra_rows)
+        null_rows += any(None in row for row in report.ra_rows)
+        matches = [c for c in query.conditions if isinstance(c, (SimpleMatch, BehaviourMatch))]
+        multi_match += len(matches) > 1
+        negated_eq += any(
+            isinstance(c, BehaviourMatch) and "NOT" in pretty_print_pattern(c.pattern) for c in matches
+        )
+    assert mismatches == []
+    # the corpus reaches what it is for: nulls in the output, several MATCHES
+    # conditions, negated behaviours, and both empty and non-empty results
+    assert min(empty, nonempty, null_rows, multi_match, negated_eq) > 0, (
+        empty, nonempty, null_rows, multi_match, negated_eq
+    )
 
 
 def test_audit_clean_on_generated_programs():
@@ -585,9 +671,13 @@ def test_serialization_formats(quotes_log):
     facts_text = facts_to_text(facts_from_log(log))
     assert facts_text.splitlines() == [
         'attr_a("c","e1","say \\"hi\\"").',
+        'attr_a("c","e2",null).',
         'event("c","e1",7).',
         'event("c","e2",9).',
+        'first("c",7).',
+        'last("c",9).',
         'next("c",7,9).',
+        "null(null).",
     ]
 
 
