@@ -12,6 +12,11 @@ Equality is sort-aware: the fixed columns eid, cid and ts and the event
 attributes live in separate value sorts, so an equality across sorts is
 false even when the printed values coincide. This mirrors the namespaced
 constants of the Datalog back end, keeping the two result-equivalent.
+
+``execute`` turns each row selection and projection column, once per query,
+into a reader by schema position; an equality across sorts is decided false
+before any event is read, and cases are grouped only when the plan has a
+pattern selection.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Callable, Sequence
 
 from .ast import AttrEqAttr, AttrEqConst, BehaviourMatch, Query, SimpleMatch
 from .errors import UnknownColumn, UnknownSource
@@ -129,65 +136,55 @@ def compile_plan(query: Query, schema: tuple[str, ...], source: str = DEFAULT_SO
     return Plan(query.source, projection, tuple(rows), tuple(patterns))
 
 
-def _comparison_value(event: Event, ref: ColumnRef) -> tuple[str, str | int] | None:
-    """Sort-tagged value for equality tests; None stands for null."""
-    if ref.kind == "eid":
-        return ("e", event.eid)
-    if ref.kind == "cid":
-        return ("c", event.cid)
-    if ref.kind == "ts":
-        return ("t", event.ts)
-    value = event.value(ref.attribute)  # type: ignore[arg-type]
-    return None if value is None else ("v", value)
+def _reader(ref: ColumnRef, schema: tuple[str, ...]) -> Callable[[Event], str | int | None]:
+    """The column's value of an event; None stands for null."""
+    if ref.kind == "attr":
+        i = schema.index(ref.attribute)  # type: ignore[arg-type]
+        return lambda event: event.attrs[i][1]
+    return itemgetter(Event._fields.index(ref.kind))  # eid, cid and ts are Event fields
 
 
-def _comparison_const(ref: ColumnRef, value: str | int) -> tuple[str, str | int]:
-    if ref.kind == "eid":
-        return ("e", str(value))
-    if ref.kind == "cid":
-        return ("c", str(value))
-    if ref.kind == "ts":
-        # A quoted string never equals a timestamp; integers compare numerically.
-        return ("t", value) if isinstance(value, int) else ("v", value)
-    return ("v", str(value))
-
-
-def _output_value(event: Event, ref: ColumnRef) -> str | int | None:
-    if ref.kind == "eid":
-        return event.eid
-    if ref.kind == "cid":
-        return event.cid
-    if ref.kind == "ts":
-        return event.ts
-    return event.value(ref.attribute)  # type: ignore[arg-type]
-
-
-def _row_selected(event: Event, selection: RowSelection) -> bool:
+def _row_test(selection: RowSelection, schema: tuple[str, ...]) -> Callable[[Event], bool] | None:
+    """The selection as a test on one event, or None when no event can pass
+    it because it compares values of different sorts. Each column kind is
+    its own sort."""
     if isinstance(selection, ConstEquality):
-        actual = _comparison_value(event, selection.column)
-        return actual is not None and actual == _comparison_const(selection.column, selection.value)
-    left = _comparison_value(event, selection.left)
-    right = _comparison_value(event, selection.right)
-    return left is not None and right is not None and left == right
+        column, value = selection.column, selection.value
+        if column.kind == "ts" and not isinstance(value, int):
+            return None  # a quoted string never equals a timestamp
+        const = value if column.kind == "ts" else str(value)
+        read = _reader(column, schema)
+        return lambda event: read(event) == const  # const is never None, so null fails
+    left, right = selection.left, selection.right
+    if left.kind != right.kind:
+        return None
+    read_left, read_right = _reader(left, schema), _reader(right, schema)
+    if left.kind != "attr":  # eid, cid and ts are never null
+        return lambda event: read_left(event) == read_right(event)
+    return lambda event: (lhs := read_left(event)) is not None and lhs == read_right(event)
 
 
 def execute(plan: Plan, log: EventLog, *, set_semantics: bool = False) -> ResultTable:
     """Run the plan. Pattern selections see the full per-case event sets,
     and a case is kept before row filtering only if it satisfies them all;
     a case that fails one pattern is not matched against the later ones."""
-    surviving = {
-        es.cid for es in event_sets(log)
-        if all(case_satisfies(pattern, es) for pattern in plan.pattern_selections)
-    }
-    rows = []
-    for event in log.events:  # already in (cid, ts) order
-        if event.cid not in surviving:
-            continue
-        if all(_row_selected(event, sel) for sel in plan.row_selections):
-            rows.append(tuple(_output_value(event, ref) for ref in plan.projection))
+    columns = tuple(ref.name for ref in plan.projection)
+    tests = [_row_test(sel, log.schema) for sel in plan.row_selections]
+    if None in tests:
+        return ResultTable(columns, ())
+    events: Sequence[Event] = log.events  # already in (cid, ts) order
+    if plan.pattern_selections:
+        surviving = {
+            es.cid for es in event_sets(log)
+            if all(case_satisfies(pattern, es) for pattern in plan.pattern_selections)
+        }
+        events = [event for event in events if event.cid in surviving]
+    for test in tests:
+        events = list(filter(test, events))
+    rows = list(zip(*[map(_reader(ref, log.schema), events) for ref in plan.projection]))
     if set_semantics:
         rows = list(dict.fromkeys(rows))
-    return ResultTable(tuple(ref.name for ref in plan.projection), tuple(rows))
+    return ResultTable(columns, tuple(rows))
 
 
 def _pattern_selection_text(pattern: CompiledPattern) -> str:

@@ -11,6 +11,11 @@ ISO-8601 text is converted once at ingestion.
 EventLog is the one type that enforces the keys and the order: it sorts its
 events by (cid, ts) and checks them in one pass. Event, EventSet and Segment
 are immutable values derived from it and are not checked again.
+
+Events loaded from CSV share their ``attrs`` tuples: all events whose
+attribute fields are equal hold one and the same tuple, so a log of many
+events over few distinct attribute combinations builds, and name-checks,
+each combination once.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
 from itertools import groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple, TextIO
 
 from .errors import BadTimestamp, KeyViolation, MalformedCsv
@@ -38,18 +43,24 @@ def parse_timestamp(text: str) -> int:
     Accepts a non-negative decimal integer (already milliseconds) or an
     ISO-8601 date/datetime. Naive datetimes are read as UTC.
     """
-    raw = text.strip()
-    if not raw:
-        raise BadTimestamp("empty timestamp field")
-    body = raw[1:] if raw[0] in "+-" else raw
-    if body.isdecimal():
-        try:
-            value = int(raw)
-        except ValueError:  # longer than the interpreter converts
-            raise BadTimestamp(f"timestamp of {len(raw)} characters has too many digits") from None
-        if value < 0:
-            raise BadTimestamp(f"negative timestamp {raw!r}")
-        return value
+    raw = text
+    if not text.isdecimal():  # padded, signed or ISO-8601; plain digits go straight to int()
+        raw = text.strip()
+        if not raw:
+            raise BadTimestamp("empty timestamp field")
+        body = raw[1:] if raw[0] in "+-" else raw
+        if not body.isdecimal():
+            return _iso_millis(raw)
+    try:
+        value = int(raw)
+    except ValueError:  # longer than the interpreter converts
+        raise BadTimestamp(f"timestamp of {len(raw)} characters has too many digits") from None
+    if value < 0:
+        raise BadTimestamp(f"negative timestamp {raw!r}")
+    return value
+
+
+def _iso_millis(raw: str) -> int:
     iso = raw[:-1] + "+00:00" if raw.endswith(("Z", "z")) else raw
     try:
         moment = datetime.fromisoformat(iso)
@@ -83,6 +94,9 @@ class Event(NamedTuple):
         return tuple(val for _, val in self.attrs)
 
 
+_CID_TS = itemgetter(1, 2)  # an Event's (cid, ts)
+
+
 @dataclass(frozen=True)
 class EventLog:
     """Immutable event log. Events are kept in canonical (cid, ts) order and
@@ -95,23 +109,29 @@ class EventLog:
         schema = tuple(self.schema)
         if len(set(schema)) != len(schema):
             raise MalformedCsv(f"duplicate attribute names in schema {schema}")
-        ordered = tuple(sorted(self.events, key=attrgetter("cid", "ts")))
+        ordered = tuple(sorted(self.events, key=_CID_TS))
         seen_eid_cid: set[tuple[str, str]] = set()
-        prev = None
-        for ev in ordered:
-            if ev.ts < 0:
-                raise BadTimestamp(f"event {ev.eid!r}: negative timestamp {ev.ts}")
-            if tuple(name for name, _ in ev.attrs) != schema:
-                raise KeyViolation(
-                    f"event {ev.eid!r} attribute names do not match schema {schema}"
-                )
-            if (ev.eid, ev.cid) in seen_eid_cid:
-                raise KeyViolation(f"duplicate (eid, cid) pair ({ev.eid!r}, {ev.cid!r})")
-            seen_eid_cid.add((ev.eid, ev.cid))
+        # The names of an attrs tuple are checked the first time it occurs;
+        # loaded events share one tuple per distinct combination of values.
+        named: set[tuple[tuple[str, str | None], ...]] = set()
+        prev_cid = prev_ts = None
+        for eid, cid, ts, attrs in ordered:
+            if ts < 0:
+                raise BadTimestamp(f"event {eid!r}: negative timestamp {ts}")
+            if attrs not in named:
+                if tuple(name for name, _ in attrs) != schema:
+                    raise KeyViolation(
+                        f"event {eid!r} attribute names do not match schema {schema}"
+                    )
+                named.add(attrs)
+            key = (eid, cid)
+            if key in seen_eid_cid:
+                raise KeyViolation(f"duplicate (eid, cid) pair ({eid!r}, {cid!r})")
+            seen_eid_cid.add(key)
             # Sorting put equal (cid, ts) pairs side by side.
-            if prev is not None and prev.ts == ev.ts and prev.cid == ev.cid:
-                raise KeyViolation(f"duplicate (cid, ts) pair ({ev.cid!r}, {ev.ts})")
-            prev = ev
+            if ts == prev_ts and cid == prev_cid:
+                raise KeyViolation(f"duplicate (cid, ts) pair ({cid!r}, {ts})")
+            prev_cid, prev_ts = cid, ts
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "events", ordered)
 
@@ -221,6 +241,9 @@ def load_event_log(
         raise MalformedCsv("event id, case id and timestamp must be distinct columns")
     attr_cols = [i for i in range(len(header)) if i not in (ei, ci, ti)]
     schema = tuple(header[i] for i in attr_cols)
+    # A row's attribute fields: a tuple, one string, or () without attributes.
+    attr_fields = itemgetter(*attr_cols) if attr_cols else lambda row: ()
+    shared: dict[object, tuple[tuple[str, str | None], ...]] = {}
 
     events = []
     for lineno, row in enumerate(reader, start=2):
@@ -232,8 +255,12 @@ def load_event_log(
             ts = parse_timestamp(row[ti])
         except BadTimestamp as exc:
             raise BadTimestamp(f"row {lineno}: {exc}") from None
-        attrs = tuple((header[i], row[i] if row[i] != "" else None) for i in attr_cols)
-        events.append(Event(eid=row[ei], cid=row[ci], ts=ts, attrs=attrs))
+        fields = attr_fields(row)
+        attrs = shared.get(fields)
+        if attrs is None:
+            attrs = shared[fields] = tuple((header[i], row[i] or None) for i in attr_cols)
+        events.append(Event(row[ei], row[ci], ts, attrs))
+    del shared  # free before sorting: one entry per event when values are all distinct
     return EventLog(schema=schema, events=tuple(events))
 
 

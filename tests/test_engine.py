@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -111,6 +112,21 @@ def test_execute_groups_cases_once(quotes_log, monkeypatch):
     )
     assert len(calls) == 1
     assert set(table.rows) == {("0002",)}
+
+
+def test_execute_without_patterns_does_not_group(quotes_log, monkeypatch):
+    import sccq.engine
+
+    calls = []
+
+    def counting(log):
+        calls.append(log)
+        return event_sets(log)
+
+    monkeypatch.setattr(sccq.engine, "event_sets", counting)
+    table = run("SELECT eid FROM eventlog WHERE status = 'SENT'", quotes_log)
+    assert calls == []
+    assert table.rows == (("e0007",),)
 
 
 def test_execute_skips_later_patterns_for_failed_cases(quotes_log, monkeypatch):
@@ -272,11 +288,22 @@ def reference_execute(query, log):
     return tuple(rows)
 
 
-def test_engine_matches_reference_on_seeded_corpus():
-    rng = random.Random(31)
+def check_against_reference(rng, *, allow_null):
     for _ in range(120):
-        log = random_event_log(rng, cases=rng.randint(1, 3), max_events=6)
+        log = random_event_log(rng, cases=rng.randint(1, 3), max_events=6, allow_null=allow_null)
         query = random_query(rng, log)
+        if allow_null and rng.random() < 0.5:
+            # random_query rarely draws two attributes; null never equals null
+            extra = AttrEqAttr(rng.choice(log.schema), rng.choice(log.schema))
+            query = replace(query, conditions=(*query.conditions, extra))
         got = execute(compile_plan(query, log.schema), log).rows
         expected = reference_execute(query, log)
         assert got == expected, f"{query} on {log}"
+
+
+def test_engine_matches_reference_on_seeded_corpus():
+    check_against_reference(random.Random(31), allow_null=False)
+
+
+def test_engine_matches_reference_on_null_bearing_corpus():
+    check_against_reference(random.Random(32), allow_null=True)

@@ -1,4 +1,5 @@
 import io
+import random
 
 import pytest
 
@@ -16,6 +17,7 @@ from sccq.eventlog import (
     parse_timestamp,
     serialize_event_log,
 )
+from sccq.gen import random_event_log
 
 
 def test_parse_timestamp_plain_millis():
@@ -30,6 +32,16 @@ def test_parse_timestamp_iso():
     assert parse_timestamp("2023-01-30T13:54:24.052+00:00") == 1675086864052
     # naive datetime reads as UTC
     assert parse_timestamp("1970-01-02T00:00:00") == 86_400_000
+
+
+def test_parse_timestamp_edge_cases():
+    with pytest.raises(BadTimestamp, match="too many digits"):
+        parse_timestamp("9" * 5000)
+    assert parse_timestamp(" 42 ") == 42
+    assert parse_timestamp("\u0664\u0662") == 42  # Arabic-Indic digits
+    assert parse_timestamp("+5") == 5
+    with pytest.raises(BadTimestamp, match="negative timestamp '-5'"):
+        parse_timestamp("-5")
 
 
 @pytest.mark.parametrize("bad", ["", "  ", "-5", "not a date", "1969-12-31T00:00:00Z"])
@@ -82,6 +94,15 @@ def test_log_rejects_schema_mismatch_and_duplicate_schema():
         EventLog(("a", "a"), ())
 
 
+def test_log_checks_names_of_each_distinct_attrs_tuple():
+    shared = (("a", "x"), ("b", None))
+    events = [Event(f"e{i}", "c1", i, shared) for i in range(4)]
+    EventLog(("a", "b"), tuple(events))
+    swapped = Event("e9", "c1", 9, (("b", None), ("a", "x")))
+    with pytest.raises(KeyViolation, match="'e9' attribute names"):
+        EventLog(("a", "b"), (*events, swapped))
+
+
 def test_load_canonical_and_alias_headers(quotes_log):
     assert quotes_log.schema == ("event_name", "status")
     assert len(quotes_log.events) == 7
@@ -127,6 +148,16 @@ def test_serialize_round_trip(quotes_log):
     assert text.splitlines()[0] == "eid,cid,ts,event_name,status"
     again = load_event_log(io.StringIO(text))
     assert again == quotes_log
+
+
+def test_loaded_events_share_attrs_and_round_trip_with_nulls():
+    log = random_event_log(random.Random(17), cases=5, max_events=6, values=("x", "y"), allow_null=True)
+    assert any(None in ev.att() for ev in log.events)
+    again = load_event_log(serialize_event_log(log))
+    assert again == log
+    by_fields = {}
+    for ev in again.events:
+        assert by_fields.setdefault(ev.att(), ev.attrs) is ev.attrs
 
 
 def test_serialize_null_as_empty_field():
