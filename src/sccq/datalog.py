@@ -13,8 +13,11 @@ Every negated atom is an EDB atom, so a translated program is semi-positive
 by construction: START and END join ``first`` and ``last``, a negated
 behaviour reference expands by De Morgan into one rule per conjunct, and an
 equality between two attributes excludes ``null``. ``evaluate`` audits
-safety and semi-positivity, then runs one semi-naive fixpoint with
-hash-indexed joins; the same audit is exposed for static scans.
+safety and semi-positivity, then evaluates the strongly connected
+components of the predicate graph in dependency order: a component that
+does not read itself runs once, a recursive one by semi-naive iteration on
+its own new tuples. Each rule runs as a pipeline of hash-indexed joins and
+semi-joins. The same audit is exposed for static scans.
 
 Constants are namespaced by sort (case id, event id, timestamp, attribute
 value, null) so equalities across sorts never unify by accident; timestamps
@@ -24,8 +27,11 @@ are plain ints so the comparison built-ins apply to them alone.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from itertools import filterfalse
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 from .ast import (
     AnyEvent,
@@ -407,36 +413,66 @@ def _check_program(program: DatalogProgram) -> None:
 
 
 # --- evaluation ---------------------------------------------------------------
-# Each rule is compiled once into a join plan: its positive atoms in body
-# order, each probed through a hash index on the argument positions already
-# bound when it is reached (constants, and variables bound by earlier atoms).
-# Comparisons and negated atoms are tested at the first atom after which all
-# of their variables are bound. Variables live in numbered slots of one list.
+# The derived predicates are grouped into strongly connected components,
+# which run in dependency order, each over the complete relations of those
+# before it. Each rule runs once over full relations, then semi-naively on
+# each round's new tuples of its own component, if it reads any.
+#
+# A rule is compiled once into a pipeline of generators over rows, the
+# tuples of a partial binding: the constants of the head and comparisons,
+# then each variable in the order its atom binds it. Each positive atom, in
+# body order, is probed through a hash index on the positions bound when it
+# is reached, built from the tuples that hold its constants and repeated
+# variables. An atom whose new variables nothing after it reads is a
+# semi-join: one membership test per row. Comparisons and negated atoms
+# filter the rows at the first atom after which their variables are bound.
 
-_Ref = tuple[bool, object]  # (True, slot number) or (False, constant)
-_Check = tuple[str, object, object]  # (op, left ref, right ref) or ("!", pred, arg refs)
-_Index = dict[tuple[Const, ...], list[tuple[Const, ...]]]
 
-
-@dataclass(frozen=True)
-class _Step:
-    """One positive body atom of a join plan."""
+class _Index(NamedTuple):
+    """The tuples of `pred` with arity `arity`, the `consts` and equal values
+    at each `repeats` pair, keyed at `positions`: a dict from key to their
+    values at `values`, or the set of keys if `values` is empty."""
 
     pred: str
     arity: int
-    key_positions: tuple[int, ...]  # argument positions bound when the atom is reached
-    key: tuple[_Ref, ...]  # the values at those positions
-    binds: tuple[tuple[int, int], ...]  # (argument position, slot) for each newly bound variable
-    repeats: tuple[tuple[int, int], ...]  # (position, earlier position) of a new variable seen twice
-    checks: tuple[_Check, ...]  # the filters ready after this atom
+    positions: tuple[int, ...]
+    consts: tuple[tuple[int, Const], ...]
+    repeats: tuple[tuple[int, int], ...]
+    values: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class _JoinPlan:
-    head: tuple[_Ref, ...]
-    checks: tuple[_Check, ...]  # filters that need no atom's bindings
+_Getter = Callable[[tuple], object]
+_Filter = tuple[str, object, object]  # ("=" or "<", slot, slot), or a negated atom's ("!", index, key)
+
+
+class _Step(NamedTuple):
+    """One positive body atom: `key` reads the probe key from a row."""
+
+    index: _Index
+    key: _Getter
+    filters: tuple[_Filter, ...]  # the filters ready after this atom
+
+
+class _JoinPlan(NamedTuple):
+    row: tuple[Const, ...]  # the first row: the constants of the head and comparisons
+    filters: tuple[_Filter, ...]  # filters that need no atom's bindings
     steps: tuple[_Step, ...]
-    slots: int
+    head: _Getter
+
+
+def _picker(positions: tuple[int, ...]) -> _Getter:
+    """A function from a tuple to the tuple of its values at `positions`.
+    Consecutive positions are a slice, which returns a whole tuple itself."""
+    start = positions[0] if positions else 0
+    if positions == tuple(range(start, start + len(positions))):
+        return itemgetter(slice(start, start + len(positions)))
+    return itemgetter(*positions)
+
+
+def _key(positions: tuple[int, ...]) -> _Getter:
+    """The values at `positions`, a bare value for one position; a probe and
+    its index build their keys with this function, so the two agree."""
+    return itemgetter(*positions) if positions else _picker(())
 
 
 def _item_vars(item: BodyItem) -> set[str]:
@@ -446,95 +482,132 @@ def _item_vars(item: BodyItem) -> set[str]:
 
 
 def _compile_rule(rule: Rule) -> _JoinPlan:
-    slots: dict[str, int] = {}
-    pending = [item for item in rule.body if not (isinstance(item, Atom) and not item.negated)]
-
-    def ref(term: Term) -> _Ref:
-        return (True, slots[term.name]) if isinstance(term, Var) else (False, term)
-
-    def ready_checks() -> tuple[_Check, ...]:
-        nonlocal pending
-        ready = [item for item in pending if _item_vars(item) <= slots.keys()]
-        pending = [item for item in pending if not _item_vars(item) <= slots.keys()]
-        return tuple(
-            (item.op, ref(item.left), ref(item.right)) if isinstance(item, Cmp)
-            else ("!", item.pred, tuple(ref(a) for a in item.args))
-            for item in ready
-        )
-
-    checks = ready_checks()
+    atoms = [item for item in rule.body if isinstance(item, Atom) and not item.negated]
+    pending = [
+        (_item_vars(item), item) for item in rule.body if not (isinstance(item, Atom) and not item.negated)
+    ]
+    cmp_terms = (t for _, item in pending if isinstance(item, Cmp) for t in (item.left, item.right))
+    slots: dict[str | Const, int] = {}  # by constant, then by variable name
+    for const in dict.fromkeys(t for t in (*rule.head.args, *cmp_terms) if not isinstance(t, Var)):
+        slots[const] = len(slots)
+    first_row = tuple(slots)
+    # A filter that reads an atom's new variable cannot run before that atom.
+    read = _item_vars(rule.head).union(*(names for names, _ in pending))
+    filters = _ready(pending, slots)
     steps: list[_Step] = []
-    for item in rule.body:
-        if not isinstance(item, Atom) or item.negated:
-            continue
-        key_positions: list[int] = []
-        key: list[_Ref] = []
-        first: dict[str, int] = {}
-        repeats: list[tuple[int, int]] = []
-        for i, arg in enumerate(item.args):
-            if isinstance(arg, Var) and arg.name not in slots:
-                if arg.name in first:
-                    repeats.append((i, first[arg.name]))
-                else:
-                    first[arg.name] = i
-            else:
-                key_positions.append(i)
-                key.append(ref(arg))
-        binds = []
-        for name, i in first.items():
-            slots[name] = len(slots)
-            binds.append((i, slots[name]))
-        steps.append(
-            _Step(item.pred, len(item.args), tuple(key_positions), tuple(key),
-                  tuple(binds), tuple(repeats), ready_checks())
-        )
-    return _JoinPlan(tuple(ref(a) for a in rule.head.args), checks, tuple(steps), len(slots))
+    for k, atom in enumerate(atoms):
+        index, key, fresh = _probe(atom, slots, read.union(*map(_item_vars, atoms[k + 1:])))
+        if index.values:
+            for name in fresh:
+                slots[name] = len(slots)
+        steps.append(_Step(index, key, _ready(pending, slots)))
+    head = _picker(tuple(_slot(t, slots) for t in rule.head.args))
+    return _JoinPlan(first_row, filters, tuple(steps), head)
+
+
+def _ready(pending: list[tuple[set[str], BodyItem]], slots: dict[str | Const, int]) -> tuple[_Filter, ...]:
+    """Take from `pending` the filters whose variables have slots."""
+    ready = [item for names, item in pending if names <= slots.keys()]
+    pending[:] = [(names, item) for names, item in pending if not names <= slots.keys()]
+    return tuple(
+        (item.op, _slot(item.left, slots), _slot(item.right, slots)) if isinstance(item, Cmp)
+        else ("!", *_probe(item, slots)[:2])
+        for item in ready
+    )
+
+
+def _slot(term: Term, slots: dict[str | Const, int]) -> int:
+    return slots[term.name if isinstance(term, Var) else term]
+
+
+def _probe(
+    atom: Atom, slots: dict[str | Const, int], later: set[str] = frozenset()
+) -> tuple[_Index, _Getter, dict[str, int]]:
+    """The index through which an atom is probed once `slots` are bound,
+    the function that reads its probe key from a row, and its new variables
+    with the position of each. Unless `later` reads a new variable, the
+    index is a set of keys: a semi-join."""
+    positions: list[int] = []
+    consts: list[tuple[int, Const]] = []
+    repeats: list[tuple[int, int]] = []
+    fresh: dict[str, int] = {}
+    for i, arg in enumerate(atom.args):
+        if not isinstance(arg, Var):
+            consts.append((i, arg))
+        elif arg.name in slots:
+            positions.append(i)
+        elif arg.name in fresh:
+            repeats.append((i, fresh[arg.name]))
+        else:
+            fresh[arg.name] = i
+    values = () if later.isdisjoint(fresh) else tuple(fresh.values())
+    index = _Index(atom.pred, len(atom.args), tuple(positions), tuple(consts), tuple(repeats), values)
+    return index, _key(tuple(slots[atom.args[i].name] for i in positions)), fresh
 
 
 class _Relations:
-    """Relations by predicate, each with hash indexes that are built on first
-    use and extended as tuples are added."""
+    """Relations by predicate, each with the indexes read so far, which are
+    built on first use and extended as tuples are added."""
 
     def __init__(self, rels: FactSet):
         self.rels = rels
-        self._indexes: dict[str, dict[tuple[tuple[int, ...], int], _Index]] = {}
+        self._indexes: dict[str, dict[_Index, defaultdict | set]] = {}
 
-    def index(self, pred: str, positions: tuple[int, ...], arity: int) -> _Index:
-        """The tuples of arity `arity`, keyed by their values at `positions`."""
-        by_shape = self._indexes.setdefault(pred, {})
-        idx = by_shape.get((positions, arity))
+    def index(self, spec: _Index) -> defaultdict | set:
+        by_spec = self._indexes.setdefault(spec.pred, {})
+        idx = by_spec.get(spec)
         if idx is None:
-            idx = by_shape[(positions, arity)] = {}
-            _extend_index(idx, self.rels.get(pred, ()), positions, arity)
+            idx = by_spec[spec] = defaultdict(list) if spec.values else set()
+            _extend_index(idx, spec, self.rels.get(spec.pred, ()))
         return idx
 
     def add(self, pred: str, tuples: set[tuple[Const, ...]]) -> None:
         """Add tuples that are not yet in the relation."""
         self.rels[pred] |= tuples
-        for (positions, arity), idx in self._indexes.get(pred, {}).items():
-            _extend_index(idx, tuples, positions, arity)
+        for spec, idx in self._indexes.get(pred, {}).items():
+            _extend_index(idx, spec, tuples)
 
 
-def _extend_index(idx: _Index, tuples: Iterable[tuple[Const, ...]], positions: tuple[int, ...], arity: int) -> None:
-    for tup in tuples:
-        if len(tup) == arity:
-            idx.setdefault(tuple(tup[i] for i in positions), []).append(tup)
+def _extend_index(idx: defaultdict | set, spec: _Index, tuples: Iterable[tuple[Const, ...]]) -> None:
+    fits = [t for t in tuples if len(t) == spec.arity]
+    if spec.consts:
+        at, want = _picker(tuple(i for i, _ in spec.consts)), tuple(c for _, c in spec.consts)
+        fits = [t for t in fits if at(t) == want]
+    if spec.repeats:
+        left, right = _picker(tuple(i for i, _ in spec.repeats)), _picker(tuple(j for _, j in spec.repeats))
+        fits = [t for t in fits if left(t) == right(t)]
+    key = _key(spec.positions)
+    if spec.values:
+        for k, values in zip(map(key, fits), map(_picker(spec.values), fits)):
+            idx[k].append(values)
+    else:
+        idx.update(map(key, fits))
 
 
-def _checks_hold(checks: tuple[_Check, ...], env: list, rels: FactSet) -> bool:
-    for op, left, right in checks:
+def _join(rows: Iterable[tuple], index: dict, key: _Getter) -> Iterator[tuple]:
+    get = index.get
+    for row in rows:
+        for values in get(key(row), ()):
+            yield row + values
+
+
+def _contains(keys: dict | set, key: _Getter) -> Callable[[tuple], bool]:
+    return lambda row: key(row) in keys
+
+
+def _filtered(rows: Iterable[tuple], filters: tuple[_Filter, ...], rels: _Relations) -> Iterable[tuple]:
+    for op, a, b in filters:
         if op == "!":
-            if tuple(env[x] if is_slot else x for is_slot, x in right) in rels.get(left, ()):
-                return False
-            continue
-        a = env[left[1]] if left[0] else left[1]
-        b = env[right[1]] if right[0] else right[1]
-        if op == "=":
-            if a != b:
-                return False
-        elif not (isinstance(a, int) and isinstance(b, int) and a < b):
-            return False
-    return True
+            rows = filterfalse(_contains(rels.index(a), b), rows)
+        else:
+            rows = filter(_comparison(op, a, b), rows)
+    return rows
+
+
+def _comparison(op: str, a: int, b: int) -> Callable[[tuple], bool]:
+    if op == "=":
+        return lambda row: row[a] == row[b]
+    return lambda row: isinstance(row[a], int) and isinstance(row[b], int) and row[a] < row[b]
 
 
 def _eval_rule(
@@ -545,37 +618,41 @@ def _eval_rule(
 ) -> set[tuple[Const, ...]]:
     """Head tuples of one rule; step `delta_step` reads `delta` in place of
     its relation."""
-    out: set[tuple[Const, ...]] = set()
-    env: list = [None] * plan.slots
-    if not _checks_hold(plan.checks, env, rels.rels):
-        return out
-    steps = plan.steps
-    indexes = [
-        (delta if k == delta_step else rels).index(step.pred, step.key_positions, step.arity)
-        for k, step in enumerate(steps)
-    ]
+    rows: Iterable[tuple] = _filtered((plan.row,), plan.filters, rels)
+    for k, step in enumerate(plan.steps):
+        index = (delta if k == delta_step else rels).index(step.index)
+        if step.index.values:
+            rows = _join(rows, index, step.key)
+        else:
+            rows = filter(_contains(index, step.key), rows)
+        rows = _filtered(rows, step.filters, rels)
+    return set(map(plan.head, rows))
 
-    def walk(k: int) -> None:
-        if k == len(steps):
-            out.add(tuple(env[x] if is_slot else x for is_slot, x in plan.head))
-            return
-        step = steps[k]
-        key = tuple(env[x] if is_slot else x for is_slot, x in step.key)
-        for tup in indexes[k].get(key, ()):
-            for i, slot in step.binds:
-                env[slot] = tup[i]
-            if step.repeats and any(tup[i] != tup[j] for i, j in step.repeats):
-                continue
-            if step.checks and not _checks_hold(step.checks, env, rels.rels):
-                continue
-            walk(k + 1)
 
-    walk(0)
-    return out
+def _components(rules: tuple[Rule, ...]) -> list[list[Rule]]:
+    """The rules grouped by the strongly connected component of their head,
+    each group after every group that it reads."""
+    reads: dict[str, set[str]] = {r.head.pred: set() for r in rules}
+    for r in rules:
+        reads[r.head.pred].update(a.pred for a in r.body if isinstance(a, Atom) and a.pred in reads)
+    reach: dict[str, set[str]] = {}  # each predicate and every one that it depends on
+    for p in reads:
+        seen, todo = {p}, [p]
+        while todo:
+            for q in reads[todo.pop()] - seen:
+                seen.add(q)
+                todo.append(q)
+        reach[p] = seen
+    # If p reads q of another component, reach[p] holds p besides reach[q],
+    # so sorting by size puts q's component first.
+    order = sorted(reach, key=lambda p: len(reach[p]))
+    components = dict.fromkeys(frozenset(q for q in reach[p] if p in reach[q]) for p in order)
+    return [[r for r in rules if r.head.pred in component] for component in components]
 
 
 def evaluate(program: DatalogProgram, facts: FactSet) -> FactSet:
-    """Least fixpoint by semi-naive iteration. The input FactSet is not
+    """Least fixpoint, one dependency component at a time, each by
+    semi-naive iteration on its own new tuples. The input FactSet is not
     mutated; the result holds EDB and derived relations together."""
     _check_program(program)
     rels: dict[str, set[tuple[Const, ...]]] = {p: set(ts) for p, ts in facts.items()}
@@ -585,28 +662,28 @@ def evaluate(program: DatalogProgram, facts: FactSet) -> FactSet:
         rels.setdefault(pred, set())
     store = _Relations(rels)
     # The audit guarantees that only EDB atoms are negated, so every negation
-    # reads a relation that the fixpoint never grows.
-    plans = [(r.head.pred, _compile_rule(r)) for r in program.rules]
-
-    delta: dict[str, set[tuple[Const, ...]]] = {}
-    for pred, plan in plans:
-        fresh = _eval_rule(plan, store) - rels[pred]
-        if fresh:
-            delta.setdefault(pred, set()).update(fresh)
-    while delta:
-        for pred, tuples in delta.items():
-            store.add(pred, tuples)
-        seeds = _Relations(delta)
-        next_delta: dict[str, set[tuple[Const, ...]]] = {}
+    # reads a relation that evaluation never grows.
+    for rules in _components(program.rules):
+        plans = [(r.head.pred, _compile_rule(r)) for r in rules]
+        delta: dict[str, set[tuple[Const, ...]]] = {}
         for pred, plan in plans:
-            for k, step in enumerate(plan.steps):
-                if not delta.get(step.pred):
-                    continue
-                fresh = _eval_rule(plan, store, k, seeds) - rels[pred]
-                fresh -= next_delta.get(pred, set())
-                if fresh:
-                    next_delta.setdefault(pred, set()).update(fresh)
-        delta = next_delta
+            fresh = _eval_rule(plan, store) - rels[pred]
+            if fresh:
+                delta.setdefault(pred, set()).update(fresh)
+        while delta:
+            for pred, tuples in delta.items():
+                store.add(pred, tuples)
+            seeds = _Relations(delta)
+            next_delta: dict[str, set[tuple[Const, ...]]] = {}
+            for pred, plan in plans:
+                for k, step in enumerate(plan.steps):
+                    if step.index.pred not in delta:
+                        continue
+                    fresh = _eval_rule(plan, store, k, seeds) - rels[pred]
+                    fresh -= next_delta.get(pred, set())
+                    if fresh:
+                        next_delta.setdefault(pred, set()).update(fresh)
+            delta = next_delta
     return rels
 
 

@@ -89,9 +89,8 @@ class ResultTable:
         return out.getvalue()
 
     def to_jsonl(self) -> str:
-        lines = [
-            json.dumps(dict(zip(self.columns, row)), ensure_ascii=False) for row in self.rows
-        ]
+        encode = json.JSONEncoder(ensure_ascii=False).encode
+        lines = [encode(dict(zip(self.columns, row))) for row in self.rows]
         return "\n".join(lines) + ("\n" if lines else "")
 
     def to_pretty(self) -> str:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import sccq.datalog as datalog
 from sccq.ast import (
     AttrEqAttr,
     AttrEqConst,
@@ -158,13 +159,51 @@ ALTERNATING_CSV = "eid,cid,ts,event_name\n1,c,10,a\n2,c,20,b\n3,c,30,a\n4,c,40,b
 
 def hand_built_programs(schema):
     """Valid programs that exercise the join beyond what translation emits:
-    recursion through the successor relation, a variable repeated in one
-    atom, constants in atoms and comparisons, and a filter with no variable."""
+    recursion through the successor relation, mutual recursion, rules listed
+    before the rules they read, a variable repeated in one atom, constants
+    in atoms and comparisons, and a filter with no variable. The last
+    program derives reach, loop and later_a."""
     edb = edb_predicates(schema)
     t2, t3, e2 = Var("T2"), Var("T3"), Var("E2")
     reach = (
         Rule(Atom("reach", (_C, _T, t2)), (Atom("next", (_C, _T, t2)),)),
         Rule(Atom("reach", (_C, _T, t3)), (Atom("reach", (_C, _T, t2)), Atom("next", (_C, t2, t3)))),
+    )
+    # odd and even read each other: pairs of events an odd or even number
+    # of steps apart.
+    parity = (
+        Rule(Atom("odd", (_C, _T, t2)), (Atom("next", (_C, _T, t2)),)),
+        Rule(Atom("even", (_C, _T, t3)), (Atom("odd", (_C, _T, t2)), Atom("next", (_C, t2, t3)))),
+        Rule(Atom("odd", (_C, _T, t3)), (Atom("even", (_C, _T, t2)), Atom("next", (_C, t2, t3)))),
+    )
+    # Three levels, each rule listed before the rule it reads.
+    levels = (
+        Rule(Atom("top", (_C, _E)), (Atom("mid", (_C, _T)), Atom("event", (_C, _E, _T)))),
+        Rule(Atom("mid", (_C, _T)), (Atom("low", (_C, _T)), Atom("last", (_C, _T), negated=True))),
+        Rule(Atom("low", (_C, t2)), (Atom("next", (_C, _T, t2)),)),
+    )
+    # first's T2 is read only by the comparison, so first is joined, not
+    # merely tested for a match.
+    not_first = Rule(
+        Atom("not_first", (_C, _E)), (Atom("event", (_C, _E, _T)), Atom("first", (_C, t2)), Cmp("<", t2, _T))
+    )
+    # T2 repeats in one atom and nothing else reads it: no event follows
+    # itself, while every event stays where it is.
+    repeated = (
+        Rule(Atom("self_next", (_C,)), (Atom("first", (_C, _T)), Atom("next", (_C, t2, t2)))),
+        Rule(Atom("stay", (_C, _T, _T)), (Atom("event", (_C, _E, _T)),)),
+        Rule(Atom("has_stay", (_C,)), (Atom("first", (_C, _T)), Atom("stay", (_C, t2, t2)))),
+    )
+    # Recursive rules with an atom that binds nothing later read: event's E2,
+    # and reached(C,T), whose variables are all bound when it is reached.
+    walks = (
+        Rule(Atom("walk", (_C, _T)), (Atom("first", (_C, _T)),)),
+        Rule(
+            Atom("walk", (_C, t2)),
+            (Atom("walk", (_C, _T)), Atom("next", (_C, _T, t2)), Atom("event", (_C, e2, t2))),
+        ),
+        Rule(Atom("reached", (_C, _T)), (Atom("first", (_C, _T)),)),
+        Rule(Atom("reached", (_C, t2)), (Atom("next", (_C, _T, t2)), Atom("reached", (_C, _T)))),
     )
     return [
         DatalogProgram((_BASE, _DERIVED), frozenset({"event"})),
@@ -172,6 +211,11 @@ def hand_built_programs(schema):
         DatalogProgram(tuple(translate_pattern(simple("('a' -> 'b')*"))), edb),
         DatalogProgram(tuple(translate_pattern(simple("'a' ~> 'b'"))), edb),
         DatalogProgram(tuple(translate_pattern(simple("START (ANY) -> NOT ('b') END"))), edb),
+        DatalogProgram(parity, edb),
+        DatalogProgram(levels, edb),
+        DatalogProgram((not_first,), edb),
+        DatalogProgram(repeated, edb),
+        DatalogProgram(walks, edb),
         DatalogProgram(reach, edb),
         DatalogProgram(
             (
@@ -701,7 +745,34 @@ def test_evaluate_matches_naive_reference_on_hand_built_programs(quotes_log):
             got = evaluate(program, facts)
             assert got == naive_evaluate(program, facts), program_to_text(program)
     alternating = load_event_log(ALTERNATING_CSV)
-    programs = hand_built_programs(alternating.schema)
-    got = evaluate(programs[-1], facts_from_log(alternating))
+    facts = facts_from_log(alternating)
+    got = {}
+    for program in hand_built_programs(alternating.schema):
+        got.update(evaluate(program, facts))
     assert len(got["reach"]) == 10 and got["loop"] == set()
     assert got["later_a"] == {(("c", "c"), ("e", e)) for e in ("2", "3", "4", "5")}
+    assert len(got["odd"]) == 6 and len(got["even"]) == 4
+    assert got["top"] == {(("c", "c"), ("e", e)) for e in ("2", "3", "4")}
+    assert got["not_first"] == got["top"] | {(("c", "c"), ("e", "5"))}
+    assert got["self_next"] == set() and got["has_stay"] == {(("c", "c"),)}
+    assert got["walk"] == got["reached"] == {(("c", "c"), t) for t in (10, 20, 30, 40, 50)}
+
+
+def test_non_recursive_program_evaluates_each_rule_once(monkeypatch):
+    log = load_event_log("eid,cid,ts,event_name,resource\n1,c,10,b,y\n2,c,20,a,x\n3,c,30,b,x\n4,d,10,b,y\n")
+    query = parse_query(
+        "SELECT cid, event_name FROM eventlog WHERE BEHAVIOUR event_name = 'b' AND resource = 'y' AS p, "
+        "resource = 'x' AS q MATCHES (p ~> q)"
+    )
+    program = translate_query(query, log.schema)
+    plans = []
+    real = datalog._eval_rule
+
+    def counted(plan, *args):
+        plans.append(plan)
+        return real(plan, *args)
+
+    monkeypatch.setattr(datalog, "_eval_rule", counted)
+    got = evaluate(program, facts_from_log(log))
+    assert got[OUTPUT_PRED] == {(("c", "c"), ("v", "b")), (("c", "c"), ("v", "a"))}
+    assert len(plans) == len({id(plan) for plan in plans}) == len(program.rules) == 4

@@ -199,6 +199,8 @@ def test_result_formats():
     lines = table.to_jsonl().splitlines()
     assert json.loads(lines[0]) == {"eid": "e1", "a": None}
     assert json.loads(lines[1]) == {"eid": "e2", "a": "x,y"}
+    mixed = ResultTable(("eid", "ts", "a"), (("café", 42, None),))
+    assert mixed.to_jsonl() == '{"eid": "café", "ts": 42, "a": null}\n'
     pretty = table.to_pretty()
     assert pretty.splitlines()[-1] == "(2 rows)"
     assert "e2" in pretty
