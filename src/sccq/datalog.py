@@ -52,7 +52,7 @@ from .ast import (
     Start,
     matches_empty,
 )
-from .engine import DEFAULT_SOURCE, ColumnEquality, ColumnRef, ConstEquality, Plan, compile_plan, execute
+from .engine import ColumnEquality, ColumnRef, ConstEquality, Plan, compile_plan, execute
 from .errors import MalformedCsv, StratificationViolation, UnsafeRule
 from .eventlog import EventLog, event_sets
 from .matcher import CompiledPattern
@@ -314,10 +314,10 @@ def _const_term(ref: ColumnRef, value: str | int) -> Const:
     return value_const(str(value))
 
 
-def translate_query(query: Query, schema: tuple[str, ...], source: str = DEFAULT_SOURCE) -> DatalogProgram:
+def translate_query(query: Query, schema: tuple[str, ...]) -> DatalogProgram:
     """Translate a whole query: the output rule, then the pattern rules."""
     edb = edb_predicates(schema)
-    plan: Plan = compile_plan(query, schema, source)
+    plan: Plan = compile_plan(query, schema)
 
     referenced: list[str] = []
     for ref in plan.projection:
@@ -756,12 +756,12 @@ class CheckReport:
         )
 
 
-def cross_check(query: Query, log: EventLog, source: str = DEFAULT_SOURCE) -> CheckReport:
+def cross_check(query: Query, log: EventLog) -> CheckReport:
     """Run both back ends and compare projections as sets. A mismatch is
     report data, not an error."""
-    plan = compile_plan(query, log.schema, source)
+    plan = compile_plan(query, log.schema)
     ra_rows = frozenset(execute(plan, log).rows)
-    program = translate_query(query, log.schema, source)
+    program = translate_query(query, log.schema)
     derived = evaluate(program, facts_from_log(log))
     dl_rows = frozenset(tuple(_untag(v) for v in t) for t in derived.get(OUTPUT_PRED, set()))
     return CheckReport(

@@ -117,9 +117,9 @@ def resolve_column(name: str, schema: tuple[str, ...]) -> ColumnRef:
     raise UnknownColumn(f"unknown column {name!r}; known columns: {', '.join(valid)}")
 
 
-def compile_plan(query: Query, schema: tuple[str, ...], source: str = DEFAULT_SOURCE) -> Plan:
-    if query.source != source:
-        raise UnknownSource(f"unknown source {query.source!r}; the loaded log is named {source!r}")
+def compile_plan(query: Query, schema: tuple[str, ...]) -> Plan:
+    if query.source != DEFAULT_SOURCE:
+        raise UnknownSource(f"unknown source {query.source!r}; the loaded log is named {DEFAULT_SOURCE!r}")
     projection = tuple(resolve_column(name, schema) for name in query.projection)
     rows: list[RowSelection] = []
     patterns: list[CompiledPattern] = []
@@ -166,7 +166,10 @@ def _row_test(selection: RowSelection, schema: tuple[str, ...]) -> Callable[[Eve
 def execute(plan: Plan, log: EventLog, *, set_semantics: bool = False) -> ResultTable:
     """Run the plan. Pattern selections see the full per-case event sets,
     and a case is kept before row filtering only if it satisfies them all;
-    a case that fails one pattern is not matched against the later ones."""
+    a case that fails one pattern is not matched against the later ones.
+    Raises SccError for a pattern compiled for another schema than the log's."""
+    for pattern in plan.pattern_selections:
+        pattern.check_schema(log.schema)
     columns = tuple(ref.name for ref in plan.projection)
     tests = [_row_test(sel, log.schema) for sel in plan.row_selections]
     if None in tests:
@@ -188,7 +191,7 @@ def execute(plan: Plan, log: EventLog, *, set_semantics: bool = False) -> Result
 
 def _pattern_selection_text(pattern: CompiledPattern) -> str:
     body = pretty_print_pattern(pattern.formula)
-    if pattern.is_simple:
+    if pattern.attribute is not None:
         return f"{pattern.attribute}: {body}"
     return f"{behaviour_defs_text(pattern.behaviours)}: {body}"
 

@@ -15,15 +15,18 @@ A pattern denotes a set of segments of a case's timeline:
 
 Two evaluators derive the set:
 
-* a Thompson NFA, compiled once per pattern, serves both selection and
-  listing. ``case_satisfies`` decides whether some segment satisfies the
-  pattern in one pass over the case's events that stops at the first
-  accept; ``satisfying_segments`` lists the segments (for ``sccq match``)
-  in one pass whose runs carry their start positions;
+* a Thompson NFA, built once per pattern by ``compile_pattern``, serves both
+  selection and listing. ``compile_pattern`` checks each identifier once
+  and binds it to a test on one event that reads attributes by schema
+  position; the NFA's states run those tests. ``case_satisfies`` decides
+  whether some segment satisfies the pattern in one pass over the case's
+  events that stops at the first accept; ``satisfying_segments`` lists the
+  segments (for ``sccq match``) in one pass whose runs carry their start
+  positions;
 * the brute-force oracle re-derives the set top-down by testing every
   candidate segment against the definition clauses, and checks the NFA on
-  small cases. It re-derives even the identifier test, and shares only the
-  AST and the segment types with the NFA.
+  small cases. It re-derives even the identifier test, reading attributes
+  by name, and shares only the AST and the segment types with the NFA.
 
 The Datalog translation (``datalog.py``) is the second, independent
 reference: its root relation is the listing's nonempty part on cases of
@@ -33,12 +36,11 @@ any length.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from typing import Callable
 
 from .ast import (
     AnyEvent,
-    AttrEqAttr,
     AttrEqConst,
     BehaviourDef,
     BehaviourMatch,
@@ -57,7 +59,7 @@ from .ast import (
     Start,
     matches_empty,
 )
-from .errors import OracleBoundExceeded, UnboundBehaviourName, UnknownAttribute
+from .errors import OracleBoundExceeded, SccError, UnboundBehaviourName, UnknownAttribute
 from .eventlog import (
     EMPTY_SEGMENT,
     Event,
@@ -69,20 +71,21 @@ from .eventlog import (
 )
 
 DEFAULT_ORACLE_BOUND = 12
+LeafTest = Callable[[Event], bool]  # a compiled identifier: does one event match it?
 
 
 @dataclass(frozen=True)
 class CompiledPattern:
-    """A pattern bound to its evaluation mode: a single attribute for plain
-    matches, or a list of named behaviour predicates."""
+    """A pattern bound to the schema it was compiled for and to its
+    evaluation mode: a single attribute for plain matches, or a list of named
+    behaviour predicates. Its automaton's leaves read attributes by schema
+    position, so it answers only on event sets of that schema."""
 
     formula: PatternFormula
+    schema: tuple[str, ...]
+    nfa: _Nfa = field(compare=False, repr=False)
     attribute: str | None = None
     behaviours: tuple[BehaviourDef, ...] = ()
-
-    @property
-    def is_simple(self) -> bool:
-        return self.attribute is not None
 
     def behaviour(self, name: str) -> BehaviourDef:
         for d in self.behaviours:
@@ -90,68 +93,84 @@ class CompiledPattern:
                 return d
         raise UnboundBehaviourName(f"behaviour name {name!r} is not defined")
 
-    @cached_property
-    def nfa(self) -> _Nfa:
-        """The automaton of the formula's nonempty segments, built on first use."""
-        return _Nfa(self.formula)
+    def check_schema(self, schema: tuple[str, ...]) -> None:
+        if schema != self.schema:
+            raise SccError(f"pattern compiled for the schema {list(self.schema)} run on {list(schema)}")
 
 
-def _identifier_leaves(formula: PatternFormula):
-    stack: list[PatternFormula | IdentifierExpr] = [formula]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Identifier):
-            stack.append(node.expr)
-        elif isinstance(node, (Follows, DirectlyFollows)):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, (Star, Start, End)):
-            stack.append(node.inner)
-        elif isinstance(node, (OrExpr,)):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, NotExpr):
-            stack.append(node.inner)
-        elif isinstance(node, (Literal, BehaviourRef)):
-            yield node
+def _behaviour_test(defn: BehaviourDef, position: Callable[[str, str], int]) -> LeafTest:
+    # Per conjunct (i, j, const): attribute i equals attribute j, or const if j is None.
+    checks = [
+        (position(c.attr, defn.name), None, str(c.value)) if isinstance(c, AttrEqConst)
+        else (position(c.left, defn.name), position(c.right, defn.name), None)
+        for c in defn.conjuncts
+    ]
+
+    def holds(event: Event) -> bool:
+        attrs = event.attrs
+        for i, j, const in checks:
+            value = attrs[i][1]
+            if value is None or value != (const if j is None else attrs[j][1]):
+                return False
+        return True
+
+    return holds
 
 
 def compile_pattern(condition: SimpleMatch | BehaviourMatch, schema: tuple[str, ...]) -> CompiledPattern:
-    """Bind a MATCHES condition against the log schema.
+    """Bind a MATCHES condition against the log schema, once: every
+    identifier compiles, through OR and NOT, to a test on one event that
+    reads attributes by schema position, and the automaton runs those tests.
 
     Raises UnknownAttribute for attribute names outside the schema and
     UnboundBehaviourName for identifiers with no matching behaviour and for
     behaviour names defined more than once.
     """
-    if isinstance(condition, SimpleMatch):
-        if condition.attribute not in schema:
-            raise UnknownAttribute(
-                f"attribute {condition.attribute!r} is not in the schema {list(schema)}"
-            )
-        for leaf in _identifier_leaves(condition.pattern):
-            if isinstance(leaf, BehaviourRef):
-                raise UnboundBehaviourName(
-                    f"behaviour name {leaf.name!r} used outside a BEHAVIOUR match"
-                )
-        return CompiledPattern(formula=condition.pattern, attribute=condition.attribute)
 
-    names = [d.name for d in condition.behaviours]
-    if len(set(names)) != len(names):
-        raise UnboundBehaviourName(f"duplicate behaviour names in {names}")
-    for d in condition.behaviours:
-        for conj in d.conjuncts:
-            attrs = (conj.left, conj.right) if isinstance(conj, AttrEqAttr) else (conj.attr,)
-            for attr in attrs:
-                if attr not in schema:
-                    raise UnknownAttribute(
-                        f"attribute {attr!r} (behaviour {d.name!r}) is not in the schema {list(schema)}"
-                    )
-    for leaf in _identifier_leaves(condition.pattern):
-        if isinstance(leaf, Literal):
+    def position(attr: str, behaviour: str | None = None) -> int:
+        if attr not in schema:
+            owner = "" if behaviour is None else f" (behaviour {behaviour!r})"
+            raise UnknownAttribute(f"attribute {attr!r}{owner} is not in the schema {list(schema)}")
+        return schema.index(attr)
+
+    if isinstance(condition, SimpleMatch):
+        attribute, behaviours = condition.attribute, ()
+        column: int | None = position(attribute)
+        named: dict[str, LeafTest] = {}
+    else:
+        attribute, behaviours, column = None, condition.behaviours, None
+        names = [d.name for d in behaviours]
+        if len(set(names)) != len(names):
+            raise UnboundBehaviourName(f"duplicate behaviour names in {names}")
+        named = {d.name: _behaviour_test(d, position) for d in behaviours}
+
+    nfa = _Nfa(condition.pattern, lambda expr: _leaf_test(expr, column, named))
+    return CompiledPattern(condition.pattern, schema, nfa, attribute, behaviours)
+
+
+def _leaf_test(expr: IdentifierExpr, column: int | None, named: dict[str, LeafTest]) -> LeafTest:
+    """The identifier as a test on one event. Literals read position column;
+    in a BEHAVIOUR match column is None and named holds each behaviour's test."""
+    if isinstance(expr, Literal):
+        if column is None:
             raise UnboundBehaviourName(
-                f"literal {leaf.value!r} in a BEHAVIOUR pattern; identifiers must be behaviour names"
+                f"literal {expr.value!r} in a BEHAVIOUR pattern; identifiers must be behaviour names"
             )
-        if leaf.name not in names:
-            raise UnboundBehaviourName(f"behaviour name {leaf.name!r} is not defined")
-    return CompiledPattern(formula=condition.pattern, behaviours=condition.behaviours)
+        value = expr.value  # never None, so a null fails it
+        return lambda event: event.attrs[column][1] == value
+    if isinstance(expr, BehaviourRef):
+        if column is not None:
+            raise UnboundBehaviourName(f"behaviour name {expr.name!r} used outside a BEHAVIOUR match")
+        if expr.name not in named:
+            raise UnboundBehaviourName(f"behaviour name {expr.name!r} is not defined")
+        return named[expr.name]
+    if isinstance(expr, OrExpr):
+        left, right = _leaf_test(expr.left, column, named), _leaf_test(expr.right, column, named)
+        return lambda event: left(event) or right(event)
+    if isinstance(expr, NotExpr):
+        inner = _leaf_test(expr.inner, column, named)
+        return lambda event: not inner(event)
+    raise TypeError(f"not an identifier expression: {expr!r}")
 
 
 def _attr_value(event: Event, name: str) -> str | None:
@@ -159,40 +178,6 @@ def _attr_value(event: Event, name: str) -> str | None:
         return event.value(name)
     except KeyError:
         raise UnknownAttribute(f"attribute {name!r} is not carried by event {event.eid!r}") from None
-
-
-def _behaviour_holds(conjuncts: tuple[AttrEqAttr | AttrEqConst, ...], event: Event) -> bool:
-    for conj in conjuncts:
-        if isinstance(conj, AttrEqConst):
-            value = _attr_value(event, conj.attr)
-            if value is None or value != str(conj.value):
-                return False
-        else:
-            left = _attr_value(event, conj.left)
-            right = _attr_value(event, conj.right)
-            if left is None or right is None or left != right:
-                return False
-    return True
-
-
-def event_matches_identifier(expr: IdentifierExpr, event: Event, pattern: CompiledPattern) -> bool:
-    """Does a single event match the identifier expression? A null attribute
-    matches no literal, so it does match the literal's negation."""
-    if isinstance(expr, Literal):
-        if pattern.attribute is None:
-            raise UnboundBehaviourName(
-                f"literal {expr.value!r} in a BEHAVIOUR pattern; identifiers must be behaviour names"
-            )
-        return _attr_value(event, pattern.attribute) == expr.value
-    if isinstance(expr, BehaviourRef):
-        return _behaviour_holds(pattern.behaviour(expr.name).conjuncts, event)
-    if isinstance(expr, OrExpr):
-        return event_matches_identifier(expr.left, event, pattern) or event_matches_identifier(
-            expr.right, event, pattern
-        )
-    if isinstance(expr, NotExpr):
-        return not event_matches_identifier(expr.inner, event, pattern)
-    raise TypeError(f"not an identifier expression: {expr!r}")
 
 
 @dataclass(frozen=True)
@@ -227,47 +212,51 @@ class _Nfa:
     left to the caller: a root star holds through it.
     """
 
-    def __init__(self, formula: PatternFormula):
+    def __init__(self, formula: PatternFormula, leaf: Callable[[IdentifierExpr], LeafTest]):
         self.kind: list[int] = []
-        self.leaf: list[IdentifierExpr | None] = []  # None: ANY
+        self.leaf: list[LeafTest | None] = []  # None: ANY
         self.out: list[list[int]] = []
         self.accept = self._add(_ACCEPT, None)
-        entry = self._build(formula, self.accept)
+        entry = self._build(formula, self.accept, leaf)
         # Epsilon closures, resolved once per position class: the first
         # position passes START assertions, the last passes END assertions.
+        # Without such assertions, the first or last position is like any other.
         consuming = [s for s, kind in enumerate(self.kind) if kind == _CONSUME]
-        self.entry_first = self._closure(entry, at_start=True, at_end=False)
         self.entry_later = self._closure(entry, at_start=False, at_end=False)
+        self.entry_first = self._closure(entry, True, False) if _AT_START in self.kind else self.entry_later
         self.follow_inner = {s: self._closure(self.out[s][0], False, False) for s in consuming}
-        self.follow_last = {s: self._closure(self.out[s][0], False, True) for s in consuming}
+        self.follow_last = self.follow_inner
+        if _AT_END in self.kind:
+            self.follow_last = {s: self._closure(self.out[s][0], False, True) for s in consuming}
 
-    def _add(self, kind: int, leaf: IdentifierExpr | None, *out: int) -> int:
+    def _add(self, kind: int, leaf: LeafTest | None, *out: int) -> int:
         self.kind.append(kind)
         self.leaf.append(leaf)
         self.out.append(list(out))
         return len(self.kind) - 1
 
-    def _build(self, node: PatternFormula, nxt: int) -> int:
-        """Add the states of node, continuing to nxt; return its entry."""
+    def _build(self, node: PatternFormula, nxt: int, leaf: Callable[[IdentifierExpr], LeafTest]) -> int:
+        """Add the states of node, continuing to nxt; return its entry. Each
+        identifier's state tests the event with leaf(identifier)."""
         if isinstance(node, Identifier):
-            return self._add(_CONSUME, node.expr, nxt)
+            return self._add(_CONSUME, leaf(node.expr), nxt)
         if isinstance(node, AnyEvent):
             return self._add(_CONSUME, None, nxt)
         if isinstance(node, DirectlyFollows):
-            return self._build(node.left, self._build(node.right, nxt))
+            return self._build(node.left, self._build(node.right, nxt, leaf), leaf)
         if isinstance(node, Follows):
-            gap = self._add(_SPLIT, None, self._build(node.right, nxt))
+            gap = self._add(_SPLIT, None, self._build(node.right, nxt, leaf))
             self.out[gap].append(self._add(_CONSUME, None, gap))
-            return self._build(node.left, gap)
+            return self._build(node.left, gap, leaf)
         if isinstance(node, Star):
             loop = self._add(_SPLIT, None, nxt)
-            entry = self._build(node.inner, loop)
+            entry = self._build(node.inner, loop, leaf)
             self.out[loop].append(entry)
             return entry
         if isinstance(node, Start):
-            return self._add(_AT_START, None, self._build(node.inner, nxt))
+            return self._add(_AT_START, None, self._build(node.inner, nxt, leaf))
         if isinstance(node, End):
-            return self._build(node.inner, self._add(_AT_END, None, nxt))
+            return self._build(node.inner, self._add(_AT_END, None, nxt), leaf)
         raise TypeError(f"not a pattern formula: {node!r}")
 
     def _closure(self, state: int, at_start: bool, at_end: bool) -> frozenset[int]:
@@ -285,7 +274,7 @@ class _Nfa:
                 stack.extend(self.out[s])
         return frozenset(s for s in reached if self.kind[s] in (_CONSUME, _ACCEPT))
 
-    def accepts_some_segment(self, pattern: CompiledPattern, events: tuple[Event, ...]) -> bool:
+    def accepts_some_segment(self, events: tuple[Event, ...]) -> bool:
         """One pass: a new run enters at every position, each active state
         tests its leaf once per event, and the first accept ends the scan."""
         accept, leaf = self.accept, self.leaf
@@ -296,14 +285,14 @@ class _Nfa:
             follow = self.follow_last if i == last else self.follow_inner
             active = set()
             for s in current:
-                expr = leaf[s]
-                if expr is None or event_matches_identifier(expr, event, pattern):
+                test = leaf[s]
+                if test is None or test(event):
                     active |= follow[s]
             if accept in active:
                 return True
         return False
 
-    def spans(self, pattern: CompiledPattern, events: tuple[Event, ...]) -> Iterator[tuple[int, int]]:
+    def spans(self, events: tuple[Event, ...]) -> Iterator[tuple[int, int]]:
         """Yield (i, j) for every satisfying nonempty segment from events[i]
         to events[j]. One pass: every active state carries the start
         positions of the runs inside it, as a bitmask, and tests its leaf
@@ -318,8 +307,8 @@ class _Nfa:
             follow = self.follow_last if j == last else self.follow_inner
             reached: dict[int, int] = {}
             for s, starts in active.items():
-                expr = leaf[s]
-                if expr is None or event_matches_identifier(expr, event, pattern):
+                test = leaf[s]
+                if test is None or test(event):
                     for t in follow[s]:
                         reached[t] = reached.get(t, 0) | starts
             starts = reached.pop(accept, 0)
@@ -333,17 +322,19 @@ class _Nfa:
 def case_satisfies(pattern: CompiledPattern, es: EventSet) -> bool:
     """Does some segment of the case satisfy the pattern? Decided without
     building segments: a root star holds through the empty segment, and any
-    other formula by one pass of the pattern's NFA."""
+    other formula by one pass of the pattern's NFA. The case's events must
+    have the schema the pattern was compiled for."""
     if matches_empty(pattern.formula):
         return True
-    return pattern.nfa.accepts_some_segment(pattern, es.events)
+    return pattern.nfa.accepts_some_segment(es.events)
 
 
 def satisfying_segments(pattern: CompiledPattern, es: EventSet) -> MatchResult:
     """All segments of the case satisfying the pattern: the empty segment
-    exactly for a root star, the others by one pass of the pattern's NFA."""
+    exactly for a root star, the others by one pass of the pattern's NFA.
+    The case's events must have the schema the pattern was compiled for."""
     ts = es.timestamps
-    segments = {Segment.interval(ts[i], ts[j]) for i, j in pattern.nfa.spans(pattern, es.events)}
+    segments = {Segment.interval(ts[i], ts[j]) for i, j in pattern.nfa.spans(es.events)}
     if matches_empty(pattern.formula):
         segments.add(EMPTY_SEGMENT)
     return MatchResult(frozenset(segments))
@@ -353,8 +344,10 @@ def pattern_select(pattern: CompiledPattern, log: EventLog) -> EventLog:
     """Keep exactly the events of cases with at least one satisfying segment.
 
     The output is case-closed (a case's events survive together or not at
-    all) and the operator is idempotent.
+    all) and the operator is idempotent. Raises SccError when the log's
+    schema is not the one the pattern was compiled for.
     """
+    pattern.check_schema(log.schema)
     surviving = {es.cid for es in event_sets(log) if case_satisfies(pattern, es)}
     return EventLog(schema=log.schema, events=tuple(e for e in log.events if e.cid in surviving))
 

@@ -6,7 +6,7 @@ import pytest
 
 from sccq.ast import AttrEqAttr, AttrEqConst, BehaviourMatch, SimpleMatch
 from sccq.engine import ResultTable, compile_plan, execute, explain, resolve_column
-from sccq.errors import UnknownColumn, UnknownSource
+from sccq.errors import SccError, UnknownColumn, UnknownSource
 from sccq.eventlog import Event, EventLog, event_sets
 from sccq.gen import random_event_log, random_query
 from sccq.matcher import compile_pattern, oracle_satisfying_segments
@@ -34,6 +34,20 @@ def test_resolve_column_roles_and_attributes():
 def test_unknown_source(quotes_log):
     with pytest.raises(UnknownSource, match="'other'"):
         compile_plan(parse_query("SELECT eid FROM other"), quotes_log.schema)
+
+
+def test_execute_refuses_a_pattern_compiled_for_another_schema():
+    # Pattern leaves read attributes by schema position, so a plan answers
+    # only on logs of the schema it was compiled for.
+    plan = compile_plan(
+        parse_query("SELECT cid FROM eventlog WHERE event_name MATCHES ('a')"), ("event_name", "resource")
+    )
+    permuted = EventLog(
+        ("resource", "event_name"), (Event("e1", "c", 1, (("resource", "a"), ("event_name", "b"))),)
+    )
+    with pytest.raises(SccError, match="schema"):
+        execute(plan, permuted)
+    assert run("SELECT cid FROM eventlog WHERE event_name MATCHES ('a')", permuted).rows == ()
 
 
 def test_projection_only(quotes_log):

@@ -10,21 +10,23 @@ from sccq.ast import (
     BehaviourMatch,
     BehaviourRef,
     DirectlyFollows,
+    Follows,
     Identifier,
     Literal,
     NotExpr,
+    OrExpr,
     SimpleMatch,
     Star,
+    Start,
     matches_empty,
 )
 from sccq.datalog import DatalogProgram, edb_predicates, evaluate, facts_from_log, translate_pattern
-from sccq.errors import OracleBoundExceeded, UnboundBehaviourName, UnknownAttribute
+from sccq.errors import OracleBoundExceeded, SccError, UnboundBehaviourName, UnknownAttribute
 from sccq.eventlog import EMPTY_SEGMENT, Event, EventLog, Segment, cases, event_sets, merge_cases
 from sccq.gen import random_event_log, random_pattern
 from sccq.matcher import (
     compile_pattern,
     case_satisfies,
-    event_matches_identifier,
     oracle_satisfying_segments,
     pattern_select,
     satisfying_segments,
@@ -124,10 +126,48 @@ def test_identifier_or_not_semantics(four_event_log):
 
 def test_null_attribute_matches_negation_only():
     log = EventLog(("a",), (Event("e1", "c", 1, (("a", None),)),))
-    pattern = compile_pattern(SimpleMatch("a", parse_pattern("'x'")), ("a",))
-    ev = log.events[0]
-    assert not event_matches_identifier(Literal("x"), ev, pattern)
-    assert event_matches_identifier(NotExpr(Literal("x")), ev, pattern)
+    es = event_sets(log)[0]
+    assert not case_satisfies(simple("'x'", "a", ("a",)), es)
+    assert case_satisfies(simple("NOT ('x')", "a", ("a",)), es)
+
+
+def test_nfa_reads_attributes_by_position(monkeypatch):
+    # Only the oracle reads attributes by name: selection and listing run on
+    # the leaf tests that compile_pattern bound to schema positions.
+    log = EventLog(
+        ("a", "b"),
+        (
+            Event("e1", "c", 1, (("a", "x"), ("b", "x"))),
+            Event("e2", "c", 2, (("a", None), ("b", None))),
+            Event("e3", "c", 3, (("a", "y"), ("b", None))),
+            Event("e4", "c", 4, (("a", "y"), ("b", "y"))),
+        ),
+    )
+    same = BehaviourDef("same", (AttrEqConst("a", "y"), AttrEqAttr("a", "b")))
+    patterns = [
+        simple("'x'", "b", log.schema),
+        simple("('x' OR NOT ('y')) -> ANY", "a", log.schema),
+        compile_pattern(BehaviourMatch((same,), Identifier(BehaviourRef("same"))), log.schema),
+    ]
+
+    def read_by_name(event, name):
+        raise AssertionError("the matcher read an attribute by name")
+
+    monkeypatch.setattr(Event, "value", read_by_name)
+    es = event_sets(log)[0]
+    assert [case_satisfies(p, es) for p in patterns] == [True, True, True]
+    assert [segs(p, es) for p in patterns] == [{"(1,1)"}, {"(1,2)", "(2,3)"}, {"(4,4)"}]
+
+
+def test_pattern_select_refuses_another_schema():
+    pattern = compile_pattern(SimpleMatch("event_name", parse_pattern("'a'")), ("event_name", "resource"))
+    permuted = EventLog(
+        ("resource", "event_name"), (Event("e1", "c", 1, (("resource", "a"), ("event_name", "b"))),)
+    )
+    with pytest.raises(SccError, match="schema"):
+        pattern_select(pattern, permuted)
+    rebound = compile_pattern(SimpleMatch("event_name", parse_pattern("'a'")), permuted.schema)
+    assert pattern_select(rebound, permuted).events == ()
 
 
 def test_behaviour_patterns(quotes_log):
@@ -190,6 +230,24 @@ def test_compile_errors(quotes_log):
             ),
             quotes_log.schema,
         )
+    # An offending leaf is reported wherever it sits in the formula.
+    def placements(ok, bad):
+        return (
+            Identifier(NotExpr(bad)),
+            Identifier(OrExpr(ok, bad)),
+            Start(Identifier(bad)),
+            Star(Identifier(bad)),
+            Follows(Identifier(ok), Star(Identifier(bad))),
+        )
+
+    p = (BehaviourDef("p", (AttrEqConst("status", "NEW"),)),)
+    for formula in placements(Literal("x"), BehaviourRef("p")):
+        with pytest.raises(UnboundBehaviourName, match="outside a BEHAVIOUR"):
+            compile_pattern(SimpleMatch("event_name", formula), quotes_log.schema)
+    for bad, message in ((Literal("x"), "must be behaviour names"), (BehaviourRef("q"), "'q' is not defined")):
+        for formula in placements(BehaviourRef("p"), bad):
+            with pytest.raises(UnboundBehaviourName, match=message):
+                compile_pattern(BehaviourMatch(p, formula), quotes_log.schema)
     # The parser rejects duplicate names; the API reports them as an SccError.
     twice = BehaviourDef("p", (AttrEqConst("status", "NEW"),))
     with pytest.raises(UnboundBehaviourName, match="duplicate behaviour names"):
@@ -332,17 +390,19 @@ def test_nfa_agrees_with_oracle_on_short_cases():
     assert 0 < sum(answers) < len(answers)
 
 
-def _count_leaf_tests(monkeypatch):
-    """Route the matcher's identifier test through a counter, returned as a
-    one-element list."""
+def _count_leaf_tests(pattern):
+    """Route each of the pattern's compiled leaf tests through a counter,
+    returned as a one-element list."""
     calls = [0]
-    test = matcher.event_matches_identifier
 
-    def counted(expr, event, pattern):
-        calls[0] += 1
-        return test(expr, event, pattern)
+    def counted(test):
+        def count(event):
+            calls[0] += 1
+            return test(event)
+        return count
 
-    monkeypatch.setattr(matcher, "event_matches_identifier", counted)
+    leaf = pattern.nfa.leaf
+    leaf[:] = [None if test is None else counted(test) for test in leaf]
     return calls
 
 
@@ -368,8 +428,8 @@ def test_case_satisfies_is_one_pass(monkeypatch, text, leaves):
         raise AssertionError("case_satisfies built segments")
 
     monkeypatch.setattr(matcher, "satisfying_segments", no_segments)
-    calls = _count_leaf_tests(monkeypatch)
     pattern = simple(text)
+    calls = _count_leaf_tests(pattern)
     # Both cases are scanned to their last event: one ends in the only 'c'.
     for es, answer in _one_pass_cases():
         calls[0] = 0
@@ -378,11 +438,11 @@ def test_case_satisfies_is_one_pass(monkeypatch, text, leaves):
 
 
 @pytest.mark.parametrize("text, leaves", _ONE_PASS_PATTERNS)
-def test_satisfying_segments_is_one_pass(monkeypatch, text, leaves):
+def test_satisfying_segments_is_one_pass(text, leaves):
     # A scan that restarts from every start position would test each leaf
     # up to once per (start, event) pair.
-    calls = _count_leaf_tests(monkeypatch)
     pattern = simple(text)
+    calls = _count_leaf_tests(pattern)
     for es, has_c in _one_pass_cases():
         calls[0] = 0
         listed = satisfying_segments(pattern, es).segments
