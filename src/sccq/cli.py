@@ -112,8 +112,7 @@ def cmd_match(args: argparse.Namespace) -> int:
             if oracle.segments != result.segments:
                 mismatches += 1
                 print(f"{es.cid}: ORACLE MISMATCH", file=sys.stderr)
-        listing = ", ".join(str(s) for s in result.ordered()) or "none"
-        print(f"{es.cid}: {listing}")
+        print(f"{es.cid}: {result.text()}")
     return 3 if mismatches else 0
 
 

@@ -316,8 +316,12 @@ def _const_term(ref: ColumnRef, value: str | int) -> Const:
 
 def translate_query(query: Query, schema: tuple[str, ...]) -> DatalogProgram:
     """Translate a whole query: the output rule, then the pattern rules."""
-    edb = edb_predicates(schema)
-    plan: Plan = compile_plan(query, schema)
+    return _translate_plan(compile_plan(query, schema))
+
+
+def _translate_plan(plan: Plan) -> DatalogProgram:
+    """Translate a query already compiled for its schema."""
+    edb = edb_predicates(plan.schema)
 
     referenced: list[str] = []
     for ref in plan.projection:
@@ -761,7 +765,7 @@ def cross_check(query: Query, log: EventLog) -> CheckReport:
     report data, not an error."""
     plan = compile_plan(query, log.schema)
     ra_rows = frozenset(execute(plan, log).rows)
-    program = translate_query(query, log.schema)
+    program = _translate_plan(plan)
     derived = evaluate(program, facts_from_log(log))
     dl_rows = frozenset(tuple(_untag(v) for v in t) for t in derived.get(OUTPUT_PRED, set()))
     return CheckReport(

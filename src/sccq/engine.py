@@ -29,7 +29,7 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 from .ast import AttrEqAttr, AttrEqConst, BehaviourMatch, Query, SimpleMatch
-from .errors import UnknownColumn, UnknownSource
+from .errors import SccError, UnknownColumn, UnknownSource
 from .eventlog import CID_ALIASES, EID_ALIASES, TS_ALIASES, Event, EventLog, event_sets
 from .matcher import CompiledPattern, case_satisfies, compile_pattern
 from .parser import behaviour_defs_text, const_text, pretty_print_pattern
@@ -66,7 +66,11 @@ RowSelection = ColumnEquality | ConstEquality
 
 @dataclass(frozen=True)
 class Plan:
+    """A query bound to the schema it was compiled for: its columns and
+    pattern leaves read attributes by position in that schema."""
+
     source: str
+    schema: tuple[str, ...]
     projection: tuple[ColumnRef, ...]
     row_selections: tuple[RowSelection, ...]
     pattern_selections: tuple[CompiledPattern, ...]
@@ -132,7 +136,7 @@ def compile_plan(query: Query, schema: tuple[str, ...]) -> Plan:
             patterns.append(compile_pattern(cond, schema))
         else:
             raise TypeError(f"not a condition: {cond!r}")
-    return Plan(query.source, projection, tuple(rows), tuple(patterns))
+    return Plan(query.source, tuple(schema), projection, tuple(rows), tuple(patterns))
 
 
 def _reader(ref: ColumnRef, schema: tuple[str, ...]) -> Callable[[Event], str | int | None]:
@@ -167,9 +171,9 @@ def execute(plan: Plan, log: EventLog, *, set_semantics: bool = False) -> Result
     """Run the plan. Pattern selections see the full per-case event sets,
     and a case is kept before row filtering only if it satisfies them all;
     a case that fails one pattern is not matched against the later ones.
-    Raises SccError for a pattern compiled for another schema than the log's."""
-    for pattern in plan.pattern_selections:
-        pattern.check_schema(log.schema)
+    Raises SccError when the plan was compiled for another schema than the log's."""
+    if log.schema != plan.schema:
+        raise SccError(f"plan compiled for the schema {list(plan.schema)} run on {list(log.schema)}")
     columns = tuple(ref.name for ref in plan.projection)
     tests = [_row_test(sel, log.schema) for sel in plan.row_selections]
     if None in tests:

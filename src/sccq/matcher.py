@@ -22,7 +22,7 @@ Two evaluators derive the set:
   whether some segment satisfies the pattern in one pass over the case's
   events that stops at the first accept; ``satisfying_segments`` lists the
   segments (for ``sccq match``) in one pass whose runs carry their start
-  positions;
+  positions, as timestamp pairs sorted once into presentation order;
 * the brute-force oracle re-derives the set top-down by testing every
   candidate segment against the definition clauses, and checks the NFA on
   small cases. It re-derives even the identifier test, reading attributes
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 from .ast import (
@@ -182,17 +183,34 @@ def _attr_value(event: Event, name: str) -> str | None:
 
 @dataclass(frozen=True)
 class MatchResult:
-    """The satisfying segments of one pattern over one event set."""
+    """The satisfying segments of one pattern over one event set: the
+    nonempty ones as (start, end) timestamp pairs in presentation order,
+    by (span, start), and whether the empty segment is one of them."""
 
-    segments: frozenset[Segment]
+    pairs: tuple[tuple[int, int], ...]
+    empty: bool = False
 
     @property
     def satisfied(self) -> bool:
-        return bool(self.segments)
+        return self.empty or bool(self.pairs)
+
+    def text(self) -> str:
+        """The ``sccq match`` listing: ``empty`` first when it satisfies,
+        then ``(start,end)`` per pair; ``none`` when nothing does."""
+        items = ["empty"] if self.empty else []
+        items += [f"({start},{end})" for start, end in self.pairs]
+        return ", ".join(items) or "none"
 
     def ordered(self) -> list[Segment]:
         """Segments by (span, start); the empty segment sorts first."""
-        return sorted(self.segments, key=Segment.sort_key)
+        nonempty = [Segment.interval(start, end) for start, end in self.pairs]
+        return [EMPTY_SEGMENT, *nonempty] if self.empty else nonempty
+
+    @cached_property
+    def segments(self) -> frozenset[Segment]:
+        """The same segments as a set, built on first use; the listing
+        itself never needs it."""
+        return frozenset(self.ordered())
 
 
 # --- the automaton: selection and listing -----------------------------------
@@ -293,11 +311,11 @@ class _Nfa:
         return False
 
     def spans(self, events: tuple[Event, ...]) -> Iterator[tuple[int, int]]:
-        """Yield (i, j) for every satisfying nonempty segment from events[i]
-        to events[j]. One pass: every active state carries the start
-        positions of the runs inside it, as a bitmask, and tests its leaf
-        once per event; each start that reaches the accept state at j gives
-        a segment ending there."""
+        """Yield (j, starts) once for every end position j at which some
+        satisfying nonempty segment ends: bit i of starts is set when the
+        segment from events[i] to events[j] satisfies the formula. One pass:
+        every active state carries the start positions of the runs inside
+        it, as a bitmask, and tests its leaf once per event."""
         accept, leaf = self.accept, self.leaf
         last = len(events) - 1
         active: dict[int, int] = {}
@@ -312,10 +330,8 @@ class _Nfa:
                     for t in follow[s]:
                         reached[t] = reached.get(t, 0) | starts
             starts = reached.pop(accept, 0)
-            while starts:
-                low = starts & -starts
-                yield low.bit_length() - 1, j
-                starts ^= low
+            if starts:
+                yield j, starts
             active = reached
 
 
@@ -331,13 +347,19 @@ def case_satisfies(pattern: CompiledPattern, es: EventSet) -> bool:
 
 def satisfying_segments(pattern: CompiledPattern, es: EventSet) -> MatchResult:
     """All segments of the case satisfying the pattern: the empty segment
-    exactly for a root star, the others by one pass of the pattern's NFA.
-    The case's events must have the schema the pattern was compiled for."""
+    exactly for a root star, the others by one pass of the pattern's NFA,
+    sorted once by (span, start) and kept as timestamp pairs. spans yields
+    each end position once with a set of start positions, and a case's
+    timestamps are distinct, so no pair repeats. The case's events must
+    have the schema the pattern was compiled for."""
     ts = es.timestamps
-    segments = {Segment.interval(ts[i], ts[j]) for i, j in pattern.nfa.spans(es.events)}
-    if matches_empty(pattern.formula):
-        segments.add(EMPTY_SEGMENT)
-    return MatchResult(frozenset(segments))
+    keys: list[tuple[int, int, int]] = []
+    for j, starts in pattern.nfa.spans(es.events):
+        end = ts[j]
+        # The binary digits of starts, lowest first, line up with ts.
+        keys += [(end - start, start, end) for start, bit in zip(ts, bin(starts)[:1:-1]) if bit == "1"]
+    keys.sort()
+    return MatchResult(tuple([(start, end) for _, start, end in keys]), matches_empty(pattern.formula))
 
 
 def pattern_select(pattern: CompiledPattern, log: EventLog) -> EventLog:
@@ -457,5 +479,8 @@ def oracle_satisfying_segments(
     if len(es) > bound:
         raise OracleBoundExceeded(f"event set has {len(es)} events, oracle bound is {bound}")
     oracle = _Oracle(pattern, es)
-    candidates = [EMPTY_SEGMENT, *enumerate_segments(es)]
-    return MatchResult(frozenset(s for s in candidates if oracle.satisfies(s, pattern.formula)))
+    found = sorted(
+        (s for s in enumerate_segments(es) if oracle.satisfies(s, pattern.formula)), key=Segment.sort_key
+    )
+    pairs = tuple((s.start, s.end) for s in found)
+    return MatchResult(pairs, oracle.satisfies(EMPTY_SEGMENT, pattern.formula))  # type: ignore[arg-type]

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import FOUR_CSV, QUOTES_CSV
-from sccq import datalog
+from sccq import cli, datalog, matcher
 from sccq.cli import main
 from sccq.eventlog import load_event_log
 from sccq.parser import MAX_PATTERN_NESTING
@@ -86,6 +86,42 @@ def test_match_listing_minimal_first(capsys, four_csv_path):
     assert out == "c1: none\n"
 
 
+def test_match_listing_orders_by_timestamp_span(capsys, tmp_path):
+    # Uneven gaps: by index distance the order would be (0,1), (1,100),
+    # (100,102), (0,100), (1,102), (0,102).
+    log = tmp_path / "gaps.csv"
+    log.write_text("eid,cid,ts,a\ne1,c,0,x\ne2,c,1,x\ne3,c,100,x\ne4,c,102,x\n", encoding="utf-8")
+    code, out, _ = run(capsys, "match", "ANY ~> ANY", "--log", str(log))
+    assert code == 0
+    assert out == "c: (0,1), (100,102), (1,100), (0,100), (1,102), (0,102)\n"
+
+
+def test_match_listing_closed_form_on_a_long_case(capsys, tmp_path):
+    # (ANY ~> ANY) ~> ANY holds on exactly the segments of three or more
+    # events: (n-1)(n-2)/2 of them, listed by (span, start).
+    rng = random.Random(61)
+    ts = [0]
+    for _ in range(59):
+        ts.append(ts[-1] + rng.choice((1, 2, 7, 40, 300)))
+    log = tmp_path / "long.csv"
+    log.write_text("eid,cid,ts,a\n" + "".join(f"e{i},c,{t},x\n" for i, t in enumerate(ts)), encoding="utf-8")
+    n = len(ts)
+    keys = sorted((ts[j] - ts[i], ts[i], ts[j]) for i in range(n) for j in range(i + 2, n))
+    assert len(keys) == (n - 1) * (n - 2) // 2
+    code, out, _ = run(capsys, "match", "(ANY ~> ANY) ~> ANY", "--log", str(log))
+    assert code == 0
+    assert out == "c: " + ", ".join(f"({start},{end})" for _, start, end in keys) + "\n"
+
+
+def test_match_listing_builds_no_segment_set(capsys, monkeypatch, four_csv_path):
+    def no_segments(self):
+        raise AssertionError("the listing built a segment set")
+
+    monkeypatch.setattr(matcher.MatchResult, "segments", property(no_segments))
+    code, out, _ = run(capsys, "match", "('e2' ~> 'e4')*", "--log", four_csv_path)
+    assert code == 0 and out == "c1: empty, (20,90)\n"
+
+
 def test_match_attribute_flag(capsys, quotes_csv_path):
     code, out, _ = run(
         capsys, "match", "'WIP' -> 'WIP'", "--log", quotes_csv_path, "--attribute", "status",
@@ -105,15 +141,23 @@ def test_match_merge_cases_evenness(capsys, quotes_csv_path):
     assert code == 0 and out == "merged: none\n"
 
 
-def test_match_oracle_flag(capsys, four_csv_path):
-    code, out, _ = run(
+def test_match_oracle_flag(capsys, monkeypatch, four_csv_path):
+    code, out, err = run(
         capsys, "match", "'e1' -> ('e2' ~> 'e4')*", "--log", four_csv_path, "--oracle-bound", "10",
     )
-    assert code == 0 and out == "c1: (10,90)\n"
+    assert (code, out, err) == (0, "c1: (10,90)\n", "")
     code, _, err = run(
         capsys, "match", "ANY", "--log", four_csv_path, "--oracle-bound", "2",
     )
     assert code == 1 and "oracle bound" in err
+    # An oracle that drops the longest segment disagrees with the listing.
+    oracle = cli.oracle_satisfying_segments
+    monkeypatch.setattr(
+        cli, "oracle_satisfying_segments",
+        lambda *args, **kwargs: matcher.MatchResult(oracle(*args, **kwargs).pairs[:-1]),
+    )
+    code, out, err = run(capsys, "match", "ANY ~> 'e4'", "--log", four_csv_path, "--oracle-bound", "4")
+    assert (code, out, err) == (3, "c1: (30,90), (20,90), (10,90)\n", "c1: ORACLE MISMATCH\n")
 
 
 def test_match_single_case(capsys, quotes_csv_path):

@@ -622,6 +622,22 @@ def test_cross_check_agrees_with_execute(quotes_log):
     assert report.datalog_rows == frozenset(table.rows)
 
 
+def test_cross_check_compiles_the_plan_once(monkeypatch, quotes_log):
+    calls = []
+    original = datalog.compile_plan
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(datalog, "compile_plan", counted)
+    query = parse_query(
+        "SELECT cid FROM eventlog WHERE event_name MATCHES ('Review request' ~> 'Send quote')"
+    )
+    assert cross_check(query, quotes_log).equal
+    assert len(calls) == 1
+
+
 def test_cross_check_projects_null():
     # a null attribute binds the null constant, which projects as None
     log = EventLog(("a",), (Event("e1", "c", 1, (("a", None),)), Event("e2", "c", 2, (("a", "x"),))))

@@ -50,6 +50,14 @@ def test_execute_refuses_a_pattern_compiled_for_another_schema():
     assert run("SELECT cid FROM eventlog WHERE event_name MATCHES ('a')", permuted).rows == ()
 
 
+def test_execute_refuses_a_row_selection_compiled_for_another_schema():
+    # A row selection reads its attribute by position in the plan's schema.
+    plan = compile_plan(parse_query("SELECT cid FROM eventlog WHERE b = 'x'"), ("a", "b"))
+    log = EventLog(("a",), (Event("e1", "c", 1, (("a", "x"),)),))
+    with pytest.raises(SccError, match="schema"):
+        execute(plan, log)
+
+
 def test_projection_only(quotes_log):
     table = run("SELECT event_name FROM eventlog", quotes_log)
     assert table.columns == ("event_name",)

@@ -390,6 +390,17 @@ def test_nfa_agrees_with_oracle_on_short_cases():
     assert 0 < sum(answers) < len(answers)
 
 
+def test_listing_holds_each_segment_once_in_presentation_order():
+    # The listing keeps no segment set: spans yields each end position once
+    # with a set of starts, so no pair can repeat.
+    for p, es in _nfa_corpus(random.Random(19), 1500, 1, 8):
+        result = satisfying_segments(p, es)
+        assert len(result.pairs) + result.empty == len(result.segments)
+        keys = [(end - start, start) for start, end in result.pairs]
+        assert keys == sorted(set(keys))
+        assert result.ordered() == sorted(result.segments, key=Segment.sort_key)
+
+
 def _count_leaf_tests(pattern):
     """Route each of the pattern's compiled leaf tests through a counter,
     returned as a one-element list."""
