@@ -5,9 +5,12 @@ The extensional database holds one ``event(C,E,T)`` fact per event, one
 constant ``null``, and the one fact ``null(null)``. Per case it holds one
 ``next(C,T1,T2)`` fact per pair of consecutive events, and one
 ``first(C,T)`` and one ``last(C,T)`` fact. Patterns translate to one
-intensional predicate per subformula; a query adds one ``output`` rule,
-which joins the base body with the root atom of every pattern that is not a
-star (a star holds on every case).
+intensional predicate per subformula, where a whole identifier expression
+is one subformula: NOT flips the polarity of its rules, and the sides of an
+OR derive its predicate themselves; only a negated OR gives each side a
+predicate, joined in one rule. A query adds one ``output`` rule, which
+joins the base body with the root atom of every pattern that is not a star
+(a star holds on every case).
 
 Every negated atom is an EDB atom, so a translated program is semi-positive
 by construction: START and END join ``first`` and ``last``, a negated
@@ -163,8 +166,9 @@ def _attr_atom(attr: str, value: Term, negated: bool = False) -> Atom:
 class _Translation:
     """Shared state while translating one or more patterns."""
 
-    def __init__(self, pattern: CompiledPattern):
-        self.pattern = pattern
+    pattern: CompiledPattern  # the pattern being translated, set by root
+
+    def __init__(self) -> None:
         self.rules: list[Rule] = []
         self.counter = 0
 
@@ -176,50 +180,47 @@ class _Translation:
     def emit(self, head: Atom, *body: BodyItem) -> None:
         self.rules.append(Rule(head, tuple(body)))
 
+    def root(self, pattern: CompiledPattern) -> str:
+        """Translate a pattern; returns its root predicate."""
+        self.pattern = pattern
+        return self.formula_pred(pattern.formula)
+
     # -- identifier expressions -------------------------------------------
 
-    def _conjunct_atoms(self, name: str) -> list[Atom]:
-        atoms: list[Atom] = []
-        for i, conj in enumerate(self.pattern.behaviour(name).conjuncts):
-            if isinstance(conj, AttrEqConst):
-                atoms.append(_attr_atom(conj.attr, value_const(str(conj.value))))
-            else:
-                shared = Var(f"V{i}")
-                atoms += [
-                    _attr_atom(conj.left, shared),
-                    _attr_atom(conj.right, shared),
-                    Atom("null", (shared,), negated=True),
-                ]
-        return atoms
-
-    def idexpr_pred(self, expr: IdentifierExpr) -> str:
+    def identifier(self, expr: IdentifierExpr, pred: str, negated: bool = False) -> None:
+        """Emit the rules that derive pred(T,T,C) for the events that match
+        expr, or that fail it when `negated` is set. NOT flips the polarity
+        and the sides of a positive OR derive pred themselves, so neither
+        needs a predicate of its own."""
+        head, single = Atom(pred, (_T, _T, _C)), Atom("event", (_C, _E, _T))
         if isinstance(expr, NotExpr):
-            return self.negated_idexpr_pred(expr.inner)
-        pred = self.fresh_pred()
-        head, single = Atom(pred, (_T, _T, _C)), Atom("event", (_C, _E, _T))
-        if isinstance(expr, Literal):
-            self.emit(head, single, _attr_atom(self.pattern.attribute or "", value_const(expr.value)))
-        elif isinstance(expr, BehaviourRef):
-            self.emit(head, single, *self._conjunct_atoms(expr.name))
+            self.identifier(expr.inner, pred, not negated)
+        elif isinstance(expr, OrExpr) and not negated:
+            self.identifier(expr.left, pred)
+            self.identifier(expr.right, pred)
         elif isinstance(expr, OrExpr):
+            # An event fails an OR where it fails both sides.
             ts, te = Var("Ts"), Var("Te")
+            sides = []
             for sub in (expr.left, expr.right):
-                self.emit(Atom(pred, (ts, te, _C)), Atom(self.idexpr_pred(sub), (ts, te, _C)))
-        else:
-            raise TypeError(f"not an identifier expression: {expr!r}")
-        return pred
-
-    def negated_idexpr_pred(self, expr: IdentifierExpr) -> str:
-        if isinstance(expr, NotExpr):  # double negation
-            inner = self.idexpr_pred(expr.inner)
-            pred = self.fresh_pred()
-            ts, te = Var("Ts"), Var("Te")
-            self.emit(Atom(pred, (ts, te, _C)), Atom(inner, (ts, te, _C)))
-            return pred
-        pred = self.fresh_pred()
-        head, single = Atom(pred, (_T, _T, _C)), Atom("event", (_C, _E, _T))
-        if isinstance(expr, Literal):
-            self.emit(head, single, _attr_atom(self.pattern.attribute or "", value_const(expr.value), True))
+                sides.append(Atom(self.fresh_pred(), (ts, te, _C)))
+                self.identifier(sub, sides[-1].pred, negated=True)
+            self.emit(Atom(pred, (ts, te, _C)), *sides)
+        elif isinstance(expr, Literal):
+            self.emit(head, single, _attr_atom(self.pattern.attribute or "", value_const(expr.value), negated))
+        elif isinstance(expr, BehaviourRef) and not negated:
+            atoms: list[Atom] = []
+            for i, conj in enumerate(self.pattern.behaviour(expr.name).conjuncts):
+                if isinstance(conj, AttrEqConst):
+                    atoms.append(_attr_atom(conj.attr, value_const(str(conj.value))))
+                else:
+                    shared = Var(f"V{i}")
+                    atoms += [
+                        _attr_atom(conj.left, shared),
+                        _attr_atom(conj.right, shared),
+                        Atom("null", (shared,), negated=True),
+                    ]
+            self.emit(head, single, *atoms)
         elif isinstance(expr, BehaviourRef):
             # De Morgan: the behaviour fails where one of its conjuncts fails.
             # a = b fails where a differs from b or a is null.
@@ -231,25 +232,17 @@ class _Translation:
                     left = _attr_atom(conj.left, shared)
                     self.emit(head, single, left, _attr_atom(conj.right, shared, True))
                     self.emit(head, single, left, Atom("null", (shared,)))
-        elif isinstance(expr, OrExpr):
-            left = self.negated_idexpr_pred(expr.left)
-            right = self.negated_idexpr_pred(expr.right)
-            ts, te = Var("Ts"), Var("Te")
-            self.emit(
-                Atom(pred, (ts, te, _C)),
-                Atom(left, (ts, te, _C)),
-                Atom(right, (ts, te, _C)),
-            )
         else:
             raise TypeError(f"not an identifier expression: {expr!r}")
-        return pred
 
     # -- pattern formulas ----------------------------------------------------
 
     def formula_pred(self, node: PatternFormula) -> str:
         ts, te, ts2, te2 = Var("Ts"), Var("Te"), Var("Ts2"), Var("Te2")
         if isinstance(node, Identifier):
-            return self.idexpr_pred(node.expr)
+            pred = self.fresh_pred()
+            self.identifier(node.expr, pred)
+            return pred
         if isinstance(node, AnyEvent):
             pred = self.fresh_pred()
             self.emit(Atom(pred, (_T, _T, _C)), Atom("event", (_C, _E, _T)))
@@ -289,8 +282,8 @@ class _Translation:
 def translate_pattern(pattern: CompiledPattern) -> list[Rule]:
     """Rules for every subformula of the pattern; they negate EDB atoms only.
     The head of the final rule is the pattern's root predicate."""
-    ctx = _Translation(pattern)
-    ctx.formula_pred(pattern.formula)
+    ctx = _Translation()
+    ctx.root(pattern)
     return ctx.rules
 
 
@@ -345,26 +338,17 @@ def _translate_plan(plan: Plan) -> DatalogProgram:
             if sel.left.kind == sel.right.kind == "attr":
                 base_body.append(Atom("null", (left,), negated=True))
 
-    ctx: _Translation | None = None
-    pattern_atoms: list[Atom] = []
-    for i, pattern in enumerate(plan.pattern_selections):
-        # A star pattern holds on every case through the empty segment, which
-        # no derived tuple witnesses, so its atom could never narrow the
-        # output: it gets neither an atom nor rules.
-        if matches_empty(pattern.formula):
-            continue
-        if ctx is None:
-            ctx = _Translation(pattern)
-        else:
-            ctx.pattern = pattern
-        root = ctx.formula_pred(pattern.formula)
-        pattern_atoms.append(Atom(root, (Var(f"Ps{i}"), Var(f"Pe{i}"), _C)))
-
+    # A star pattern holds on every case through the empty segment, which no
+    # derived tuple witnesses, so its atom could never narrow the output: it
+    # gets neither an atom nor rules.
+    ctx = _Translation()
+    pattern_atoms = [
+        Atom(ctx.root(pattern), (Var(f"Ps{i}"), Var(f"Pe{i}"), _C))
+        for i, pattern in enumerate(plan.pattern_selections)
+        if not matches_empty(pattern.formula)
+    ]
     head = Atom(OUTPUT_PRED, tuple(_column_term(ref, attr_vars) for ref in plan.projection))
-    rules = [Rule(head, tuple([*base_body, *pattern_atoms]))]
-
-    if ctx is not None:
-        rules.extend(ctx.rules)
+    rules = [Rule(head, tuple([*base_body, *pattern_atoms])), *ctx.rules]
     return DatalogProgram(tuple(rules), edb)
 
 

@@ -109,9 +109,11 @@ def random_pattern(
     depth: int = 2,
     values: tuple[str, ...] = DEFAULT_VALUES,
     behaviour_names: tuple[str, ...] | None = None,
+    identifier_depth: int = 1,
 ) -> PatternFormula:
     """Pattern of bounded depth. Literal leaves by default; BehaviourRef
-    leaves when behaviour_names is given."""
+    leaves when behaviour_names is given. Identifier expressions nest OR and
+    NOT up to identifier_depth."""
     if behaviour_names is None:
         leaves: tuple[IdentifierExpr, ...] = tuple(Literal(v) for v in values)
     else:
@@ -120,7 +122,7 @@ def random_pattern(
     def atom() -> PatternFormula:
         if rng.random() < 0.15:
             return AnyEvent()
-        return Identifier(_random_idexpr(rng, 1, leaves))
+        return Identifier(_random_idexpr(rng, identifier_depth, leaves))
 
     def build(d: int) -> PatternFormula:
         if d <= 0:

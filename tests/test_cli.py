@@ -120,6 +120,9 @@ def test_match_listing_builds_no_segment_set(capsys, monkeypatch, four_csv_path)
     monkeypatch.setattr(matcher.MatchResult, "segments", property(no_segments))
     code, out, _ = run(capsys, "match", "('e2' ~> 'e4')*", "--log", four_csv_path)
     assert code == 0 and out == "c1: empty, (20,90)\n"
+    # Checking against the oracle compares the two results as values.
+    code, out, err = run(capsys, "match", "('e2' ~> 'e4')*", "--log", four_csv_path, "--oracle-bound", "4")
+    assert (code, out, err) == (0, "c1: empty, (20,90)\n", "")
 
 
 def test_match_attribute_flag(capsys, quotes_csv_path):
