@@ -14,7 +14,7 @@ import argparse
 import random
 import sys
 
-from .ast import SimpleMatch
+from .ast import Query, SimpleMatch
 from .datalog import cross_check, facts_from_log, facts_to_text, program_to_text, translate_query
 from .engine import compile_plan, execute, explain
 from .errors import MalformedCsv, SccError
@@ -56,19 +56,20 @@ def _load(args: argparse.Namespace):
         raise MalformedCsv(_not_utf8(args.log)) from None
 
 
-def _query_text(args: argparse.Namespace) -> str:
-    """Query text from the positional argument or --file."""
+def _query(args: argparse.Namespace) -> Query:
+    """Parse the query text from the positional argument or --file."""
+    text = args.query
     if args.file is not None:
-        if args.query is not None:
+        if text is not None:
             raise SccError("give the query either inline or with --file, not both")
         try:
             with open(args.file, encoding="utf-8") as fh:
-                return fh.read()
+                text = fh.read()
         except UnicodeDecodeError:
             raise SccError(_not_utf8(args.file)) from None
-    if args.query is None:
+    elif text is None:
         raise SccError("missing query text (inline argument or --file)")
-    return args.query
+    return parse_query(text, strict_grammar=args.strict_grammar)
 
 
 def _emit(text: str) -> None:
@@ -77,8 +78,7 @@ def _emit(text: str) -> None:
 
 def cmd_query(args: argparse.Namespace) -> int:
     log = _load(args)
-    query = parse_query(_query_text(args), strict_grammar=args.strict_grammar)
-    plan = compile_plan(query, log.schema)
+    plan = compile_plan(_query(args), log.schema)
     if args.explain:
         print(explain(plan))
         return 0
@@ -120,8 +120,7 @@ def cmd_match(args: argparse.Namespace) -> int:
 
 def cmd_translate(args: argparse.Namespace) -> int:
     log = _load(args)
-    query = parse_query(_query_text(args), strict_grammar=args.strict_grammar)
-    program = translate_query(query, log.schema)
+    program = translate_query(_query(args), log.schema)
     print(program_to_text(program))
     if args.with_facts:
         print()
@@ -145,8 +144,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         print("error: check needs a query and --log, or --random N", file=sys.stderr)
         return 1
     log = _load(args)
-    query = parse_query(_query_text(args), strict_grammar=args.strict_grammar)
-    report = cross_check(query, log)
+    report = cross_check(_query(args), log)
     print(report.summary())
     if not report.equal:
         for row in sorted(report.ra_only, key=repr):

@@ -169,7 +169,7 @@ class _Translation:
     pattern: CompiledPattern  # the pattern being translated, set by root
 
     def __init__(self) -> None:
-        self.rules: list[Rule] = []
+        self.rules: dict[Rule, None] = {}  # insertion-ordered; a repeated rule is kept once
         self.counter = 0
 
     def fresh_pred(self) -> str:
@@ -178,7 +178,7 @@ class _Translation:
         return name
 
     def emit(self, head: Atom, *body: BodyItem) -> None:
-        self.rules.append(Rule(head, tuple(body)))
+        self.rules[Rule(head, tuple(body))] = None
 
     def root(self, pattern: CompiledPattern) -> str:
         """Translate a pattern; returns its root predicate."""
@@ -284,7 +284,7 @@ def translate_pattern(pattern: CompiledPattern) -> list[Rule]:
     The head of the final rule is the pattern's root predicate."""
     ctx = _Translation()
     ctx.root(pattern)
-    return ctx.rules
+    return list(ctx.rules)
 
 
 def _column_term(ref: ColumnRef, attr_vars: dict[str, Var]) -> Term:

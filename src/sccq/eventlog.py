@@ -232,6 +232,8 @@ def load_event_log(
         header = next(reader)
     except StopIteration:
         raise MalformedCsv("missing header row") from None
+    except csv.Error as exc:
+        raise MalformedCsv(f"row 1: {exc}") from None
     if any(not name.strip() for name in header):
         raise MalformedCsv(f"blank column name in header {header}")
     ei = _resolve_role(header, eid_col, EID_ALIASES, "event id")
@@ -246,20 +248,24 @@ def load_event_log(
     shared: dict[object, tuple[tuple[str, str | None], ...]] = {}
 
     events = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise MalformedCsv(f"row {lineno} has {len(row)} fields, header has {len(header)}")
-        try:
-            ts = parse_timestamp(row[ti])
-        except BadTimestamp as exc:
-            raise BadTimestamp(f"row {lineno}: {exc}") from None
-        fields = attr_fields(row)
-        attrs = shared.get(fields)
-        if attrs is None:
-            attrs = shared[fields] = tuple((header[i], row[i] or None) for i in attr_cols)
-        events.append(Event(row[ei], row[ci], ts, attrs))
+    lineno = 1
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise MalformedCsv(f"row {lineno} has {len(row)} fields, header has {len(header)}")
+            try:
+                ts = parse_timestamp(row[ti])
+            except BadTimestamp as exc:
+                raise BadTimestamp(f"row {lineno}: {exc}") from None
+            fields = attr_fields(row)
+            attrs = shared.get(fields)
+            if attrs is None:
+                attrs = shared[fields] = tuple((header[i], row[i] or None) for i in attr_cols)
+            events.append(Event(row[ei], row[ci], ts, attrs))
+    except csv.Error as exc:  # raised while reading the row after `lineno`
+        raise MalformedCsv(f"row {lineno + 1}: {exc}") from None
     del shared  # free before sorting: one entry per event when values are all distinct
     return EventLog(schema=schema, events=tuple(events))
 

@@ -29,6 +29,7 @@ ASCII arrows) and parse of that form reproduces the tree exactly.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
@@ -69,6 +70,7 @@ UNSUPPORTED_FUNCTIONS = {"FIRST", "LAST", "AVG"}
 MAX_PATTERN_NESTING = 100
 
 _Node = TypeVar("_Node", PatternFormula, IdentifierExpr)
+_Item = TypeVar("_Item")
 
 
 @dataclass(frozen=True)
@@ -85,89 +87,47 @@ class Token:
         return None
 
 
+# One alternative per token kind, tried in order; ERROR takes any other
+# character. \d is what isdecimal() accepts, the digits int() reads. \w is
+# what isalnum() accepts plus "_", so it also takes digits like "²": tokenize
+# rejects a name whose first character is not a letter or "_". A closing
+# quote may not be followed by another, which would make it an escape.
+_TOKENS = re.compile(r"""
+    (?P<SPACE>[ \t\r\n]+)
+  | (?P<STRING>'(?:[^']|'')*'(?!')|"(?:[^"]|"")*"(?!"))
+  | (?P<INT>\d+)
+  | (?P<IDENT>\w+)
+  | (?P<FOLLOWS>~>|⇝)
+  | (?P<DFOLLOWS>->|→)
+  | (?P<COMMA>,)
+  | (?P<LPAREN>\()
+  | (?P<RPAREN>\))
+  | (?P<EQ>=)
+  | (?P<STAR>\*)
+  | (?P<ERROR>.)
+""", re.VERBOSE | re.DOTALL)
+_ARROWS = {"FOLLOWS": "~>", "DFOLLOWS": "->"}
+
+
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start = 1, 0  # line_start: offset of the line's first character
+    for m in _TOKENS.finditer(text):
+        kind, value, start = m.lastgroup, m.group(), m.start()
+        token_line, column = line, start - line_start + 1
+        if "\n" in value:
+            line += value.count("\n")
+            line_start = start + value.rindex("\n") + 1
+        if kind == "SPACE":
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_line, start_col = line, col
-        if ch in "'\"":
-            quote = ch
-            j = i + 1
-            buf = []
-            while True:
-                if j >= n:
-                    raise ParseError("unterminated string literal", start_line, start_col)
-                if text[j] == quote:
-                    if j + 1 < n and text[j + 1] == quote:
-                        buf.append(quote)
-                        j += 2
-                        continue
-                    j += 1
-                    break
-                if text[j] == "\n":
-                    line += 1
-                buf.append(text[j])
-                j += 1
-            tokens.append(Token("STRING", "".join(buf), start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdecimal():  # the digits int() reads; isdigit() also takes '²'
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(Token("INT", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if text.startswith("~>", i):
-            tokens.append(Token("FOLLOWS", "~>", start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if text.startswith("->", i):
-            tokens.append(Token("DFOLLOWS", "->", start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch == "⇝":  # squiggly rightwards arrow
-            tokens.append(Token("FOLLOWS", "~>", start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch == "→":  # rightwards arrow
-            tokens.append(Token("DFOLLOWS", "->", start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        simple = {",": "COMMA", "(": "LPAREN", ")": "RPAREN", "=": "EQ", "*": "STAR"}
-        if ch in simple:
-            tokens.append(Token(simple[ch], ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", start_line, start_col)
-    tokens.append(Token("EOF", "", line, col))
+        if kind == "ERROR" or kind == "IDENT" and not (value[0].isalpha() or value[0] == "_"):
+            if value in ("'", '"'):
+                raise ParseError("unterminated string literal", token_line, column)
+            raise ParseError(f"unexpected character {value[0]!r}", token_line, column)
+        if kind == "STRING":
+            value = value[1:-1].replace(value[0] * 2, value[0])
+        tokens.append(Token(kind, _ARROWS.get(kind, value), token_line, column))
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -182,13 +142,20 @@ class _Parser:
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        # The list ends in EOF, which next() never passes, so any token but
+        # EOF has one after it.
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
         if tok.kind != "EOF":
             self.pos += 1
         return tok
+
+    def at(self, name: str) -> bool:
+        """Whether the next token is `name`: its kind or the keyword it spells."""
+        tok = self.tokens[self.pos]
+        return tok.kind == name or tok.keyword == name
 
     def fail(self, message: str, expected: tuple[str, ...] = ()) -> ParseError:
         tok = self.peek()
@@ -202,20 +169,12 @@ class _Parser:
         self.next()
         return value
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise self.fail(f"unexpected {self.describe(tok)}", (what or kind,))
+    def expect(self, name: str, *expected: str) -> Token:
+        """Consume a token that is `name`; the error lists `expected`, or
+        `name` when none is given."""
+        if not self.at(name):
+            raise self.fail(f"unexpected {self.describe(self.peek())}", expected or (name,))
         return self.next()
-
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.keyword != word:
-            raise self.fail(f"unexpected {self.describe(tok)}", (word,))
-        return self.next()
-
-    def at_keyword(self, *words: str) -> bool:
-        return self.peek().keyword in words
 
     @staticmethod
     def describe(tok: Token) -> str:
@@ -223,7 +182,7 @@ class _Parser:
             return "end of input"
         return f"{tok.kind} {tok.value!r}"
 
-    def name_token(self, what: str) -> Token:
+    def name(self, what: str) -> str:
         tok = self.peek()
         if tok.kind != "IDENT":
             raise self.fail(f"unexpected {self.describe(tok)}", (what,))
@@ -232,7 +191,15 @@ class _Parser:
         upper = tok.value.upper()
         if upper in UNSUPPORTED_FUNCTIONS and self.peek(1).kind == "LPAREN":
             raise UnsupportedFeature(upper, tok.line, tok.column)
-        return self.next()
+        return self.next().value
+
+    def separated(self, item: Callable[..., _Item], separator: str, *args: str) -> tuple[_Item, ...]:
+        """item(*args) (separator item(*args))*."""
+        items = [item(*args)]
+        while self.at(separator):
+            self.next()
+            items.append(item(*args))
+        return tuple(items)
 
     # -- pattern nesting ------------------------------------------------------
 
@@ -253,6 +220,15 @@ class _Parser:
 
     def binary(self, tok: Token, cls: type, left: _Node, right: _Node) -> _Node:
         return self.nested(tok, cls(left, right), max(self.height(left), self.height(right)) + 1)
+
+    def infix(self, operand: Callable[[frozenset[str] | None], _Node],
+              behaviour_names: frozenset[str] | None, operator: str, cls: type) -> _Node:
+        """operand (operator operand)*, grouped to the left into `cls` nodes."""
+        node = operand(behaviour_names)
+        while self.at(operator):
+            tok = self.next()
+            node = self.binary(tok, cls, node, operand(behaviour_names))
+        return node
 
     def group(
         self, tok: Token, parse: Callable[[frozenset[str] | None], _Node],
@@ -276,127 +252,85 @@ class _Parser:
     # -- query -------------------------------------------------------------
 
     def query(self) -> Query:
-        self.expect_keyword("SELECT")
-        projection = [self.name_token("column name").value]
-        while self.peek().kind == "COMMA":
-            self.next()
-            projection.append(self.name_token("column name").value)
-        self.expect_keyword("FROM")
+        self.expect("SELECT")
+        projection = self.separated(self.name, "COMMA", "column name")
+        self.expect("FROM")
         self.check_subquery()
-        source = self.name_token("source name").value
-        conditions: list[Condition] = []
-        if self.at_keyword("WHERE"):
+        source = self.name("source name")
+        conditions: tuple[Condition, ...] = ()
+        if self.at("WHERE"):
             self.next()
-            conditions.append(self.condition())
-            while self.at_keyword("AND"):
-                self.next()
-                conditions.append(self.condition())
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise self.fail(f"unexpected {self.describe(tok)}", ("AND", "end of input"))
-        return Query(tuple(projection), source, tuple(conditions))
+            conditions = self.separated(self.condition, "AND")
+        self.expect("EOF", "AND", "end of input")
+        return Query(projection, source, conditions)
 
     def condition(self) -> Condition:
-        if self.at_keyword("BEHAVIOUR"):
+        if self.at("BEHAVIOUR"):
             return self.behaviour_match()
-        if self.peek().keyword == "SELECT":
+        if self.at("SELECT"):
             tok = self.peek()
             raise UnsupportedFeature("subquery", tok.line, tok.column)
-        col = self.name_token("column name").value
-        tok = self.peek()
-        if tok.kind == "EQ":
+        col = self.name("column name")
+        if self.at("EQ"):
             self.next()
-            return self.equality_rhs(col)
-        if tok.keyword == "MATCHES":
-            self.next()
-            pattern = self.pattern(behaviour_names=None)
-            return SimpleMatch(col, pattern)
-        raise self.fail(f"unexpected {self.describe(tok)}", ("=", "MATCHES"))
+            self.check_subquery()
+            return self.equality(col, "column name", strict=False)
+        self.expect("MATCHES", "=", "MATCHES")
+        return SimpleMatch(col, self.pattern(behaviour_names=None))
 
-    def equality_rhs(self, col: str) -> Condition:
-        self.check_subquery()
-        tok = self.peek()
-        if tok.kind == "STRING":
-            self.next()
-            return AttrEqConst(col, tok.value)
-        if tok.kind == "INT":
-            return AttrEqConst(col, self.integer())
-        if tok.kind == "IDENT" and tok.keyword is None:
-            return AttrEqAttr(col, self.name_token("column name").value)
-        raise self.fail(f"unexpected {self.describe(tok)}", ("column name", "string", "integer"))
-
-    def behaviour_match(self) -> BehaviourMatch:
-        self.expect_keyword("BEHAVIOUR")
-        defs = [self.behaviour_def()]
-        while self.peek().kind == "COMMA":
-            self.next()
-            defs.append(self.behaviour_def())
-        seen: set[str] = set()
-        for d in defs:
-            if d.name in seen:
-                raise self.fail(f"duplicate behaviour name {d.name!r}")
-            seen.add(d.name)
-        self.expect_keyword("MATCHES")
-        pattern = self.pattern(behaviour_names=frozenset(seen))
-        return BehaviourMatch(tuple(defs), pattern)
-
-    def behaviour_def(self) -> BehaviourDef:
-        conjuncts = [self.behaviour_conjunct()]
-        while self.at_keyword("AND"):
-            self.next()
-            conjuncts.append(self.behaviour_conjunct())
-        self.expect_keyword("AS")
-        name = self.name_token("behaviour name").value
-        return BehaviourDef(name, tuple(conjuncts))
-
-    def behaviour_conjunct(self) -> AttrEqAttr | AttrEqConst:
-        col = self.name_token("attribute name").value
-        self.expect("EQ", "=")
+    def equality(self, col: str, what: str, strict: bool) -> AttrEqAttr | AttrEqConst:
+        """The right of `col =`: a name, called `what`, or a constant unless
+        `strict` (--strict-grammar inside a behaviour)."""
         tok = self.peek()
         if tok.kind in ("STRING", "INT"):
-            if self.strict_grammar:
+            if strict:
                 raise self.fail("constants are not allowed in behaviour conditions under --strict-grammar",
-                                ("attribute name",))
+                                (what,))
             if tok.kind == "INT":
                 return AttrEqConst(col, self.integer())
             self.next()
             return AttrEqConst(col, tok.value)
         if tok.kind == "IDENT" and tok.keyword is None:
-            return AttrEqAttr(col, self.name_token("attribute name").value)
-        raise self.fail(f"unexpected {self.describe(tok)}", ("attribute name", "string", "integer"))
+            return AttrEqAttr(col, self.name(what))
+        raise self.fail(f"unexpected {self.describe(tok)}", (what, "string", "integer"))
+
+    def behaviour_match(self) -> BehaviourMatch:
+        self.expect("BEHAVIOUR")
+        defs = self.separated(self.behaviour_def, "COMMA")
+        seen: set[str] = set()
+        for d in defs:
+            if d.name in seen:
+                raise self.fail(f"duplicate behaviour name {d.name!r}")
+            seen.add(d.name)
+        self.expect("MATCHES")
+        return BehaviourMatch(defs, self.pattern(behaviour_names=frozenset(seen)))
+
+    def behaviour_def(self) -> BehaviourDef:
+        conjuncts = self.separated(self.behaviour_conjunct, "AND")
+        self.expect("AS")
+        return BehaviourDef(self.name("behaviour name"), conjuncts)
+
+    def behaviour_conjunct(self) -> AttrEqAttr | AttrEqConst:
+        col = self.name("attribute name")
+        self.expect("EQ", "=")
+        return self.equality(col, "attribute name", self.strict_grammar)
 
     # -- patterns ------------------------------------------------------------
     # behaviour_names is None inside a plain MATCHES (identifiers must be
     # quoted) and the set of bound names inside a BEHAVIOUR match.
 
     def pattern(self, behaviour_names: frozenset[str] | None) -> PatternFormula:
-        node = self.pattern_seq(behaviour_names)
-        while self.peek().kind == "FOLLOWS":
-            tok = self.next()
-            right = self.pattern_seq(behaviour_names)
-            node = self.binary(tok, Follows, node, right)
-        return node
+        return self.infix(self.pattern_seq, behaviour_names, "FOLLOWS", Follows)
 
     def pattern_seq(self, behaviour_names: frozenset[str] | None) -> PatternFormula:
-        node = self.pattern_unit(behaviour_names)
-        while self.peek().kind == "DFOLLOWS":
-            tok = self.next()
-            right = self.pattern_unit(behaviour_names)
-            node = self.binary(tok, DirectlyFollows, node, right)
-        return node
+        return self.infix(self.pattern_unit, behaviour_names, "DFOLLOWS", DirectlyFollows)
 
     def pattern_unit(self, behaviour_names: frozenset[str] | None) -> PatternFormula:
         node = self.pattern_atom(behaviour_names)
-        while True:
-            tok = self.peek()
-            if tok.kind == "STAR":
-                self.next()
-                node = self.nested(tok, Star(node), self.height(node) + 1)
-            elif tok.keyword == "END":
-                self.next()
-                node = self.nested(tok, End(node), self.height(node) + 1)
-            else:
-                return node
+        while self.at("STAR") or self.at("END"):
+            tok = self.next()
+            node = self.nested(tok, (Star if tok.kind == "STAR" else End)(node), self.height(node) + 1)
+        return node
 
     def pattern_atom(self, behaviour_names: frozenset[str] | None) -> PatternFormula:
         tok = self.peek()
@@ -416,12 +350,7 @@ class _Parser:
                         ("string", "ANY", "START", "NOT", "("))
 
     def identifier_expr(self, behaviour_names: frozenset[str] | None) -> IdentifierExpr:
-        node = self.identifier_term(behaviour_names)
-        while self.at_keyword("OR"):
-            tok = self.next()
-            right = self.identifier_term(behaviour_names)
-            node = self.binary(tok, OrExpr, node, right)
-        return node
+        return self.infix(self.identifier_term, behaviour_names, "OR", OrExpr)
 
     def identifier_term(self, behaviour_names: frozenset[str] | None) -> IdentifierExpr:
         tok = self.peek()
@@ -459,9 +388,7 @@ def parse_pattern(text: str) -> PatternFormula:
     """Parse a standalone pattern (plain-MATCHES form: identifiers quoted)."""
     parser = _Parser(tokenize(text))
     node = parser.pattern(behaviour_names=None)
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        raise parser.fail(f"unexpected {parser.describe(tok)}", ("end of input",))
+    parser.expect("EOF", "end of input")
     return node
 
 

@@ -253,6 +253,17 @@ def test_inputs_python_cannot_decode_exit_1(capsys, tmp_path):
         assert code == 1 and "row 2: " in err
 
 
+def test_csv_reader_errors_exit_1(capsys, tmp_path):
+    # The csv module refuses a field longer than its field size limit.
+    path = tmp_path / "wide.csv"
+    path.write_text("eid,cid,ts,a\ne1,c1,10,x\ne2,c1,20," + "x" * 200_000 + "\n", encoding="utf-8")
+    code, _, err = run(capsys, "query", "SELECT eid FROM eventlog", "--log", str(path))
+    assert code == 1 and "error: row 3: field larger than field limit" in err
+    path.write_text("eid,cid," + "t" * 200_000 + "\n", encoding="utf-8")
+    code, _, err = run(capsys, "query", "SELECT eid FROM eventlog", "--log", str(path))
+    assert code == 1 and "error: row 1: field larger than field limit" in err
+
+
 def test_check_fixture_and_mismatch(capsys, quotes_csv_path, tmp_path, monkeypatch):
     query = "SELECT case_id FROM eventlog WHERE event_name MATCHES ('Review request' ~> 'Send quote')"
     code, out, _ = run(capsys, "check", query, "--log", quotes_csv_path)

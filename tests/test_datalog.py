@@ -821,16 +821,19 @@ def _copy_rules(program):
     ]
 
 
-def test_translated_programs_have_no_copy_rules():
-    # The one exception is a star's base rule: its predicate reads itself.
-    corpora = {
+def translation_corpora():
+    return {
         "random": seeded(random_pair, 81, 100),
         "null-bearing": seeded(null_bearing_pair, 85, 300),
         "nested": nested_identifier_corpus(),
         "long-case": seeded(long_case_pair, 2026, 100),
     }
+
+
+def test_translated_programs_have_no_copy_rules():
+    # The one exception is a star's base rule: its predicate reads itself.
     star_bases = 0
-    for name, corpus in corpora.items():
+    for name, corpus in translation_corpora().items():
         for query, log in corpus:
             program = translate_query(query, log.schema)
             recursive = {r.head.pred for r in program.rules if any(
@@ -842,6 +845,15 @@ def test_translated_programs_have_no_copy_rules():
             )
             star_bases += len(copies)
     assert star_bases > 0
+
+
+def test_translated_programs_repeat_no_rule():
+    # A repeated disjunct gives the same rule twice; it is emitted once.
+    assert translate_pattern(simple("'a' OR 'a'")) == translate_pattern(simple("'a'"))
+    for name, corpus in translation_corpora().items():
+        for query, log in corpus:
+            rules = translate_query(query, log.schema).rules
+            assert len(set(rules)) == len(rules), f"{name}: {pretty_print(query)}"
 
 
 def test_audit_clean_on_generated_programs():

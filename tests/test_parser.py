@@ -29,6 +29,7 @@ from sccq.parser import (
     parse_query,
     pretty_print,
     pretty_print_pattern,
+    tokenize,
 )
 
 
@@ -81,6 +82,39 @@ def test_string_literals_both_quote_styles():
     assert parse_pattern('"say ""hi"""') == lit('say "hi"')
     with pytest.raises(ParseError, match="unterminated"):
         parse_pattern("'oops")
+
+
+def test_positions_after_a_string_that_spans_lines():
+    tokens = [(t.kind, t.value, t.line, t.column) for t in tokenize("a = 'xx\nyy' b")]
+    assert tokens == [
+        ("IDENT", "a", 1, 1), ("EQ", "=", 1, 3), ("STRING", "xx\nyy", 1, 5),
+        ("IDENT", "b", 2, 5), ("EOF", "", 2, 6),
+    ]
+    with pytest.raises(ParseError) as exc:
+        parse_query("SELECT a FROM eventlog WHERE a = 'xx\nyy' ?")
+    assert (exc.value.line, exc.value.column) == (2, 5)
+    assert str(exc.value) == "unexpected character '?' at line 2, column 5"
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("\u00b2", "unexpected character '\u00b2' at line 1, column 1"),  # a digit, but not decimal
+    ("x\u00b2", [("IDENT", "x\u00b2")]),
+    ("_1 12ab", [("IDENT", "_1"), ("INT", "12"), ("IDENT", "ab")]),
+    ("a \u00a0", "unexpected character '\\xa0' at line 1, column 3"),  # not in the whitespace set
+    ("'ab''", "unterminated string literal at line 1, column 1"),  # the last quote pair is an escape
+    ("x \"ab", "unterminated string literal at line 1, column 3"),
+    ('""""', [("STRING", '"')]),
+    ("'a''b' \"\"", [("STRING", "a'b"), ("STRING", "")]),
+    ("\u21dd \u2192 ~> ->", [("FOLLOWS", "~>"), ("DFOLLOWS", "->"), ("FOLLOWS", "~>"), ("DFOLLOWS", "->")]),
+    ("~ >", "unexpected character '~' at line 1, column 1"),
+])
+def test_token_table_edges(text, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ParseError) as exc:
+            tokenize(text)
+        assert str(exc.value) == expected
+    else:
+        assert [(t.kind, t.value) for t in tokenize(text)] == [*expected, ("EOF", "")]
 
 
 def test_keywords_case_insensitive():
