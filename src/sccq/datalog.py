@@ -169,7 +169,11 @@ class _Translation:
     pattern: CompiledPattern  # the pattern being translated, set by root
 
     def __init__(self) -> None:
-        self.rules: dict[Rule, None] = {}  # insertion-ordered; a repeated rule is kept once
+        self.rules: list[Rule] = []
+        # The rules emitted so far per head predicate. Only rules of one head
+        # can repeat each other, so a new rule is compared with those alone,
+        # which for most heads are none: cheaper than hashing every rule.
+        self.by_head: dict[str, list[Rule]] = {}
         self.counter = 0
 
     def fresh_pred(self) -> str:
@@ -178,7 +182,12 @@ class _Translation:
         return name
 
     def emit(self, head: Atom, *body: BodyItem) -> None:
-        self.rules[Rule(head, tuple(body))] = None
+        """Add the rule, unless the same rule was emitted before."""
+        rule = Rule(head, body)
+        same_head = self.by_head.setdefault(head.pred, [])
+        if rule not in same_head:
+            same_head.append(rule)
+            self.rules.append(rule)
 
     def root(self, pattern: CompiledPattern) -> str:
         """Translate a pattern; returns its root predicate."""
@@ -284,7 +293,7 @@ def translate_pattern(pattern: CompiledPattern) -> list[Rule]:
     The head of the final rule is the pattern's root predicate."""
     ctx = _Translation()
     ctx.root(pattern)
-    return list(ctx.rules)
+    return ctx.rules
 
 
 def _column_term(ref: ColumnRef, attr_vars: dict[str, Var]) -> Term:

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
+from itertools import repeat
+from json.encoder import encode_basestring
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .ast import AttrEqAttr, AttrEqConst, BehaviourMatch, Query, SimpleMatch
 from .errors import SccError, UnknownColumn, UnknownSource
@@ -88,25 +89,39 @@ class ResultTable:
         out = io.StringIO()
         writer = csv.writer(out)
         writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow(["" if v is None else v for v in row])
+        writer.writerows(self.rows)  # None is written as ""
         return out.getvalue()
 
     def to_jsonl(self) -> str:
-        encode = json.JSONEncoder(ensure_ascii=False).encode
-        lines = [encode(dict(zip(self.columns, row))) for row in self.rows]
-        return "\n".join(lines) + ("\n" if lines else "")
+        # Column at a time: each value is encoded once, and each line joins
+        # the values with fixed key prefixes. A repeated name keeps its first
+        # place and the values of its last column, as a dict of the row would.
+        n = len(self.rows)
+        if not n:
+            return ""
+        values = list(zip(*self.rows))
+        last = {name: i for i, name in enumerate(self.columns)}
+        parts: list[Iterable[str]] = []
+        for place, (name, i) in enumerate(last.items()):
+            parts.append(repeat(f"{', ' if place else '{'}{encode_basestring(name)}: ", n))
+            parts.append([encode_basestring(v) if v.__class__ is str else "null" if v is None else str(v)
+                          for v in values[i]])
+        parts.append(repeat("}" if last else "{}", n))
+        return "\n".join(map("".join, zip(*parts))) + "\n"
 
     def to_pretty(self) -> str:
-        cells = [[("" if v is None else str(v)) for v in row] for row in self.rows]
-        widths = [len(c) for c in self.columns]
-        for row in cells:
-            for i, text in enumerate(row):
-                widths[i] = max(widths[i], len(text))
-        head = "  ".join(name.ljust(widths[i]) for i, name in enumerate(self.columns))
+        # Column at a time: each column is rendered, measured and padded whole.
+        n = len(self.rows)
+        widths: list[int] = []
+        padded: list[Iterable[str]] = []
+        for name, column in zip(self.columns, list(zip(*self.rows)) or repeat(())):
+            texts = ["" if v is None else str(v) for v in column]
+            widths.append(max(len(name), max(map(len, texts), default=0)))
+            padded.append(map(str.ljust, texts, repeat(widths[-1])))
+        head = "  ".join(map(str.ljust, self.columns, widths))
         sep = "  ".join("-" * w for w in widths)
-        body = ["  ".join(t.ljust(widths[i]) for i, t in enumerate(row)) for row in cells]
-        return "\n".join([head, sep, *body, f"({len(self.rows)} rows)"])
+        body = map("  ".join, zip(*padded)) if padded else repeat("", n)
+        return "\n".join([head, sep, *body, f"({n} rows)"])
 
 
 def resolve_column(name: str, schema: tuple[str, ...]) -> ColumnRef:
@@ -180,11 +195,10 @@ def execute(plan: Plan, log: EventLog, *, set_semantics: bool = False) -> Result
         return ResultTable(columns, ())
     events: Sequence[Event] = log.events  # already in (cid, ts) order
     if plan.pattern_selections:
-        surviving = {
+        events = log.restrict({
             es.cid for es in event_sets(log)
             if all(case_satisfies(pattern, es) for pattern in plan.pattern_selections)
-        }
-        events = [event for event in events if event.cid in surviving]
+        }).events
     for test in tests:
         events = list(filter(test, events))
     rows = list(zip(*[map(_reader(ref, log.schema), events) for ref in plan.projection]))

@@ -10,7 +10,8 @@ ISO-8601 text is converted once at ingestion.
 
 EventLog is the one type that enforces the keys and the order: it sorts its
 events by (cid, ts) and checks them in one pass. Event, EventSet and Segment
-are immutable values derived from it and are not checked again.
+are immutable values derived from it and are not checked again, and neither
+is a log that ``EventLog.restrict`` cuts to whole cases of a checked one.
 
 Events loaded from CSV share their ``attrs`` tuples: all events whose
 attribute fields are equal hold one and the same tuple, so a log of many
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Container
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
@@ -134,6 +136,15 @@ class EventLog:
             prev_cid, prev_ts = cid, ts
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "events", ordered)
+
+    def restrict(self, cids: Container[str]) -> EventLog:
+        """The log of the events whose case is in cids. A case-closed subset
+        of a valid log is valid and in order, so it is neither sorted nor
+        checked again."""
+        subset = object.__new__(EventLog)
+        object.__setattr__(subset, "schema", self.schema)
+        object.__setattr__(subset, "events", tuple([e for e in self.events if e.cid in cids]))
+        return subset
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ Two evaluators derive the set:
   and binds it to a test on one event that reads attributes by schema
   position; the NFA's states run those tests. ``case_satisfies`` decides
   whether some segment satisfies the pattern in one pass over the case's
-  events that stops at the first accept; ``satisfying_segments`` lists the
+  events that stops at the first accept, through a DFA built from the NFA
+  on demand and bounded in size; ``satisfying_segments`` lists the
   segments (for ``sccq match``) in one pass whose runs carry their start
   positions, as timestamp pairs sorted once into presentation order;
 * the brute-force oracle re-derives the set top-down by testing every
@@ -216,6 +217,11 @@ class MatchResult:
 # --- the automaton: selection and listing -----------------------------------
 
 _CONSUME, _SPLIT, _AT_START, _AT_END, _ACCEPT = range(5)
+# The most DFA transitions one automaton caches; past it, selection takes
+# plain NFA steps and caches nothing more, so memory stays bounded on logs
+# of many distinct attribute tuples.
+_DFA_CACHE_LIMIT = 10_000
+_ACCEPTING = -1  # the DFA state of every set that holds the accept state
 
 
 class _Nfa:
@@ -246,6 +252,18 @@ class _Nfa:
         self.follow_last = self.follow_inner
         if _AT_END in self.kind:
             self.follow_last = {s: self._closure(self.out[s][0], False, True) for s in consuming}
+        # The lazy DFA of accepts_some_segment. A DFA state is a set of
+        # active states, interned to its index in dfa_sets (0: the empty set).
+        # A position's class has bit 1 at the first position of a pattern
+        # with START and bit 2 at the last of one with END, so without them
+        # every position is of class 0. dfa_edges[class][state] maps an
+        # event's attrs tuple to the next state, or to _ACCEPTING.
+        self.start_bit = 1 if _AT_START in self.kind else 0
+        self.end_bit = 2 if _AT_END in self.kind else 0
+        self.dfa_sets: list[frozenset[int]] = [frozenset()]
+        self.dfa_ids: dict[frozenset[int], int] = {frozenset(): 0}
+        self.dfa_edges: list[list[dict[tuple, int]]] = [[{}] for _ in range(4)]
+        self.dfa_cached = 0
 
     def _add(self, kind: int, leaf: LeafTest | None, *out: int) -> int:
         self.kind.append(kind)
@@ -292,21 +310,67 @@ class _Nfa:
                 stack.extend(self.out[s])
         return frozenset(s for s in reached if self.kind[s] in (_CONSUME, _ACCEPT))
 
+    def step(self, active: frozenset[int], event: Event, cls: int) -> frozenset[int]:
+        """One NFA step: a new run enters before the event, and each active
+        state that passes its leaf test moves on. cls is the position's class."""
+        current = active | (self.entry_first if cls & 1 else self.entry_later)
+        follow = self.follow_last if cls & 2 else self.follow_inner
+        reached: set[int] = set()
+        for s in current:
+            test = self.leaf[s]
+            if test is None or test(event):
+                reached |= follow[s]
+        return frozenset(reached)
+
     def accepts_some_segment(self, events: tuple[Event, ...]) -> bool:
-        """One pass: a new run enters at every position, each active state
-        tests its leaf once per event, and the first accept ends the scan."""
-        accept, leaf = self.accept, self.leaf
+        """One pass over a DFA built on demand, as in Thompson (1968) and
+        RE2: a leaf test reads nothing of an event but its attrs tuple, so
+        the step from a set of active states depends only on that tuple and
+        the position's class, and is computed once and cached. The first
+        accept ends the scan. Once _DFA_CACHE_LIMIT transitions are cached,
+        a missing one ends the DFA scan, and plain NFA steps finish the case."""
         last = len(events) - 1
-        active: set[int] = set()
+        start_bit, end_bit, edges = self.start_bit, self.end_bit, self.dfa_edges
+        state = 0
         for i, event in enumerate(events):
-            current = active | (self.entry_later if i else self.entry_first)
-            follow = self.follow_last if i == last else self.follow_inner
-            active = set()
-            for s in current:
-                test = leaf[s]
-                if test is None or test(event):
-                    active |= follow[s]
-            if accept in active:
+            cls = (start_bit if i == 0 else 0) | (end_bit if i == last else 0)
+            nxt = edges[cls][state].get(event.attrs)
+            if nxt is None:
+                nxt = self._transition(state, cls, event)
+                if nxt is None:
+                    return self._finish(self.dfa_sets[state], events, i)
+            if nxt == _ACCEPTING:
+                return True
+            state = nxt
+        return False
+
+    def _transition(self, state: int, cls: int, event: Event) -> int | None:
+        """Compute, cache and return the DFA step from state on the event, or
+        return None when the cache is full."""
+        if self.dfa_cached >= _DFA_CACHE_LIMIT:
+            return None
+        reached = self.step(self.dfa_sets[state], event, cls)
+        if self.accept in reached:
+            nxt = _ACCEPTING
+        else:
+            nxt = self.dfa_ids.get(reached)
+            if nxt is None:
+                nxt = self.dfa_ids[reached] = len(self.dfa_sets)
+                self.dfa_sets.append(reached)
+                for table in self.dfa_edges:
+                    table.append({})
+        self.dfa_edges[cls][state][event.attrs] = nxt
+        self.dfa_cached += 1
+        return nxt
+
+    def _finish(self, active: frozenset[int], events: tuple[Event, ...], i: int) -> bool:
+        """Plain NFA steps from the active states before events[i] to the
+        case's end, or to the first accept."""
+        last = len(events) - 1
+        for j in range(i, len(events)):
+            cls = (self.start_bit if j == 0 else 0) | (self.end_bit if j == last else 0)
+            active = self.step(active, events[j], cls)
+            if self.accept in active:
                 return True
         return False
 
@@ -370,8 +434,7 @@ def pattern_select(pattern: CompiledPattern, log: EventLog) -> EventLog:
     schema is not the one the pattern was compiled for.
     """
     pattern.check_schema(log.schema)
-    surviving = {es.cid for es in event_sets(log) if case_satisfies(pattern, es)}
-    return EventLog(schema=log.schema, events=tuple(e for e in log.events if e.cid in surviving))
+    return log.restrict({es.cid for es in event_sets(log) if case_satisfies(pattern, es)})
 
 
 # --- brute-force oracle ------------------------------------------------------

@@ -30,8 +30,7 @@ ASCII arrows) and parse of that form reproduces the tree exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 from .ast import (
     AnyEvent,
@@ -73,8 +72,7 @@ _Node = TypeVar("_Node", PatternFormula, IdentifierExpr)
 _Item = TypeVar("_Item")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT, STRING, INT, COMMA, LPAREN, RPAREN, EQ, STAR, FOLLOWS, DFOLLOWS, EOF
     value: str
     line: int

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import random
 from dataclasses import replace
@@ -226,6 +228,72 @@ def test_result_formats():
     pretty = table.to_pretty()
     assert pretty.splitlines()[-1] == "(2 rows)"
     assert "e2" in pretty
+
+
+# The formatters as they were written row by row; the column-at-a-time ones
+# must print exactly the same bytes.
+def _csv_by_row(table):
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(table.columns)
+    for row in table.rows:
+        writer.writerow(["" if v is None else v for v in row])
+    return out.getvalue()
+
+
+def _jsonl_by_row(table):
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    lines = [encode(dict(zip(table.columns, row))) for row in table.rows]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _pretty_by_row(table):
+    cells = [[("" if v is None else str(v)) for v in row] for row in table.rows]
+    widths = [len(c) for c in table.columns]
+    for row in cells:
+        for i, text in enumerate(row):
+            widths[i] = max(widths[i], len(text))
+    head = "  ".join(name.ljust(widths[i]) for i, name in enumerate(table.columns))
+    sep = "  ".join("-" * w for w in widths)
+    body = ["  ".join(t.ljust(widths[i]) for i, t in enumerate(row)) for row in cells]
+    return "\n".join([head, sep, *body, f"({len(table.rows)} rows)"])
+
+
+_AWKWARD_TEXT = ("", "x", "a,b", 'say "hi"', "line\nbreak", "cr\rlf\r\n", "100%", "{x}", "café", "日本", "\t", "\\")
+
+
+def _random_table(rng):
+    width = rng.randint(1, 4)
+    columns = tuple(rng.choice(("eid", "cid", "ts", "a", "b", "naïve", "a,b", '"q"')) for _ in range(width))
+    kinds = [rng.choice(("text", "ts")) for _ in columns]
+
+    def value(kind):
+        if kind == "ts":
+            return rng.randint(0, 10**13)
+        if rng.random() < 0.2:
+            return None
+        return "".join(rng.choice(_AWKWARD_TEXT) for _ in range(rng.randint(0, 3)))
+
+    rows = tuple(tuple(value(kind) for kind in kinds) for _ in range(rng.choice((0, 1, 2, 7))))
+    return ResultTable(columns, rows)
+
+
+def test_formats_match_the_row_by_row_formulas():
+    rng = random.Random(61)
+    tables = [_random_table(rng) for _ in range(400)]
+    # Corner cases drawn rarely or never above: a lone null column, a repeated
+    # name (a dict of the row keeps its first place and last value), no rows.
+    tables += [
+        ResultTable(("a",), ((None,), ("",))),
+        ResultTable(("a", "ts", "a"), (("x", 1, None), (None, 2, "y"))),
+        ResultTable(("eid", "a"), ()),
+    ]
+    assert any(len(set(t.columns)) < len(t.columns) for t in tables[:400])
+    assert any(not t.rows for t in tables[:400])
+    for table in tables:
+        assert table.to_csv() == _csv_by_row(table), table
+        assert table.to_jsonl() == _jsonl_by_row(table), table
+        assert table.to_pretty() == _pretty_by_row(table), table
 
 
 def test_explain(quotes_log):

@@ -103,6 +103,22 @@ def test_log_checks_names_of_each_distinct_attrs_tuple():
         EventLog(("a", "b"), (*events, swapped))
 
 
+def test_restrict_keeps_whole_cases_without_rechecking(monkeypatch):
+    log = random_event_log(random.Random(7), cases=6, max_events=5)
+    kept = {"0001", "0004", "absent"}
+    expected = EventLog(log.schema, tuple(e for e in log.events if e.cid in kept))
+    assert expected.events
+
+    def rebuilt(self):
+        raise AssertionError("restrict sorted and checked the events again")
+
+    monkeypatch.setattr(EventLog, "__post_init__", rebuilt)
+    subset = log.restrict(kept)
+    assert subset == expected
+    assert log.restrict(set()).events == ()
+    assert log.restrict(cases(log)) == log
+
+
 def test_load_canonical_and_alias_headers(quotes_log):
     assert quotes_log.schema == ("event_name", "status")
     assert len(quotes_log.events) == 7

@@ -448,6 +448,52 @@ def test_case_satisfies_is_one_pass(monkeypatch, text, leaves):
         assert calls[0] <= len(es) * leaves
 
 
+@pytest.mark.parametrize(
+    "text, leaves, classes", [(text, leaves, 1) for text, leaves in _ONE_PASS_PATTERNS] + [("START (ANY) ~> 'c' END", 1, 4)]
+)
+def test_case_satisfies_tests_leaves_per_dfa_transition(text, leaves, classes):
+    # Selection runs leaf tests only while it builds a DFA transition, one per
+    # (state, attrs tuple, position class): their number is bounded by the
+    # DFA's size, not by the case's 2,000 events.
+    pattern = simple(text)
+    calls = _count_leaf_tests(pattern)
+    cases = _one_pass_cases()
+    distinct = len({event.attrs for es, _ in cases for event in es.events})
+    assert distinct == 4
+    for es, answer in cases:
+        assert case_satisfies(pattern, es) is answer
+    assert calls[0] <= 40
+    nfa = pattern.nfa
+    assert nfa.dfa_cached <= len(nfa.dfa_sets) * distinct * classes
+    assert calls[0] <= nfa.dfa_cached * leaves
+
+
+def test_dfa_cache_limit_keeps_the_answers(monkeypatch):
+    # Past the cache limit, selection finishes a case with plain NFA steps;
+    # at a limit of 0, 1 or 2 transitions most cases get there, on every
+    # shape of the corpus (START / END, nested stars, behaviours, nulls).
+    def corpus():
+        return _nfa_corpus(random.Random(29), 1200, 1, 30)
+
+    expected = [case_satisfies(p, es) for p, es in corpus()]
+    assert 0 < sum(expected) < len(expected)
+    finished = [0]
+    nfa_finish = matcher._Nfa._finish
+
+    def counted_finish(self, *args):
+        finished[0] += 1
+        return nfa_finish(self, *args)
+
+    monkeypatch.setattr(matcher._Nfa, "_finish", counted_finish)
+    for limit in (0, 1, 2):
+        monkeypatch.setattr(matcher, "_DFA_CACHE_LIMIT", limit)
+        finished[0] = 0
+        pairs = corpus()
+        assert [case_satisfies(p, es) for p, es in pairs] == expected
+        assert all(p.nfa.dfa_cached <= limit for p, _ in pairs)
+        assert finished[0] > len(pairs) // 2
+
+
 @pytest.mark.parametrize("text, leaves", _ONE_PASS_PATTERNS)
 def test_satisfying_segments_is_one_pass(text, leaves):
     # A scan that restarts from every start position would test each leaf
