@@ -140,7 +140,8 @@ class EventLog:
     def restrict(self, cids: Container[str]) -> EventLog:
         """The log of the events whose case is in cids. A case-closed subset
         of a valid log is valid and in order, so it is neither sorted nor
-        checked again."""
+        checked again. It sets the two fields by hand, so a field added to
+        EventLog must be added here too (test_eventlog checks the list)."""
         subset = object.__new__(EventLog)
         object.__setattr__(subset, "schema", self.schema)
         object.__setattr__(subset, "events", tuple([e for e in self.events if e.cid in cids]))

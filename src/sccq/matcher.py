@@ -36,9 +36,10 @@ any length.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Hashable, Iterator, Set as AbstractSet
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable
 
 from .ast import (
@@ -74,6 +75,7 @@ from .eventlog import (
 
 DEFAULT_ORACLE_BOUND = 12
 LeafTest = Callable[[Event], bool]  # a compiled identifier: does one event match it?
+EventClass = Callable[[tuple], Hashable]  # of an event's attrs: equal classes pass the same leaf tests
 
 
 @dataclass(frozen=True)
@@ -135,30 +137,48 @@ def compile_pattern(condition: SimpleMatch | BehaviourMatch, schema: tuple[str, 
             raise UnknownAttribute(f"attribute {attr!r}{owner} is not in the schema {list(schema)}")
         return schema.index(attr)
 
+    # An event's class is what every leaf test on it depends on; the lazy DFA
+    # keys its transitions on it (see _Nfa.accepts_some_segment).
+    literals: dict[str, str] = {}  # each literal, to itself, as _leaf_test compiles it
     if isinstance(condition, SimpleMatch):
         attribute, behaviours = condition.attribute, ()
         column: int | None = position(attribute)
         named: dict[str, LeafTest] = {}
+        # The column's value when a literal names it, else None: the
+        # pattern, not the log, fixes the number of classes.
+        event_class: EventClass = lambda attrs: literals.get(attrs[column][1])
     else:
         attribute, behaviours, column = None, condition.behaviours, None
         names = [d.name for d in behaviours]
         if len(set(names)) != len(names):
             raise UnboundBehaviourName(f"duplicate behaviour names in {names}")
         named = {d.name: _behaviour_test(d, position) for d in behaviours}
+        # The event's values in the columns the behaviours read, as they
+        # are, since a behaviour may compare two columns.
+        columns = {
+            schema.index(attr)
+            for d in behaviours
+            for c in d.conjuncts
+            for attr in ((c.attr,) if isinstance(c, AttrEqConst) else (c.left, c.right))
+        }
+        event_class = itemgetter(*columns) if columns else lambda attrs: None
 
-    nfa = _Nfa(condition.pattern, lambda expr: _leaf_test(expr, column, named))
+    nfa = _Nfa(condition.pattern, lambda expr: _leaf_test(expr, column, named, literals), event_class)
     return CompiledPattern(condition.pattern, schema, nfa, attribute, behaviours)
 
 
-def _leaf_test(expr: IdentifierExpr, column: int | None, named: dict[str, LeafTest]) -> LeafTest:
-    """The identifier as a test on one event. Literals read position column;
-    in a BEHAVIOUR match column is None and named holds each behaviour's test."""
+def _leaf_test(
+    expr: IdentifierExpr, column: int | None, named: dict[str, LeafTest], literals: dict[str, str]
+) -> LeafTest:
+    """The identifier as a test on one event. Literals read position column
+    and are recorded in literals; in a BEHAVIOUR match column is None and
+    named holds each behaviour's test."""
     if isinstance(expr, Literal):
         if column is None:
             raise UnboundBehaviourName(
                 f"literal {expr.value!r} in a BEHAVIOUR pattern; identifiers must be behaviour names"
             )
-        value = expr.value  # never None, so a null fails it
+        value = literals[expr.value] = expr.value  # never None, so a null fails it
         return lambda event: event.attrs[column][1] == value
     if isinstance(expr, BehaviourRef):
         if column is not None:
@@ -167,10 +187,10 @@ def _leaf_test(expr: IdentifierExpr, column: int | None, named: dict[str, LeafTe
             raise UnboundBehaviourName(f"behaviour name {expr.name!r} is not defined")
         return named[expr.name]
     if isinstance(expr, OrExpr):
-        left, right = _leaf_test(expr.left, column, named), _leaf_test(expr.right, column, named)
+        left, right = _leaf_test(expr.left, column, named, literals), _leaf_test(expr.right, column, named, literals)
         return lambda event: left(event) or right(event)
     if isinstance(expr, NotExpr):
-        inner = _leaf_test(expr.inner, column, named)
+        inner = _leaf_test(expr.inner, column, named, literals)
         return lambda event: not inner(event)
     raise TypeError(f"not an identifier expression: {expr!r}")
 
@@ -218,9 +238,12 @@ class MatchResult:
 
 _CONSUME, _SPLIT, _AT_START, _AT_END, _ACCEPT = range(5)
 # The most DFA transitions one automaton caches; past it, selection takes
-# plain NFA steps and caches nothing more, so memory stays bounded on logs
-# of many distinct attribute tuples.
-_DFA_CACHE_LIMIT = 10_000
+# plain NFA steps and caches nothing more. Building a transition costs about
+# two NFA steps, which pays only if the transition is used again: in a
+# BEHAVIOUR match an event's class is its values in the columns read, so a
+# log of many such values misses often, and the bound caps that waste. The
+# patterns of the benchmark's workloads cache at most 64 transitions.
+_DFA_CACHE_LIMIT = 1_000
 _ACCEPTING = -1  # the DFA state of every set that holds the accept state
 
 
@@ -236,7 +259,9 @@ class _Nfa:
     left to the caller: a root star holds through it.
     """
 
-    def __init__(self, formula: PatternFormula, leaf: Callable[[IdentifierExpr], LeafTest]):
+    def __init__(
+        self, formula: PatternFormula, leaf: Callable[[IdentifierExpr], LeafTest], event_class: EventClass
+    ):
         self.kind: list[int] = []
         self.leaf: list[LeafTest | None] = []  # None: ANY
         self.out: list[list[int]] = []
@@ -257,12 +282,14 @@ class _Nfa:
         # A position's class has bit 1 at the first position of a pattern
         # with START and bit 2 at the last of one with END, so without them
         # every position is of class 0. dfa_edges[class][state] maps an
-        # event's attrs tuple to the next state, or to _ACCEPTING.
+        # event's class, event_class(event.attrs), to the next state or to
+        # _ACCEPTING.
+        self.event_class = event_class
         self.start_bit = 1 if _AT_START in self.kind else 0
         self.end_bit = 2 if _AT_END in self.kind else 0
         self.dfa_sets: list[frozenset[int]] = [frozenset()]
         self.dfa_ids: dict[frozenset[int], int] = {frozenset(): 0}
-        self.dfa_edges: list[list[dict[tuple, int]]] = [[{}] for _ in range(4)]
+        self.dfa_edges: list[list[dict[Hashable, int]]] = [[{}] for _ in range(4)]
         self.dfa_cached = 0
 
     def _add(self, kind: int, leaf: LeafTest | None, *out: int) -> int:
@@ -310,69 +337,65 @@ class _Nfa:
                 stack.extend(self.out[s])
         return frozenset(s for s in reached if self.kind[s] in (_CONSUME, _ACCEPT))
 
-    def step(self, active: frozenset[int], event: Event, cls: int) -> frozenset[int]:
-        """One NFA step: a new run enters before the event, and each active
-        state that passes its leaf test moves on. cls is the position's class."""
-        current = active | (self.entry_first if cls & 1 else self.entry_later)
-        follow = self.follow_last if cls & 2 else self.follow_inner
-        reached: set[int] = set()
-        for s in current:
-            test = self.leaf[s]
-            if test is None or test(event):
-                reached |= follow[s]
-        return frozenset(reached)
-
     def accepts_some_segment(self, events: tuple[Event, ...]) -> bool:
         """One pass over a DFA built on demand, as in Thompson (1968) and
-        RE2: a leaf test reads nothing of an event but its attrs tuple, so
-        the step from a set of active states depends only on that tuple and
-        the position's class, and is computed once and cached. The first
-        accept ends the scan. Once _DFA_CACHE_LIMIT transitions are cached,
-        a missing one ends the DFA scan, and plain NFA steps finish the case."""
+        RE2: events of one class pass the same leaf tests, so the step from
+        a set of active states depends only on the event's class and the
+        position's class, and is computed once and cached. The first accept
+        ends the scan. Once _DFA_CACHE_LIMIT transitions are cached, a
+        missing one ends the DFA scan, and plain NFA steps finish the case."""
         last = len(events) - 1
-        start_bit, end_bit, edges = self.start_bit, self.end_bit, self.dfa_edges
+        start_bit, end_bit, edges, event_class = self.start_bit, self.end_bit, self.dfa_edges, self.event_class
         state = 0
         for i, event in enumerate(events):
             cls = (start_bit if i == 0 else 0) | (end_bit if i == last else 0)
-            nxt = edges[cls][state].get(event.attrs)
+            key = event_class(event.attrs)
+            nxt = edges[cls][state].get(key)
             if nxt is None:
-                nxt = self._transition(state, cls, event)
-                if nxt is None:
-                    return self._finish(self.dfa_sets[state], events, i)
+                if self.dfa_cached >= _DFA_CACHE_LIMIT:
+                    return self._run(self.dfa_sets[state], events, i, len(events)) is None
+                nxt = self._transition(state, cls, events, i, key)
             if nxt == _ACCEPTING:
                 return True
             state = nxt
         return False
 
-    def _transition(self, state: int, cls: int, event: Event) -> int | None:
-        """Compute, cache and return the DFA step from state on the event, or
-        return None when the cache is full."""
-        if self.dfa_cached >= _DFA_CACHE_LIMIT:
-            return None
-        reached = self.step(self.dfa_sets[state], event, cls)
-        if self.accept in reached:
+    def _transition(self, state: int, cls: int, events: tuple[Event, ...], i: int, key: Hashable) -> int:
+        """Compute, cache under the event's class key and return the DFA
+        step from state on events[i], at a position of class cls."""
+        reached = self._run(self.dfa_sets[state], events, i, i + 1)
+        if reached is None:
             nxt = _ACCEPTING
         else:
-            nxt = self.dfa_ids.get(reached)
+            frozen = frozenset(reached)
+            nxt = self.dfa_ids.get(frozen)
             if nxt is None:
-                nxt = self.dfa_ids[reached] = len(self.dfa_sets)
-                self.dfa_sets.append(reached)
+                nxt = self.dfa_ids[frozen] = len(self.dfa_sets)
+                self.dfa_sets.append(frozen)
                 for table in self.dfa_edges:
                     table.append({})
-        self.dfa_edges[cls][state][event.attrs] = nxt
+        self.dfa_edges[cls][state][key] = nxt
         self.dfa_cached += 1
         return nxt
 
-    def _finish(self, active: frozenset[int], events: tuple[Event, ...], i: int) -> bool:
-        """Plain NFA steps from the active states before events[i] to the
-        case's end, or to the first accept."""
+    def _run(self, active: AbstractSet[int], events: tuple[Event, ...], i: int, stop: int) -> AbstractSet[int] | None:
+        """Plain NFA steps over events[i:stop], from the states active before
+        events[i]: a new run enters before each event, and each active state
+        that passes its leaf test moves on. Return the states active after
+        events[stop - 1], or None at the first accept."""
+        accept, leaf = self.accept, self.leaf
         last = len(events) - 1
-        for j in range(i, len(events)):
-            cls = (self.start_bit if j == 0 else 0) | (self.end_bit if j == last else 0)
-            active = self.step(active, events[j], cls)
-            if self.accept in active:
-                return True
-        return False
+        for j, event in enumerate(events[i:stop], i):
+            current = active | (self.entry_later if j else self.entry_first)
+            follow = self.follow_last if j == last else self.follow_inner
+            active = set()
+            for s in current:
+                test = leaf[s]
+                if test is None or test(event):
+                    active |= follow[s]
+            if accept in active:
+                return None
+        return active
 
     def spans(self, events: tuple[Event, ...]) -> Iterator[tuple[int, int]]:
         """Yield (j, starts) once for every end position j at which some

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import random
 
@@ -112,6 +113,9 @@ def test_restrict_keeps_whole_cases_without_rechecking(monkeypatch):
     def rebuilt(self):
         raise AssertionError("restrict sorted and checked the events again")
 
+    # restrict sets these fields by hand and skips __init__; a new field
+    # would be missing from every restricted log.
+    assert [f.name for f in dataclasses.fields(EventLog)] == ["schema", "events"]
     monkeypatch.setattr(EventLog, "__post_init__", rebuilt)
     subset = log.restrict(kept)
     assert subset == expected

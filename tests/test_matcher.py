@@ -448,23 +448,71 @@ def test_case_satisfies_is_one_pass(monkeypatch, text, leaves):
         assert calls[0] <= len(es) * leaves
 
 
-@pytest.mark.parametrize(
-    "text, leaves, classes", [(text, leaves, 1) for text, leaves in _ONE_PASS_PATTERNS] + [("START (ANY) ~> 'c' END", 1, 4)]
+def _noted_cases(rename_d):
+    """The cases of _one_pass_cases over the schema (event_name, note), with
+    a new note on each event, and with each 'd' renamed to a value of its own
+    when rename_d is set: no two events share an attrs tuple."""
+    pairs = []
+    for es, answer in _one_pass_cases():
+        events = []
+        for i, e in enumerate(es.events):
+            name = e.attrs[0][1]
+            attrs = (("event_name", f"d{i}" if rename_d and name == "d" else name), ("note", f"n{i}"))
+            events.append(Event(e.eid, e.cid, e.ts, attrs))
+        pairs.append((event_sets(EventLog(("event_name", "note"), tuple(events)))[0], answer))
+    assert len({e.attrs for es, _ in pairs for e in es.events}) > 2000
+    return pairs
+
+
+def _unread_values_cases():
+    return _noted_cases(rename_d=False)
+
+
+def _read_values_cases():
+    return _noted_cases(rename_d=True)
+
+
+_SIMPLE_DFA_CONDITIONS = [
+    *[(SimpleMatch("event_name", parse_pattern(text)), leaves, 1) for text, leaves in _ONE_PASS_PATTERNS],
+    (SimpleMatch("event_name", parse_pattern("START (ANY) ~> 'c' END")), 1, 4),
+]
+_BEHAVIOUR_DFA_CONDITION = (
+    BehaviourMatch(
+        (BehaviourDef("a", (AttrEqConst("event_name", "a"),)), BehaviourDef("c", (AttrEqConst("event_name", "c"),))),
+        Follows(Identifier(OrExpr(BehaviourRef("a"), NotExpr(BehaviourRef("c")))), Identifier(BehaviourRef("c"))),
+    ),
+    2,
+    1,
 )
-def test_case_satisfies_tests_leaves_per_dfa_transition(text, leaves, classes):
+
+
+@pytest.mark.parametrize(
+    "condition, leaves, classes, make_cases",
+    [
+        (*condition, make_cases)
+        for condition in _SIMPLE_DFA_CONDITIONS
+        for make_cases in (_one_pass_cases, _unread_values_cases, _read_values_cases)
+    ]
+    + [(*_BEHAVIOUR_DFA_CONDITION, make_cases) for make_cases in (_one_pass_cases, _unread_values_cases)],
+)
+def test_case_satisfies_tests_leaves_per_dfa_transition(condition, leaves, classes, make_cases):
     # Selection runs leaf tests only while it builds a DFA transition, one per
-    # (state, attrs tuple, position class): their number is bounded by the
-    # DFA's size, not by the case's 2,000 events.
-    pattern = simple(text)
+    # (state, event class, position class), so their number is bounded by
+    # the DFA's size, not by the case's 2,000 events. An event's class is
+    # the value a literal names, or None, so the pattern fixes the number of
+    # classes whatever the log's values; in a BEHAVIOUR match it is the
+    # values of the columns the behaviours read, so a column they do not
+    # read does not raise it.
+    cases = make_cases()
+    pattern = compile_pattern(condition, tuple(name for name, _ in cases[0][0].events[0].attrs))
     calls = _count_leaf_tests(pattern)
-    cases = _one_pass_cases()
-    distinct = len({event.attrs for es, _ in cases for event in es.events})
-    assert distinct == 4
     for es, answer in cases:
         assert case_satisfies(pattern, es) is answer
-    assert calls[0] <= 40
     nfa = pattern.nfa
-    assert nfa.dfa_cached <= len(nfa.dfa_sets) * distinct * classes
+    event_classes = {nfa.event_class(event.attrs) for es, _ in cases for event in es.events}
+    assert len(event_classes) <= 4
+    assert calls[0] <= 40
+    assert nfa.dfa_cached <= len(nfa.dfa_sets) * len(event_classes) * classes
     assert calls[0] <= nfa.dfa_cached * leaves
 
 
@@ -478,13 +526,14 @@ def test_dfa_cache_limit_keeps_the_answers(monkeypatch):
     expected = [case_satisfies(p, es) for p, es in corpus()]
     assert 0 < sum(expected) < len(expected)
     finished = [0]
-    nfa_finish = matcher._Nfa._finish
+    nfa_run = matcher._Nfa._run
 
-    def counted_finish(self, *args):
-        finished[0] += 1
-        return nfa_finish(self, *args)
+    def counted_run(self, *args):
+        # With the cache full, plain NFA steps run only to finish a case.
+        finished[0] += self.dfa_cached >= matcher._DFA_CACHE_LIMIT
+        return nfa_run(self, *args)
 
-    monkeypatch.setattr(matcher._Nfa, "_finish", counted_finish)
+    monkeypatch.setattr(matcher._Nfa, "_run", counted_run)
     for limit in (0, 1, 2):
         monkeypatch.setattr(matcher, "_DFA_CACHE_LIMIT", limit)
         finished[0] = 0
