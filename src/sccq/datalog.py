@@ -473,27 +473,32 @@ def _key(positions: tuple[int, ...]) -> _Getter:
 
 
 def _item_vars(item: BodyItem) -> set[str]:
-    if isinstance(item, Cmp):
-        return _term_vars(item.left) | _term_vars(item.right)
-    return {name for arg in item.args for name in _term_vars(arg)}
+    terms = (item.left, item.right) if isinstance(item, Cmp) else item.args
+    return {t.name for t in terms if isinstance(t, Var)}
 
 
 def _compile_rule(rule: Rule) -> _JoinPlan:
-    atoms = [item for item in rule.body if isinstance(item, Atom) and not item.negated]
-    pending = [
-        (_item_vars(item), item) for item in rule.body if not (isinstance(item, Atom) and not item.negated)
-    ]
+    atoms: list[tuple[set[str], BodyItem]] = []
+    pending: list[tuple[set[str], BodyItem]] = []
+    for item in rule.body:
+        (atoms if isinstance(item, Atom) and not item.negated else pending).append((_item_vars(item), item))
     cmp_terms = (t for _, item in pending if isinstance(item, Cmp) for t in (item.left, item.right))
     slots: dict[str | Const, int] = {}  # by constant, then by variable name
     for const in dict.fromkeys(t for t in (*rule.head.args, *cmp_terms) if not isinstance(t, Var)):
         slots[const] = len(slots)
     first_row = tuple(slots)
     # A filter that reads an atom's new variable cannot run before that atom.
+    # later[k] is what the head, the filters and the atoms after atom k read.
     read = _item_vars(rule.head).union(*(names for names, _ in pending))
+    later: list[set[str]] = []
+    for names, _ in reversed(atoms):
+        later.append(read)
+        read = read | names
+    later.reverse()
     filters = _ready(pending, slots)
     steps: list[_Step] = []
-    for k, atom in enumerate(atoms):
-        index, key, fresh = _probe(atom, slots, read.union(*map(_item_vars, atoms[k + 1:])))
+    for (_, atom), after in zip(atoms, later):
+        index, key, fresh = _probe(atom, slots, after)
         if index.values:
             for name in fresh:
                 slots[name] = len(slots)
@@ -504,8 +509,11 @@ def _compile_rule(rule: Rule) -> _JoinPlan:
 
 def _ready(pending: list[tuple[set[str], BodyItem]], slots: dict[str | Const, int]) -> tuple[_Filter, ...]:
     """Take from `pending` the filters whose variables have slots."""
-    ready = [item for names, item in pending if names <= slots.keys()]
-    pending[:] = [(names, item) for names, item in pending if not names <= slots.keys()]
+    bound = slots.keys()
+    ready = [item for names, item in pending if names <= bound]
+    if not ready:
+        return ()
+    pending[:] = [(names, item) for names, item in pending if not names <= bound]
     return tuple(
         (item.op, _slot(item.left, slots), _slot(item.right, slots)) if isinstance(item, Cmp)
         else ("!", *_probe(item, slots)[:2])

@@ -9,14 +9,20 @@ Timestamps are integer epoch milliseconds everywhere inside the package;
 ISO-8601 text is converted once at ingestion.
 
 EventLog is the one type that enforces the keys and the order: it sorts its
-events by (cid, ts) and checks them in one pass. Event, EventSet and Segment
-are immutable values derived from it and are not checked again, and neither
-is a log that ``EventLog.restrict`` cuts to whole cases of a checked one.
+events by (cid, ts) and checks them in one pass. Sorting makes each case one
+run, so (eid, cid) is checked against the eids of the current run only, and
+(cid, ts) against the previous event. Event, EventSet and Segment are
+immutable values derived from it and are not checked again, and neither is a
+log that ``EventLog.restrict`` cuts to whole cases of a checked one.
 
-Events loaded from CSV share their ``attrs`` tuples: all events whose
-attribute fields are equal hold one and the same tuple, so a log of many
-events over few distinct attribute combinations builds, and name-checks,
-each combination once.
+``load_event_log`` streams the CSV and takes one step per row: check the
+field count, read the timestamp (plain digits through ``int`` directly,
+anything else through ``parse_timestamp``), look up the row's attrs tuple
+and build the Event as a plain tuple of its four fields. Events loaded from
+CSV share their ``attrs`` tuples: all events whose attribute fields are
+equal hold one and the same tuple, so a log of many events over few
+distinct attribute combinations builds, and name-checks, each combination
+once.
 """
 
 from __future__ import annotations
@@ -112,28 +118,33 @@ class EventLog:
         if len(set(schema)) != len(schema):
             raise MalformedCsv(f"duplicate attribute names in schema {schema}")
         ordered = tuple(sorted(self.events, key=_CID_TS))
-        seen_eid_cid: set[tuple[str, str]] = set()
-        # The names of an attrs tuple are checked the first time it occurs;
-        # loaded events share one tuple per distinct combination of values.
-        named: set[tuple[tuple[str, str | None], ...]] = set()
+        # The names of an attrs tuple are checked the first time that object
+        # occurs; loaded events share one tuple per distinct combination of
+        # values, and `ordered` keeps every tuple, so no id is reused.
+        named: set[int] = set()
+        # Sorting made each case one run: eids holds the run's event ids so
+        # far, and equal (cid, ts) pairs are side by side.
+        eids: set[str] = set()
         prev_cid = prev_ts = None
         for eid, cid, ts, attrs in ordered:
             if ts < 0:
                 raise BadTimestamp(f"event {eid!r}: negative timestamp {ts}")
-            if attrs not in named:
+            if id(attrs) not in named:
                 if tuple(name for name, _ in attrs) != schema:
                     raise KeyViolation(
                         f"event {eid!r} attribute names do not match schema {schema}"
                     )
-                named.add(attrs)
-            key = (eid, cid)
-            if key in seen_eid_cid:
+                named.add(id(attrs))
+            if cid != prev_cid:
+                eids = {eid}
+                prev_cid = cid
+            elif eid in eids:
                 raise KeyViolation(f"duplicate (eid, cid) pair ({eid!r}, {cid!r})")
-            seen_eid_cid.add(key)
-            # Sorting put equal (cid, ts) pairs side by side.
-            if ts == prev_ts and cid == prev_cid:
+            elif ts == prev_ts:
                 raise KeyViolation(f"duplicate (cid, ts) pair ({cid!r}, {ts})")
-            prev_cid, prev_ts = cid, ts
+            else:
+                eids.add(eid)
+            prev_ts = ts
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "events", ordered)
 
@@ -259,23 +270,30 @@ def load_event_log(
     attr_fields = itemgetter(*attr_cols) if attr_cols else lambda row: ()
     shared: dict[object, tuple[tuple[str, str | None], ...]] = {}
 
-    events = []
+    width = len(header)  # at least 3, so an empty record is never a full row
+    events: list[Event] = []
+    append = events.append
+    new = tuple.__new__  # Event's own __new__ is a Python function; the tuple is the same
     lineno = 1
     try:
         for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise MalformedCsv(f"row {lineno} has {len(row)} fields, header has {len(header)}")
+            if len(row) != width:
+                if not row:
+                    continue
+                raise MalformedCsv(f"row {lineno} has {len(row)} fields, header has {width}")
+            text = row[ti]
             try:
-                ts = parse_timestamp(row[ti])
+                try:
+                    ts = int(text) if text.isdecimal() else parse_timestamp(text)
+                except ValueError:  # past int()'s digit limit: parse_timestamp says so
+                    ts = parse_timestamp(text)
             except BadTimestamp as exc:
                 raise BadTimestamp(f"row {lineno}: {exc}") from None
             fields = attr_fields(row)
             attrs = shared.get(fields)
             if attrs is None:
                 attrs = shared[fields] = tuple((header[i], row[i] or None) for i in attr_cols)
-            events.append(Event(row[ei], row[ci], ts, attrs))
+            append(new(Event, (row[ei], row[ci], ts, attrs)))
     except csv.Error as exc:  # raised while reading the row after `lineno`
         raise MalformedCsv(f"row {lineno + 1}: {exc}") from None
     del shared  # free before sorting: one entry per event when values are all distinct

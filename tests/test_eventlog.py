@@ -88,6 +88,26 @@ def test_log_rejects_key_violations():
     EventLog((), (Event("e1", "c1", 1, ()), Event("e1", "c2", 1, ())))
 
 
+def test_log_checks_eids_per_case_run():
+    # e1 of c1 twice, apart in the input (c1, c2, c1) and after sorting
+    apart = (
+        Event("e1", "c1", 1, ()),
+        Event("e2", "c2", 1, ()),
+        Event("e3", "c1", 2, ()),
+        Event("e1", "c1", 3, ()),
+    )
+    with pytest.raises(KeyViolation, match=r"^duplicate \(eid, cid\) pair \('e1', 'c1'\)$"):
+        EventLog((), apart)
+    # the same eids in two interleaved cases
+    log = EventLog((), tuple(Event(f"e{i // 2}", f"c{i % 2}", i, ()) for i in range(6)))
+    assert [(e.cid, e.eid) for e in log.events] == [
+        ("c0", "e0"), ("c0", "e1"), ("c0", "e2"), ("c1", "e0"), ("c1", "e1"), ("c1", "e2")
+    ]
+    # an event that repeats both keys of its neighbour reports (eid, cid)
+    with pytest.raises(KeyViolation, match=r"duplicate \(eid, cid\) pair"):
+        EventLog((), (Event("e1", "c1", 1, ()), Event("e1", "c1", 1, ())))
+
+
 def test_log_rejects_schema_mismatch_and_duplicate_schema():
     with pytest.raises(KeyViolation):
         EventLog(("a",), (Event("e1", "c1", 1, (("b", "x"),)),))
@@ -156,6 +176,27 @@ def test_load_errors():
         load_event_log("eid,cid,ts\n1,c,5\n", eid_col="ts")
     with pytest.raises(BadTimestamp, match="row 2"):
         load_event_log("eid,cid,ts\n1,c,soon\n")
+
+
+def test_load_timestamp_paths():
+    text = "eid,cid,ts\n1,c,0\n2,c, 42 \n3,c,+5\n4,c,1970-01-01T00:00:01Z\n5,c,\u0664\u0663\n"
+    assert [e.ts for e in load_event_log(text).events] == [0, 5, 42, 43, 1000]
+    with pytest.raises(BadTimestamp, match=r"^row 3: timestamp of 5000 characters has too many digits$"):
+        load_event_log("eid,cid,ts\n1,c,5\n2,c," + "9" * 5000 + "\n")
+    with pytest.raises(BadTimestamp, match=r"^row 2: negative timestamp '-5'$"):
+        load_event_log("eid,cid,ts\n1,c,-5\n")
+    # a blank line is a record: skipped, but counted
+    with pytest.raises(MalformedCsv, match=r"^row 4 has 2 fields, header has 3$"):
+        load_event_log("eid,cid,ts\n1,c,5\n\n2,c\n")
+
+
+def test_loaded_events_are_events():
+    log = load_event_log("eid,cid,ts,a,b\n1,c,5,x,\n2,c,7,y,z\n")
+    for e in log.events:
+        assert type(e) is Event
+        assert e == Event(*e)
+        assert e._asdict() == {"eid": e.eid, "cid": "c", "ts": e.ts, "attrs": e.attrs}
+    assert [(e.value("a"), e.value("b")) for e in log.events] == [("x", None), ("y", "z")]
 
 
 def test_empty_attr_field_is_null():
