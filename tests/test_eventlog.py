@@ -172,6 +172,8 @@ def test_load_errors():
         load_event_log("eid,cid,ts,timestamp\n")
     with pytest.raises(MalformedCsv, match="row 3"):
         load_event_log("eid,cid,ts\n1,c,5\n2,c\n")
+    with pytest.raises(MalformedCsv, match="row 3 has 1 fields"):
+        load_event_log("eid,cid,ts\n1,c,5\n2\n")
     with pytest.raises(MalformedCsv, match="distinct"):
         load_event_log("eid,cid,ts\n1,c,5\n", eid_col="ts")
     with pytest.raises(BadTimestamp, match="row 2"):
