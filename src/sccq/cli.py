@@ -24,7 +24,10 @@ from .matcher import compile_pattern, oracle_satisfying_segments, satisfying_seg
 from .parser import parse_pattern, parse_query, pretty_print
 
 
-_STRICT_GRAMMAR_HELP = "reject constants in behaviour definitions"
+def _add_query_arguments(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("query", nargs="?", help="query text (or use --file)")
+    sub.add_argument("--file", metavar="PATH", help="read the query text from a file")
+    sub.add_argument("--strict-grammar", action="store_true", help="reject constants in behaviour definitions")
 
 
 def _add_log_arguments(sub: argparse.ArgumentParser, *, required: bool = True) -> None:
@@ -130,6 +133,8 @@ def cmd_translate(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     if args.random is not None:
+        if args.query is not None or args.file is not None or args.log is not None:
+            raise SccError("check takes a query and --log, or --random N, not both")
         rng = random.Random(args.seed)
         failures = 0
         for i in range(args.random):
@@ -141,8 +146,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(f"{args.random - failures}/{args.random} checks equal")
         return 3 if failures else 0
     if (args.query is None and args.file is None) or args.log is None:
-        print("error: check needs a query and --log, or --random N", file=sys.stderr)
-        return 1
+        raise SccError("check needs a query and --log, or --random N")
     log = _load(args)
     report = cross_check(_query(args), log)
     print(report.summary())
@@ -180,12 +184,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("query", help="evaluate a query against an event log")
-    q.add_argument("query", nargs="?", help="query text (or use --file)")
-    q.add_argument("--file", metavar="PATH", help="read the query text from a file")
+    _add_query_arguments(q)
     _add_log_arguments(q)
     q.add_argument("--format", choices=("csv", "jsonl", "pretty"), default="pretty")
     q.add_argument("--set-semantics", action="store_true", help="deduplicate result rows")
-    q.add_argument("--strict-grammar", action="store_true", help=_STRICT_GRAMMAR_HELP)
     q.add_argument("--explain", action="store_true", help="print the plan instead of evaluating")
     q.set_defaults(func=cmd_query)
 
@@ -202,19 +204,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=cmd_match)
 
     t = sub.add_parser("translate", help="print the datalog program for a query")
-    t.add_argument("query", nargs="?", help="query text (or use --file)")
-    t.add_argument("--file", metavar="PATH", help="read the query text from a file")
+    _add_query_arguments(t)
     _add_log_arguments(t)
-    t.add_argument("--strict-grammar", action="store_true", help=_STRICT_GRAMMAR_HELP)
     t.add_argument("--with-facts", action="store_true", help="also print the extracted facts")
     t.set_defaults(func=cmd_translate)
 
     c = sub.add_parser("check", help="compare relational and datalog results")
-    c.add_argument("query", nargs="?", help="query text (omit with --random)")
-    c.add_argument("--file", metavar="PATH", help="read the query text from a file")
+    _add_query_arguments(c)
     _add_log_arguments(c, required=False)
-    c.add_argument("--strict-grammar", action="store_true", help=_STRICT_GRAMMAR_HELP)
-    c.add_argument("--random", type=_count, metavar="N", help="check N generated (query, log) pairs")
+    c.add_argument("--random", type=_count, metavar="N",
+                   help="check N generated (query, log) pairs instead of a query and --log")
     c.add_argument("--seed", type=int, default=0)
     c.set_defaults(func=cmd_check)
 

@@ -303,7 +303,7 @@ def _column_term(ref: ColumnRef, attr_vars: dict[str, Var]) -> Term:
         return _C
     if ref.kind == "ts":
         return _T
-    return attr_vars[ref.attribute]  # type: ignore[index]
+    return attr_vars[ref.name]
 
 
 def _const_term(ref: ColumnRef, value: str | int) -> Const:
@@ -325,15 +325,10 @@ def _translate_plan(plan: Plan) -> DatalogProgram:
     """Translate a query already compiled for its schema."""
     edb = edb_predicates(plan.schema)
 
-    referenced: list[str] = []
-    for ref in plan.projection:
-        if ref.kind == "attr" and ref.attribute not in referenced:
-            referenced.append(ref.attribute)  # type: ignore[arg-type]
+    columns = [*plan.projection]
     for sel in plan.row_selections:
-        refs = (sel.left, sel.right) if isinstance(sel, ColumnEquality) else (sel.column,)
-        for ref in refs:
-            if ref.kind == "attr" and ref.attribute not in referenced:
-                referenced.append(ref.attribute)  # type: ignore[arg-type]
+        columns += (sel.left, sel.right) if isinstance(sel, ColumnEquality) else (sel.column,)
+    referenced = list(dict.fromkeys(ref.name for ref in columns if ref.kind == "attr"))
     attr_vars = {name: Var(f"V{i}") for i, name in enumerate(referenced)}
 
     base_body: list[BodyItem] = [Atom("event", (_C, _E, _T))]
@@ -363,8 +358,12 @@ def _translate_plan(plan: Plan) -> DatalogProgram:
 
 # --- static audit (safety + semi-positive negation) ---------------------------
 
-def _term_vars(term: Term) -> set[str]:
-    return {term.name} if isinstance(term, Var) else set()
+def _terms(item: BodyItem) -> tuple[Term, ...]:
+    return (item.left, item.right) if isinstance(item, Cmp) else item.args
+
+
+def _item_vars(item: BodyItem) -> set[str]:
+    return {t.name for t in _terms(item) if isinstance(t, Var)}
 
 
 def audit_program(program: DatalogProgram) -> list[tuple[str, str]]:
@@ -373,34 +372,25 @@ def audit_program(program: DatalogProgram) -> list[tuple[str, str]]:
     is not EDB."""
     findings: list[tuple[str, str]] = []
     for rule in program.rules:
-        positive: set[str] = set()
-        for item in rule.body:
-            if isinstance(item, Atom) and not item.negated:
-                for arg in item.args:
-                    positive |= _term_vars(arg)
-        def check_bound(vars_: set[str], where: str) -> None:
-            for name in sorted(vars_ - positive):
+        head = rule.head.pred
+        # One set for the whole body: a call of _item_vars per atom, merged,
+        # made the audit about 1.4 times slower on translated programs.
+        positive = {
+            t.name for i in rule.body if isinstance(i, Atom) and not i.negated for t in i.args if isinstance(t, Var)
+        }
+        checked = [(rule.head, "the head")] + [
+            (i, f"built-in {i.op}" if isinstance(i, Cmp) else f"negated atom {i.pred}")
+            for i in rule.body if isinstance(i, Cmp) or i.negated
+        ]
+        for item, where in checked:
+            for name in sorted(_item_vars(item) - positive):
                 findings.append(
-                    ("unsafe", f"variable {name} in {where} of rule for {rule.head.pred!r} "
-                               f"is not bound by a positive body atom")
+                    ("unsafe", f"variable {name} in {where} of rule for {head!r} is not bound by a positive body atom")
                 )
-        head_vars: set[str] = set()
-        for arg in rule.head.args:
-            head_vars |= _term_vars(arg)
-        check_bound(head_vars, "the head")
-        for item in rule.body:
-            if isinstance(item, Atom) and item.negated:
-                vars_ = set()
-                for arg in item.args:
-                    vars_ |= _term_vars(arg)
-                check_bound(vars_, f"negated atom {item.pred}")
-                if item.pred not in program.edb_predicates:
-                    findings.append(
-                        ("stratification", f"negated predicate {item.pred!r} in rule for "
-                                           f"{rule.head.pred!r} is not EDB")
-                    )
-            elif isinstance(item, Cmp):
-                check_bound(_term_vars(item.left) | _term_vars(item.right), f"built-in {item.op}")
+            if isinstance(item, Atom) and item.negated and item.pred not in program.edb_predicates:
+                findings.append(
+                    ("stratification", f"negated predicate {item.pred!r} in rule for {head!r} is not EDB")
+                )
     return findings
 
 
@@ -416,24 +406,25 @@ def _check_program(program: DatalogProgram) -> None:
 # each round's new tuples of its own component, if it reads any.
 #
 # A rule is compiled once into a pipeline of generators over rows, the
-# tuples of a partial binding: the constants of the head and comparisons,
-# then each variable in the order its atom binds it. Each positive atom, in
-# body order, is probed through a hash index on the positions bound when it
-# is reached, built from the tuples that hold its constants and repeated
-# variables. An atom whose new variables nothing after it reads is a
-# semi-join: one membership test per row. Comparisons and negated atoms
-# filter the rows at the first atom after which their variables are bound.
+# tuples of a partial binding: every constant of the rule, bound from the
+# first row, then each variable in the order its atom binds it. Each
+# positive atom, in body order, is probed through a hash index on every
+# position whose term is bound when it is reached, a constant or a variable,
+# built from the tuples that repeat a value where the atom repeats a
+# variable; atoms that differ only in their constants share one index. An
+# atom whose new variables nothing after it reads is a semi-join: one
+# membership test per row. Comparisons and negated atoms filter the rows at
+# the first atom after which their variables are bound.
 
 
 class _Index(NamedTuple):
-    """The tuples of `pred` with arity `arity`, the `consts` and equal values
-    at each `repeats` pair, keyed at `positions`: a dict from key to their
-    values at `values`, or the set of keys if `values` is empty."""
+    """The tuples of `pred` with arity `arity` and equal values at each
+    `repeats` pair, keyed at `positions`: a dict from key to their values at
+    `values`, or the set of keys if `values` is empty."""
 
     pred: str
     arity: int
     positions: tuple[int, ...]
-    consts: tuple[tuple[int, Const], ...]
     repeats: tuple[tuple[int, int], ...]
     values: tuple[int, ...]
 
@@ -451,7 +442,7 @@ class _Step(NamedTuple):
 
 
 class _JoinPlan(NamedTuple):
-    row: tuple[Const, ...]  # the first row: the constants of the head and comparisons
+    row: tuple[Const, ...]  # the first row: the constants of the rule
     filters: tuple[_Filter, ...]  # filters that need no atom's bindings
     steps: tuple[_Step, ...]
     head: _Getter
@@ -472,19 +463,13 @@ def _key(positions: tuple[int, ...]) -> _Getter:
     return itemgetter(*positions) if positions else _picker(())
 
 
-def _item_vars(item: BodyItem) -> set[str]:
-    terms = (item.left, item.right) if isinstance(item, Cmp) else item.args
-    return {t.name for t in terms if isinstance(t, Var)}
-
-
 def _compile_rule(rule: Rule) -> _JoinPlan:
     atoms: list[tuple[set[str], BodyItem]] = []
     pending: list[tuple[set[str], BodyItem]] = []
     for item in rule.body:
         (atoms if isinstance(item, Atom) and not item.negated else pending).append((_item_vars(item), item))
-    cmp_terms = (t for _, item in pending if isinstance(item, Cmp) for t in (item.left, item.right))
     slots: dict[str | Const, int] = {}  # by constant, then by variable name
-    for const in dict.fromkeys(t for t in (*rule.head.args, *cmp_terms) if not isinstance(t, Var)):
+    for const in dict.fromkeys(t for i in (rule.head, *rule.body) for t in _terms(i) if not isinstance(t, Var)):
         slots[const] = len(slots)
     first_row = tuple(slots)
     # A filter that reads an atom's new variable cannot run before that atom.
@@ -503,7 +488,7 @@ def _compile_rule(rule: Rule) -> _JoinPlan:
             for name in fresh:
                 slots[name] = len(slots)
         steps.append(_Step(index, key, _ready(pending, slots)))
-    head = _picker(tuple(_slot(t, slots) for t in rule.head.args))
+    head = _picker(tuple(slots[_name(t)] for t in rule.head.args))
     return _JoinPlan(first_row, filters, tuple(steps), head)
 
 
@@ -515,39 +500,38 @@ def _ready(pending: list[tuple[set[str], BodyItem]], slots: dict[str | Const, in
         return ()
     pending[:] = [(names, item) for names, item in pending if not names <= bound]
     return tuple(
-        (item.op, _slot(item.left, slots), _slot(item.right, slots)) if isinstance(item, Cmp)
+        (item.op, slots[_name(item.left)], slots[_name(item.right)]) if isinstance(item, Cmp)
         else ("!", *_probe(item, slots)[:2])
         for item in ready
     )
 
 
-def _slot(term: Term, slots: dict[str | Const, int]) -> int:
-    return slots[term.name if isinstance(term, Var) else term]
+def _name(term: Term) -> str | Const:
+    """The key of a term's slot: a variable's name, or the constant itself."""
+    return term.name if isinstance(term, Var) else term
 
 
 def _probe(
     atom: Atom, slots: dict[str | Const, int], later: set[str] = frozenset()
-) -> tuple[_Index, _Getter, dict[str, int]]:
+) -> tuple[_Index, _Getter, dict[str | Const, int]]:
     """The index through which an atom is probed once `slots` are bound,
     the function that reads its probe key from a row, and its new variables
-    with the position of each. Unless `later` reads a new variable, the
-    index is a set of keys: a semi-join."""
+    with the position of each. Every constant has a slot, so the index is
+    keyed on the constants' positions too. Unless `later` reads a new
+    variable, the index is a set of keys: a semi-join."""
     positions: list[int] = []
-    consts: list[tuple[int, Const]] = []
     repeats: list[tuple[int, int]] = []
-    fresh: dict[str, int] = {}
-    for i, arg in enumerate(atom.args):
-        if not isinstance(arg, Var):
-            consts.append((i, arg))
-        elif arg.name in slots:
+    fresh: dict[str | Const, int] = {}
+    for i, name in enumerate(map(_name, atom.args)):
+        if name in slots:
             positions.append(i)
-        elif arg.name in fresh:
-            repeats.append((i, fresh[arg.name]))
+        elif name in fresh:
+            repeats.append((i, fresh[name]))
         else:
-            fresh[arg.name] = i
+            fresh[name] = i
     values = () if later.isdisjoint(fresh) else tuple(fresh.values())
-    index = _Index(atom.pred, len(atom.args), tuple(positions), tuple(consts), tuple(repeats), values)
-    return index, _key(tuple(slots[atom.args[i].name] for i in positions)), fresh
+    index = _Index(atom.pred, len(atom.args), tuple(positions), tuple(repeats), values)
+    return index, _key(tuple(slots[_name(atom.args[i])] for i in positions)), fresh
 
 
 class _Relations:
@@ -575,9 +559,6 @@ class _Relations:
 
 def _extend_index(idx: defaultdict | set, spec: _Index, tuples: Iterable[tuple[Const, ...]]) -> None:
     fits = [t for t in tuples if len(t) == spec.arity]
-    if spec.consts:
-        at, want = _picker(tuple(i for i, _ in spec.consts)), tuple(c for _, c in spec.consts)
-        fits = [t for t in fits if at(t) == want]
     if spec.repeats:
         left, right = _picker(tuple(i for i, _ in spec.repeats)), _picker(tuple(j for _, j in spec.repeats))
         fits = [t for t in fits if left(t) == right(t)]

@@ -43,11 +43,11 @@ _ROLE_ALIASES = {"eid": EID_ALIASES, "cid": CID_ALIASES, "ts": TS_ALIASES}
 
 @dataclass(frozen=True)
 class ColumnRef:
-    """A resolved column: its role kind and the name the query used."""
+    """A resolved column: its role kind and the name the query used, which
+    for an attribute is the attribute's name."""
 
     kind: str  # "eid" | "cid" | "ts" | "attr"
     name: str
-    attribute: str | None = None
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ class ResultTable:
 def resolve_column(name: str, schema: tuple[str, ...]) -> ColumnRef:
     """Exact attribute match first, then the case-insensitive role aliases."""
     if name in schema:
-        return ColumnRef("attr", name, attribute=name)
+        return ColumnRef("attr", name)
     lowered = name.lower()
     for kind, aliases in _ROLE_ALIASES.items():
         if lowered in aliases:
@@ -157,7 +157,7 @@ def compile_plan(query: Query, schema: tuple[str, ...]) -> Plan:
 def _reader(ref: ColumnRef, schema: tuple[str, ...]) -> Callable[[Event], str | int | None]:
     """The column's value of an event; None stands for null."""
     if ref.kind == "attr":
-        i = schema.index(ref.attribute)  # type: ignore[arg-type]
+        i = schema.index(ref.name)
         return lambda event: event.attrs[i][1]
     return itemgetter(Event._fields.index(ref.kind))  # eid, cid and ts are Event fields
 

@@ -51,14 +51,12 @@ def parse_timestamp(text: str) -> int:
     Accepts a non-negative decimal integer (already milliseconds) or an
     ISO-8601 date/datetime. Naive datetimes are read as UTC.
     """
-    raw = text
-    if not text.isdecimal():  # padded, signed or ISO-8601; plain digits go straight to int()
-        raw = text.strip()
-        if not raw:
-            raise BadTimestamp("empty timestamp field")
-        body = raw[1:] if raw[0] in "+-" else raw
-        if not body.isdecimal():
-            return _iso_millis(raw)
+    raw = text.strip()
+    if not raw:
+        raise BadTimestamp("empty timestamp field")
+    body = raw[1:] if raw[0] in "+-" else raw
+    if not body.isdecimal():
+        return _iso_millis(raw)
     try:
         value = int(raw)
     except ValueError:  # longer than the interpreter converts

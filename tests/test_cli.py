@@ -284,6 +284,19 @@ def test_check_fixture_and_mismatch(capsys, quotes_csv_path, tmp_path, monkeypat
         "  relational only: ('0002',)",
     ]
 
+    # A Datalog side that gains an event of a case the log lacks derives a
+    # row the relational side has not.
+    ghost = (("c", "ghost"), ("e", "g1"), 1)
+    monkeypatch.setattr(datalog, "facts_from_log", lambda log: {**extract(log), "event": {ghost}})
+    code, out, _ = run(capsys, "check", "SELECT cid FROM eventlog", "--log", quotes_csv_path)
+    assert code == 3
+    assert out.splitlines() == [
+        "MISMATCH: 2 tuples only in the relational result, 1 only in the datalog result",
+        "  relational only: ('0001',)",
+        "  relational only: ('0002',)",
+        "  datalog only:    ('ghost',)",
+    ]
+
 
 def test_attribute_predicate_collision_exits_1(capsys, tmp_path):
     path = tmp_path / "collide.csv"
@@ -294,10 +307,34 @@ def test_attribute_predicate_collision_exits_1(capsys, tmp_path):
         assert "attribute names collide as predicates: ['attr_a_b', 'attr_a_b']" in err
 
 
-def test_check_random(capsys):
+def test_check_random(capsys, monkeypatch):
     code, out, _ = run(capsys, "check", "--random", "10", "--seed", "3")
     assert code == 0
     assert out.strip().splitlines()[-1] == "10/10 checks equal"
+
+    # A Datalog side that loses the event facts derives no row, so every
+    # pair with a non-empty relational result mismatches.
+    extract = datalog.facts_from_log
+    monkeypatch.setattr(datalog, "facts_from_log", lambda log: {**extract(log), "event": set()})
+    code, out, _ = run(capsys, "check", "--random", "10", "--seed", "3")
+    lines = out.strip().splitlines()
+    mismatches = sum("MISMATCH" in line for line in lines[:-1])
+    assert code == 3 and mismatches > 0
+    assert lines[-1] == f"{10 - mismatches}/10 checks equal"
+
+
+def test_check_random_rejects_a_query_or_log(capsys, tmp_path, quotes_csv_path):
+    qfile = tmp_path / "q.txt"
+    qfile.write_text("SELECT cid FROM eventlog", encoding="utf-8")
+    for given in (
+        ["SELECT cid FROM eventlog"],
+        ["--file", str(qfile)],
+        ["--log", quotes_csv_path],
+        ["SELECT cid FROM eventlog", "--log", quotes_csv_path],
+    ):
+        code, out, err = run(capsys, "check", *given, "--random", "3")
+        assert (code, out) == (1, ""), given
+        assert err == "error: check takes a query and --log, or --random N, not both\n", given
 
 
 def test_check_needs_arguments(capsys):
@@ -315,7 +352,7 @@ def _option_help(capsys, command):
 
 
 def test_log_options_share_help_across_commands(capsys):
-    shared = ("--log", "--eid-col", "--cid-col", "--ts-col", "--strict-grammar")
+    shared = ("--file", "--log", "--eid-col", "--cid-col", "--ts-col", "--strict-grammar")
     query = _option_help(capsys, "query")
     assert all(len(query[opt].split()) > 2 for opt in shared)  # every option has help text
     for command in ("translate", "check"):

@@ -162,8 +162,9 @@ def hand_built_programs(schema):
     """Valid programs that exercise the join beyond what translation emits:
     recursion through the successor relation, mutual recursion, rules listed
     before the rules they read, a variable repeated in one atom, constants
-    in atoms and comparisons, and a filter with no variable. The last
-    program derives reach, loop and later_a."""
+    in atoms and comparisons, a constant in a body's first atom and in a
+    negated atom, and a filter with no variable. The last program derives
+    reach, loop and later_a."""
     edb = edb_predicates(schema)
     t2, t3, e2 = Var("T2"), Var("T3"), Var("E2")
     reach = (
@@ -206,6 +207,19 @@ def hand_built_programs(schema):
         Rule(Atom("reached", (_C, _T)), (Atom("first", (_C, _T)),)),
         Rule(Atom("reached", (_C, t2)), (Atom("next", (_C, _T, t2)), Atom("reached", (_C, _T)))),
     )
+    # The first atom binds nothing but the constant: its index is keyed on
+    # the constant's position alone.
+    first_constant = (
+        Rule(Atom("at_a", (_C, _T)), (Atom("attr_event_name", (_C, _E, ("v", "a"))), Atom("event", (_C, _E, _T)))),
+    )
+    # Events that do not directly precede the one at 20: the negated atom
+    # is probed on a constant besides its bound variables.
+    negated_constant = (
+        Rule(
+            Atom("not_before_20", (_C, _T)),
+            (Atom("event", (_C, _E, _T)), Atom("next", (_C, _T, 20), negated=True)),
+        ),
+    )
     return [
         DatalogProgram((_BASE, _DERIVED), frozenset({"event"})),
         DatalogProgram((_BASE, _NEGATES_BASE), frozenset({"event", "first"})),
@@ -217,6 +231,8 @@ def hand_built_programs(schema):
         DatalogProgram((not_first,), edb),
         DatalogProgram(repeated, edb),
         DatalogProgram(walks, edb),
+        DatalogProgram(first_constant, edb),
+        DatalogProgram(negated_constant, edb),
         DatalogProgram(reach, edb),
         DatalogProgram(
             (
@@ -483,6 +499,22 @@ def test_audit_flags_unsafe_rules():
         edb,
     )
     assert audit_program(cmp_unbound)[0][0] == "unsafe"
+
+    # One rule with unbound variables in its head, in a negated atom whose
+    # predicate is not EDB, and in a comparison: the head is checked first,
+    # then the body in order, and each item's variables in name order.
+    x, w, y, z = Var("X"), Var("W"), Var("Y"), Var("Z")
+    rule = Rule(
+        Atom("p", (_C, x, w)),
+        (Atom("event", (_C, _E, _T)), Atom("q", (_C, y), negated=True), Cmp("<", _T, z)),
+    )
+    assert audit_program(DatalogProgram((rule,), frozenset({"event"}))) == [
+        ("unsafe", "variable W in the head of rule for 'p' is not bound by a positive body atom"),
+        ("unsafe", "variable X in the head of rule for 'p' is not bound by a positive body atom"),
+        ("unsafe", "variable Y in negated atom q of rule for 'p' is not bound by a positive body atom"),
+        ("stratification", "negated predicate 'q' in rule for 'p' is not EDB"),
+        ("unsafe", "variable Z in built-in < of rule for 'p' is not bound by a positive body atom"),
+    ]
 
 
 def test_audit_flags_negation_strata():
@@ -922,6 +954,22 @@ def test_evaluate_matches_naive_reference_on_hand_built_programs(quotes_log):
     assert got["not_first"] == got["top"] | {(("c", "c"), ("e", "5"))}
     assert got["self_next"] == set() and got["has_stay"] == {(("c", "c"),)}
     assert got["walk"] == got["reached"] == {(("c", "c"), t) for t in (10, 20, 30, 40, 50)}
+    assert got["at_a"] == {(("c", "c"), t) for t in (10, 30, 50)}
+    assert got["not_before_20"] == {(("c", "c"), t) for t in (20, 30, 40, 50)}
+
+
+def test_atoms_differing_in_a_constant_share_one_index():
+    # attr_event_name(C,E,"a") and (C,E,"b") are both probed on (C,E) and the
+    # constant, so both read one index of attr_event_name.
+    log = load_event_log(ALTERNATING_CSV)
+    rules = [
+        Rule(Atom(name, (_C, _T)), (Atom("event", (_C, _E, _T)), Atom("attr_event_name", (_C, _E, ("v", value)))))
+        for name, value in (("at_a", "a"), ("at_b", "b"))
+    ]
+    store = datalog._Relations(facts_from_log(log))
+    got = [datalog._eval_rule(datalog._compile_rule(rule), store) for rule in rules]
+    assert got == [{(("c", "c"), t) for t in (10, 30, 50)}, {(("c", "c"), t) for t in (20, 40)}]
+    assert len(store._indexes["attr_event_name"]) == 1
 
 
 def test_non_recursive_program_evaluates_each_rule_once(monkeypatch):

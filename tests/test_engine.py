@@ -26,7 +26,7 @@ def test_resolve_column_roles_and_attributes():
     assert resolve_column("CASE_ID", schema).kind == "cid"
     assert resolve_column("event_time", schema).kind == "ts"
     ref = resolve_column("status", schema)
-    assert ref.kind == "attr" and ref.attribute == "status"
+    assert ref.kind == "attr" and ref.name == "status"
     # an attribute named like an alias wins over the role
     assert resolve_column("timestamp", ("timestamp",)).kind == "attr"
     with pytest.raises(UnknownColumn, match="nope"):
@@ -315,6 +315,9 @@ def test_explain(quotes_log):
         "π[case_id,event_name,event_time]"
         "(σ_P[event_name: 'package_sent' ~> 'package_accepted'](eventlog))"
     )
+    # A selection between two columns names both as the query wrote them.
+    plan = compile_plan(parse_query("SELECT eid FROM eventlog WHERE eid = case_id"), quotes_log.schema)
+    assert explain(plan) == "π[eid](σ[eid = case_id](eventlog))"
 
 
 def test_explain_behaviour_pattern(quotes_log):

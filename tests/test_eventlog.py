@@ -159,6 +159,18 @@ def test_load_explicit_column_names():
     )
     assert log.schema == ("note",)
     assert log.events[0].ts == 5
+    # An exact match comes first; without one, the first name equal but for
+    # case is taken.
+    text = "Ref,ref,Proc,WHEN\nR1,r1,c,5\n"
+    log = load_event_log(text, eid_col="ref", cid_col="proc", ts_col="when")
+    assert log.schema == ("Ref",)
+    assert log.events[0][:3] == ("r1", "c", 5)
+    log = load_event_log(text, eid_col="REF", cid_col="PROC", ts_col="When")
+    assert log.schema == ("ref",)
+    assert log.events[0][:3] == ("R1", "c", 5)
+    with pytest.raises(MalformedCsv) as exc:
+        load_event_log(text, eid_col="ref", cid_col="case", ts_col="when")
+    assert str(exc.value) == "case id column 'case' not found in header ['Ref', 'ref', 'Proc', 'WHEN']"
 
 
 def test_load_errors():

@@ -216,6 +216,14 @@ def test_unsupported_features():
         parse_query("SELECT eid FROM (SELECT eid FROM eventlog)")
     with pytest.raises(UnsupportedFeature, match="subquery"):
         parse_query("SELECT eid FROM l WHERE cid = (SELECT cid FROM l)")
+    # A condition that starts with SELECT is a subquery too, reported where it starts.
+    for text, line, column in (
+        ("SELECT eid FROM l WHERE SELECT cid FROM l", 1, 25),
+        ("SELECT eid FROM l WHERE cid = 'x'\n  AND SELECT cid FROM l", 2, 7),
+    ):
+        with pytest.raises(UnsupportedFeature) as exc:
+            parse_query(text)
+        assert (exc.value.construct, exc.value.line, exc.value.column) == ("subquery", line, column)
     # FIRST without a call is an ordinary column name
     assert parse_query("SELECT first FROM l").projection == ("first",)
 
