@@ -133,7 +133,8 @@ def cmd_translate(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     if args.random is not None:
-        if args.query is not None or args.file is not None or args.log is not None:
+        query_and_log = (args.query, args.file, args.log, args.eid_col, args.cid_col, args.ts_col)
+        if args.strict_grammar or any(value is not None for value in query_and_log):
             raise SccError("check takes a query and --log, or --random N, not both")
         rng = random.Random(args.seed)
         failures = 0

@@ -70,7 +70,6 @@ class Plan:
     """A query bound to the schema it was compiled for: its columns and
     pattern leaves read attributes by position in that schema."""
 
-    source: str
     schema: tuple[str, ...]
     projection: tuple[ColumnRef, ...]
     row_selections: tuple[RowSelection, ...]
@@ -151,7 +150,7 @@ def compile_plan(query: Query, schema: tuple[str, ...]) -> Plan:
             patterns.append(compile_pattern(cond, schema))
         else:
             raise TypeError(f"not a condition: {cond!r}")
-    return Plan(query.source, tuple(schema), projection, tuple(rows), tuple(patterns))
+    return Plan(tuple(schema), projection, tuple(rows), tuple(patterns))
 
 
 def _reader(ref: ColumnRef, schema: tuple[str, ...]) -> Callable[[Event], str | int | None]:
@@ -222,7 +221,7 @@ def _row_selection_text(selection: RowSelection) -> str:
 
 def explain(plan: Plan) -> str:
     """Render the plan as a select-project expression, innermost applied first."""
-    expr = plan.source
+    expr = DEFAULT_SOURCE
     for pattern in plan.pattern_selections:
         expr = f"σ_P[{_pattern_selection_text(pattern)}]({expr})"
     for selection in plan.row_selections:

@@ -45,6 +45,9 @@ ACTIVITIES = (
 )
 RESOURCES = ("alice", "bob", "carol", "dave")
 DEFAULT_VALUES = ("a", "b", "c", "d")
+# The most WHERE conditions in a query from random_query_ast / random_query.
+_AST_MAX_CONDITIONS = 3
+_QUERY_MAX_CONDITIONS = 2
 
 
 def random_event_log(
@@ -148,14 +151,13 @@ def random_query_ast(
     *,
     schema: tuple[str, ...] = ("event_name", "resource"),
     values: tuple[str, ...] = DEFAULT_VALUES + ("it's", 'say "hi"'),
-    max_conditions: int = 3,
 ) -> Query:
     """Arbitrary well-formed query AST for parser round-trip testing; not
     necessarily satisfiable."""
     columns = ("eid", "cid", "ts") + schema
     projection = tuple(rng.sample(columns, rng.randint(1, min(3, len(columns)))))
     conditions = []
-    for _ in range(rng.randint(0, max_conditions)):
+    for _ in range(rng.randint(0, _AST_MAX_CONDITIONS)):
         roll = rng.random()
         if roll < 0.35:
             attr = rng.choice(columns)
@@ -181,7 +183,7 @@ def random_query_ast(
     return Query(projection, "eventlog", tuple(conditions))
 
 
-def random_query(rng: random.Random, log: EventLog, *, max_conditions: int = 2) -> Query:
+def random_query(rng: random.Random, log: EventLog) -> Query:
     """Query that resolves against the log's schema, biased toward observed
     values so conditions actually select something. At most one MATCHES."""
     observed: dict[str, tuple[str, ...]] = {}
@@ -197,7 +199,7 @@ def random_query(rng: random.Random, log: EventLog, *, max_conditions: int = 2) 
 
     conditions = []
     used_match = False
-    for _ in range(rng.randint(0, max_conditions)):
+    for _ in range(rng.randint(0, _QUERY_MAX_CONDITIONS)):
         roll = rng.random()
         if roll < 0.4 or (used_match and roll < 0.7):
             attr = rng.choice(columns)

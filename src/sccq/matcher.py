@@ -18,12 +18,13 @@ Two evaluators derive the set:
 * a Thompson NFA, built once per pattern by ``compile_pattern``, serves both
   selection and listing. ``compile_pattern`` checks each identifier once
   and binds it to a test on one event that reads attributes by schema
-  position; the NFA's states run those tests. ``case_satisfies`` decides
+  position; one NFA step runs those tests. ``case_satisfies`` decides
   whether some segment satisfies the pattern in one pass over the case's
-  events that stops at the first accept, through a DFA built from the NFA
-  on demand and bounded in size; ``satisfying_segments`` lists the
-  segments (for ``sccq match``) in one pass whose runs carry their start
-  positions, as timestamp pairs sorted once into presentation order;
+  events that stops at the first accept, through a DFA whose transitions
+  that step builds on demand, bounded in number; ``satisfying_segments``
+  lists the segments (for ``sccq match``) in one pass of that step whose
+  runs carry their start positions, as timestamp pairs sorted once into
+  presentation order;
 * the brute-force oracle re-derives the set top-down by testing every
   candidate segment against the definition clauses, and checks the NFA on
   small cases. It re-derives even the identifier test, reading attributes
@@ -36,7 +37,7 @@ any length.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterator, Set as AbstractSet
+from collections.abc import Hashable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -244,7 +245,10 @@ _CONSUME, _SPLIT, _AT_START, _AT_END, _ACCEPT = range(5)
 # log of many such values misses often, and the bound caps that waste. The
 # patterns of the benchmark's workloads cache at most 64 transitions.
 _DFA_CACHE_LIMIT = 1_000
-_ACCEPTING = -1  # the DFA state of every set that holds the accept state
+# A lazy-DFA state: its transitions at an inner event and at the last event
+# (one dict when the pattern has no END), and the NFA states it stands for.
+_DfaState = tuple[dict, dict, frozenset[int]]
+_ACCEPTING: _DfaState = ({}, {}, frozenset())  # the step into any set that holds the accept state
 
 
 class _Nfa:
@@ -257,6 +261,13 @@ class _Nfa:
     assertions at position 0 / position n. Every fragment consumes at least
     one event, so no cycle of epsilon moves exists. The empty segment is
     left to the caller: a root star holds through it.
+
+    ``_step`` is the one place that runs leaf tests. Listing calls it once
+    per event; selection calls it to build each transition of a lazy DFA
+    whose states are the sets of NFA states active before an event, run
+    entries included, each interned in ``dfa_states`` with its own
+    transitions. START lives in the first event's state, built from
+    ``entry_first``; END gives each state a second table for the last event.
     """
 
     def __init__(
@@ -267,30 +278,22 @@ class _Nfa:
         self.out: list[list[int]] = []
         self.accept = self._add(_ACCEPT, None)
         entry = self._build(formula, self.accept, leaf)
-        # Epsilon closures, resolved once per position class: the first
-        # position passes START assertions, the last passes END assertions.
-        # Without such assertions, the first or last position is like any other.
-        consuming = [s for s, kind in enumerate(self.kind) if kind == _CONSUME]
+        # Epsilon closures: a run enters at the first position through START
+        # assertions, and follow[last] leaves a state through END assertions
+        # at the last position.
+        self.entry_first = self._closure(entry, at_start=True, at_end=False)
         self.entry_later = self._closure(entry, at_start=False, at_end=False)
-        self.entry_first = self._closure(entry, True, False) if _AT_START in self.kind else self.entry_later
-        self.follow_inner = {s: self._closure(self.out[s][0], False, False) for s in consuming}
-        self.follow_last = self.follow_inner
-        if _AT_END in self.kind:
-            self.follow_last = {s: self._closure(self.out[s][0], False, True) for s in consuming}
-        # The lazy DFA of accepts_some_segment. A DFA state is a set of
-        # active states, interned to its index in dfa_sets (0: the empty set).
-        # A position's class has bit 1 at the first position of a pattern
-        # with START and bit 2 at the last of one with END, so without them
-        # every position is of class 0. dfa_edges[class][state] maps an
-        # event's class, event_class(event.attrs), to the next state or to
-        # _ACCEPTING.
+        self.follow = tuple(
+            {s: self._closure(self.out[s][0], False, at_end) for s, kind in enumerate(self.kind) if kind == _CONSUME}
+            for at_end in (False, True)
+        )
+        # The lazy DFA of accepts_some_segment: a state's tables map an
+        # event's class, event_class(event.attrs), to the next state.
         self.event_class = event_class
-        self.start_bit = 1 if _AT_START in self.kind else 0
-        self.end_bit = 2 if _AT_END in self.kind else 0
-        self.dfa_sets: list[frozenset[int]] = [frozenset()]
-        self.dfa_ids: dict[frozenset[int], int] = {frozenset(): 0}
-        self.dfa_edges: list[list[dict[Hashable, int]]] = [[{}] for _ in range(4)]
+        self.has_end = _AT_END in self.kind
+        self.dfa_states: dict[frozenset[int], _DfaState] = {}
         self.dfa_cached = 0
+        self.dfa_first = self._dfa_state(self.entry_first)
 
     def _add(self, kind: int, leaf: LeafTest | None, *out: int) -> int:
         self.kind.append(kind)
@@ -337,65 +340,57 @@ class _Nfa:
                 stack.extend(self.out[s])
         return frozenset(s for s in reached if self.kind[s] in (_CONSUME, _ACCEPT))
 
+    def _step(self, active: dict[int, int], event: Event, last: bool) -> dict[int, int]:
+        """One NFA step on event, at the last position when last is set:
+        each active state that passes its leaf test moves on and carries the
+        start positions of its runs, a bitmask, to the states it reaches.
+        Return those states, the accept state among them."""
+        leaf, follow = self.leaf, self.follow[last]
+        reached: dict[int, int] = {}
+        for s, starts in active.items():
+            test = leaf[s]
+            if test is None or test(event):
+                for t in follow[s]:
+                    reached[t] = reached.get(t, 0) | starts
+        return reached
+
+    def _dfa_state(self, states: frozenset[int]) -> _DfaState:
+        state = self.dfa_states.get(states)
+        if state is None:
+            edges: dict = {}
+            state = self.dfa_states[states] = (edges, {} if self.has_end else edges, states)
+        return state
+
     def accepts_some_segment(self, events: tuple[Event, ...]) -> bool:
         """One pass over a DFA built on demand, as in Thompson (1968) and
         RE2: events of one class pass the same leaf tests, so the step from
-        a set of active states depends only on the event's class and the
-        position's class, and is computed once and cached. The first accept
-        ends the scan. Once _DFA_CACHE_LIMIT transitions are cached, a
-        missing one ends the DFA scan, and plain NFA steps finish the case."""
+        a set of active states depends only on the event's class and on
+        whether the event is the last, and is computed once and cached. The
+        first accept ends the scan. Once _DFA_CACHE_LIMIT transitions are
+        cached, a missing one ends the DFA scan, and plain NFA steps finish
+        the case."""
         last = len(events) - 1
-        start_bit, end_bit, edges, event_class = self.start_bit, self.end_bit, self.dfa_edges, self.event_class
-        state = 0
+        accept, entry, event_class = self.accept, self.entry_later, self.event_class
+        state = self.dfa_first
         for i, event in enumerate(events):
-            cls = (start_bit if i == 0 else 0) | (end_bit if i == last else 0)
             key = event_class(event.attrs)
-            nxt = edges[cls][state].get(key)
+            table = state[i == last]
+            nxt = table.get(key)
             if nxt is None:
-                if self.dfa_cached >= _DFA_CACHE_LIMIT:
-                    return self._run(self.dfa_sets[state], events, i, len(events)) is None
-                nxt = self._transition(state, cls, events, i, key)
-            if nxt == _ACCEPTING:
+                active = self._step(dict.fromkeys(state[2], 1), event, i == last)
+                if self.dfa_cached >= _DFA_CACHE_LIMIT:  # the cache is full: finish with NFA steps
+                    for j in range(i + 1, last + 1):
+                        if accept in active:
+                            break
+                        active.update(dict.fromkeys(entry, 1))
+                        active = self._step(active, events[j], j == last)
+                    return accept in active
+                nxt = table[key] = _ACCEPTING if accept in active else self._dfa_state(entry.union(active))
+                self.dfa_cached += 1
+            if nxt is _ACCEPTING:
                 return True
             state = nxt
         return False
-
-    def _transition(self, state: int, cls: int, events: tuple[Event, ...], i: int, key: Hashable) -> int:
-        """Compute, cache under the event's class key and return the DFA
-        step from state on events[i], at a position of class cls."""
-        reached = self._run(self.dfa_sets[state], events, i, i + 1)
-        if reached is None:
-            nxt = _ACCEPTING
-        else:
-            frozen = frozenset(reached)
-            nxt = self.dfa_ids.get(frozen)
-            if nxt is None:
-                nxt = self.dfa_ids[frozen] = len(self.dfa_sets)
-                self.dfa_sets.append(frozen)
-                for table in self.dfa_edges:
-                    table.append({})
-        self.dfa_edges[cls][state][key] = nxt
-        self.dfa_cached += 1
-        return nxt
-
-    def _run(self, active: AbstractSet[int], events: tuple[Event, ...], i: int, stop: int) -> AbstractSet[int] | None:
-        """Plain NFA steps over events[i:stop], from the states active before
-        events[i]: a new run enters before each event, and each active state
-        that passes its leaf test moves on. Return the states active after
-        events[stop - 1], or None at the first accept."""
-        accept, leaf = self.accept, self.leaf
-        last = len(events) - 1
-        for j, event in enumerate(events[i:stop], i):
-            current = active | (self.entry_later if j else self.entry_first)
-            follow = self.follow_last if j == last else self.follow_inner
-            active = set()
-            for s in current:
-                test = leaf[s]
-                if test is None or test(event):
-                    active |= follow[s]
-            if accept in active:
-                return None
-        return active
 
     def spans(self, events: tuple[Event, ...]) -> Iterator[tuple[int, int]]:
         """Yield (j, starts) once for every end position j at which some
@@ -403,23 +398,15 @@ class _Nfa:
         segment from events[i] to events[j] satisfies the formula. One pass:
         every active state carries the start positions of the runs inside
         it, as a bitmask, and tests its leaf once per event."""
-        accept, leaf = self.accept, self.leaf
         last = len(events) - 1
         active: dict[int, int] = {}
         for j, event in enumerate(events):
             for s in self.entry_later if j else self.entry_first:
                 active[s] = active.get(s, 0) | (1 << j)
-            follow = self.follow_last if j == last else self.follow_inner
-            reached: dict[int, int] = {}
-            for s, starts in active.items():
-                test = leaf[s]
-                if test is None or test(event):
-                    for t in follow[s]:
-                        reached[t] = reached.get(t, 0) | starts
-            starts = reached.pop(accept, 0)
+            active = self._step(active, event, j == last)
+            starts = active.pop(self.accept, 0)
             if starts:
                 yield j, starts
-            active = reached
 
 
 def case_satisfies(pattern: CompiledPattern, es: EventSet) -> bool:

@@ -331,6 +331,10 @@ def test_check_random_rejects_a_query_or_log(capsys, tmp_path, quotes_csv_path):
         ["--file", str(qfile)],
         ["--log", quotes_csv_path],
         ["SELECT cid FROM eventlog", "--log", quotes_csv_path],
+        ["--eid-col", "eid"],
+        ["--cid-col", "cid"],
+        ["--ts-col", "nope"],
+        ["--strict-grammar"],
     ):
         code, out, err = run(capsys, "check", *given, "--random", "3")
         assert (code, out) == (1, ""), given

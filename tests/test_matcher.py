@@ -474,7 +474,7 @@ def _read_values_cases():
 
 _SIMPLE_DFA_CONDITIONS = [
     *[(SimpleMatch("event_name", parse_pattern(text)), leaves, 1) for text, leaves in _ONE_PASS_PATTERNS],
-    (SimpleMatch("event_name", parse_pattern("START (ANY) ~> 'c' END")), 1, 4),
+    (SimpleMatch("event_name", parse_pattern("START (ANY) ~> 'c' END")), 1, 2),
 ]
 _BEHAVIOUR_DFA_CONDITION = (
     BehaviourMatch(
@@ -497,12 +497,13 @@ _BEHAVIOUR_DFA_CONDITION = (
 )
 def test_case_satisfies_tests_leaves_per_dfa_transition(condition, leaves, classes, make_cases):
     # Selection runs leaf tests only while it builds a DFA transition, one per
-    # (state, event class, position class), so their number is bounded by
-    # the DFA's size, not by the case's 2,000 events. An event's class is
-    # the value a literal names, or None, so the pattern fixes the number of
-    # classes whatever the log's values; in a BEHAVIOUR match it is the
-    # values of the columns the behaviours read, so a column they do not
-    # read does not raise it.
+    # (state, event class, table), so their number is bounded by the DFA's
+    # size, not by the case's 2,000 events. An event's class is the value a
+    # literal names, or None, so the pattern fixes the number of classes
+    # whatever the log's values; in a BEHAVIOUR match it is the values of
+    # the columns the behaviours read, so a column they do not read does not
+    # raise it. A state has one table, or two (inner and last event) when
+    # the pattern has END.
     cases = make_cases()
     pattern = compile_pattern(condition, tuple(name for name, _ in cases[0][0].events[0].attrs))
     calls = _count_leaf_tests(pattern)
@@ -512,7 +513,9 @@ def test_case_satisfies_tests_leaves_per_dfa_transition(condition, leaves, class
     event_classes = {nfa.event_class(event.attrs) for es, _ in cases for event in es.events}
     assert len(event_classes) <= 4
     assert calls[0] <= 40
-    assert nfa.dfa_cached <= len(nfa.dfa_sets) * len(event_classes) * classes
+    assert nfa.dfa_cached <= len(nfa.dfa_states) * len(event_classes) * classes
+    # classes counts the tables: without END, the last event's is the inner one.
+    assert all(len({id(edges), id(last_edges)}) == classes for edges, last_edges, _ in nfa.dfa_states.values())
     assert calls[0] <= nfa.dfa_cached * leaves
 
 
@@ -520,27 +523,39 @@ def test_dfa_cache_limit_keeps_the_answers(monkeypatch):
     # Past the cache limit, selection finishes a case with plain NFA steps;
     # at a limit of 0, 1 or 2 transitions most cases get there, on every
     # shape of the corpus (START / END, nested stars, behaviours, nulls).
+    # Besides the first event's state, a DFA state is made only with a cached
+    # transition into it, so the limit bounds the states too.
     def corpus():
         return _nfa_corpus(random.Random(29), 1200, 1, 30)
 
-    expected = [case_satisfies(p, es) for p, es in corpus()]
+    def states_bounded(pairs):
+        return all(len(p.nfa.dfa_states) <= p.nfa.dfa_cached + 1 for p, _ in pairs)
+
+    pairs = corpus()
+    expected = [case_satisfies(p, es) for p, es in pairs]
     assert 0 < sum(expected) < len(expected)
-    finished = [0]
-    nfa_run = matcher._Nfa._run
+    assert states_bounded(pairs)
+    past_limit = [False]
+    nfa_step = matcher._Nfa._step
 
-    def counted_run(self, *args):
-        # With the cache full, plain NFA steps run only to finish a case.
-        finished[0] += self.dfa_cached >= matcher._DFA_CACHE_LIMIT
-        return nfa_run(self, *args)
+    def noted_step(self, *args):
+        # With the cache full, NFA steps run only to finish a case.
+        past_limit[0] |= self.dfa_cached >= matcher._DFA_CACHE_LIMIT
+        return nfa_step(self, *args)
 
-    monkeypatch.setattr(matcher._Nfa, "_run", counted_run)
+    monkeypatch.setattr(matcher._Nfa, "_step", noted_step)
     for limit in (0, 1, 2):
         monkeypatch.setattr(matcher, "_DFA_CACHE_LIMIT", limit)
-        finished[0] = 0
         pairs = corpus()
-        assert [case_satisfies(p, es) for p, es in pairs] == expected
+        answers, finished = [], 0
+        for p, es in pairs:
+            past_limit[0] = False
+            answers.append(case_satisfies(p, es))
+            finished += past_limit[0]
+        assert answers == expected
         assert all(p.nfa.dfa_cached <= limit for p, _ in pairs)
-        assert finished[0] > len(pairs) // 2
+        assert finished > len(pairs) // 2
+        assert states_bounded(pairs)
 
 
 @pytest.mark.parametrize("text, leaves", _ONE_PASS_PATTERNS)
