@@ -6,22 +6,26 @@ comparison of the two back ends), gen (random example log as CSV).
 
 Exit codes: 0 success, 1 syntax or binding or data error, 2 I/O error or
 bad usage (argparse), 3 back-end or oracle mismatch.
+
+Only translate and check load the Datalog back end, and only gen and
+check --random load the generators: query and match start without them.
 """
 
 from __future__ import annotations
 
 import argparse
-import random
 import sys
+from typing import TYPE_CHECKING
 
 from .ast import Query, SimpleMatch
-from .datalog import cross_check, facts_from_log, facts_to_text, program_to_text, translate_query
 from .engine import compile_plan, execute, explain
 from .errors import MalformedCsv, SccError
-from .eventlog import event_sets, load_event_log, merge_cases, serialize_event_log
-from .gen import display_log, random_pair
+from .eventlog import EventLog, event_sets, load_event_log, merge_cases, serialize_event_log
 from .matcher import compile_pattern, oracle_satisfying_segments, satisfying_segments
 from .parser import parse_pattern, parse_query, pretty_print
+
+if TYPE_CHECKING:
+    from .datalog import CheckReport
 
 
 def _add_query_arguments(sub: argparse.ArgumentParser) -> None:
@@ -122,6 +126,8 @@ def cmd_match(args: argparse.Namespace) -> int:
 
 
 def cmd_translate(args: argparse.Namespace) -> int:
+    from .datalog import facts_from_log, facts_to_text, program_to_text, translate_query
+
     log = _load(args)
     program = translate_query(_query(args), log.schema)
     print(program_to_text(program))
@@ -131,12 +137,25 @@ def cmd_translate(args: argparse.Namespace) -> int:
     return 0
 
 
+def cross_check(query: Query, log: EventLog) -> CheckReport:
+    """sccq.datalog.cross_check, loaded at the first call. cmd_check looks
+    this name up at each call, so a caller may replace it to see every
+    report."""
+    from .datalog import cross_check
+
+    return cross_check(query, log)
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     if args.random is not None:
         query_and_log = (args.query, args.file, args.log, args.eid_col, args.cid_col, args.ts_col)
         if args.strict_grammar or any(value is not None for value in query_and_log):
             raise SccError("check takes a query and --log, or --random N, not both")
-        rng = random.Random(args.seed)
+        import random
+
+        from .gen import random_pair
+
+        rng = random.Random(0 if args.seed is None else args.seed)
         failures = 0
         for i in range(args.random):
             query, log = random_pair(rng)
@@ -146,6 +165,8 @@ def cmd_check(args: argparse.Namespace) -> int:
                 failures += 1
         print(f"{args.random - failures}/{args.random} checks equal")
         return 3 if failures else 0
+    if args.seed is not None:
+        raise SccError("check takes --seed only with --random N")
     if (args.query is None and args.file is None) or args.log is None:
         raise SccError("check needs a query and --log, or --random N")
     log = _load(args)
@@ -161,6 +182,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    import random
+
+    from .gen import display_log
+
     rng = random.Random(args.seed)
     log = display_log(rng, cases=args.cases, max_events=args.events, extra_attrs=args.attrs)
     _emit(serialize_event_log(log))
@@ -215,7 +240,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_log_arguments(c, required=False)
     c.add_argument("--random", type=_count, metavar="N",
                    help="check N generated (query, log) pairs instead of a query and --log")
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=int, help="with --random: seed of the generated pairs (default 0)")
     c.set_defaults(func=cmd_check)
 
     g = sub.add_parser("gen", help="print a random example log as CSV")

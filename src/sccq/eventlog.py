@@ -31,7 +31,6 @@ import csv
 import io
 from collections.abc import Container
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from functools import cached_property
 from itertools import groupby
 from operator import attrgetter, itemgetter
@@ -67,6 +66,9 @@ def parse_timestamp(text: str) -> int:
 
 
 def _iso_millis(raw: str) -> int:
+    # Imported here: a log of integer timestamps never loads datetime.
+    from datetime import datetime, timezone
+
     iso = raw[:-1] + "+00:00" if raw.endswith(("Z", "z")) else raw
     try:
         moment = datetime.fromisoformat(iso)

@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -344,6 +348,68 @@ def test_check_random_rejects_a_query_or_log(capsys, tmp_path, quotes_csv_path):
 def test_check_needs_arguments(capsys):
     code, _, err = run(capsys, "check")
     assert code == 1 and "query" in err
+
+
+def test_check_seed_needs_random(capsys, quotes_csv_path):
+    for given in (["SELECT cid FROM eventlog", "--log", quotes_csv_path], []):
+        code, out, err = run(capsys, "check", *given, "--seed", "7")
+        assert (code, out) == (1, ""), given
+        assert err == "error: check takes --seed only with --random N\n", given
+    # Without --seed, --random draws its pairs from seed 0.
+    assert run(capsys, "check", "--random", "3") == run(capsys, "check", "--random", "3", "--seed", "0")
+
+
+def test_check_calls_cross_check_by_name(capsys, monkeypatch, quotes_csv_path):
+    # The benchmark replaces cli.cross_check to keep each report, so cmd_check
+    # must look the name up at each call rather than bind the back end's.
+    by_log = ("check", "SELECT cid FROM eventlog", "--log", quotes_csv_path)
+    by_seed = ("check", "--random", "2", "--seed", "1")
+    expected = [run(capsys, *by_log), run(capsys, *by_seed)]
+    reports = []
+    original = cli.cross_check
+
+    def recorded(query, log):
+        reports.append(original(query, log))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "cross_check", recorded)
+    assert run(capsys, *by_log) == expected[0]
+    assert len(reports) == 1 and reports[0].summary() == expected[0][1].strip()
+    assert run(capsys, *by_seed) == expected[1]
+    assert len(reports) == 3
+
+
+_LOADED_AFTER_EACH_STEP = """
+import json, sys
+from sccq.cli import main
+
+log, iso_log = sys.argv[1:]
+lazy = ("sccq.datalog", "sccq.gen", "datetime")
+steps = []
+for argv in (
+    ["query", "SELECT cid FROM eventlog WHERE event_name MATCHES ('e1' ~> 'e2')", "--log", log],
+    ["match", "'e1' ~> 'e2'", "--log", log],
+    ["query", "SELECT cid FROM eventlog", "--log", iso_log],
+    ["translate", "SELECT cid FROM eventlog", "--log", log],
+):
+    assert main(argv) == 0, argv
+    steps.append([name for name in lazy if name in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def test_query_and_match_load_no_datalog_generators_or_datetime(tmp_path, four_csv_path):
+    iso_log = tmp_path / "iso.csv"
+    iso_log.write_text("eid,cid,ts,event_name\ne1,c1,2023-01-30T12:00:00Z,e1\n", encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER_EACH_STEP, four_csv_path, str(iso_log)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout.splitlines()[-1])
+    assert steps == [[], [], ["datetime"], ["sccq.datalog", "datetime"]]
 
 
 def _option_help(capsys, command):
