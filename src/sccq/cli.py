@@ -104,7 +104,9 @@ def cmd_match(args: argparse.Namespace) -> int:
     if args.merge_cases:
         log = merge_cases(log)
     pattern = parse_pattern(args.pattern)
-    attribute = args.attribute or (log.schema[0] if log.schema else "")
+    if not (args.attribute or log.schema):
+        raise SccError(f"{args.log} has no attribute column for the pattern to read")
+    attribute = args.attribute or log.schema[0]
     compiled = compile_pattern(SimpleMatch(attribute, pattern), log.schema)
     sets = event_sets(log)
     if args.case is not None:
@@ -116,8 +118,8 @@ def cmd_match(args: argparse.Namespace) -> int:
         result = satisfying_segments(compiled, es)
         if args.oracle_bound is not None:
             oracle = oracle_satisfying_segments(compiled, es, bound=args.oracle_bound)
-            # Both list their pairs once each in (span, start) order, so they
-            # are equal exactly when they hold the same segments.
+            # Both hold the case's timestamps and their segments as sorted
+            # keys, so they are equal exactly when they hold the same segments.
             if oracle != result:
                 mismatches += 1
                 print(f"{es.cid}: ORACLE MISMATCH", file=sys.stderr)

@@ -23,8 +23,9 @@ Two evaluators derive the set:
   events that stops at the first accept, through a DFA whose transitions
   that step builds on demand, bounded in number; ``satisfying_segments``
   lists the segments (for ``sccq match``) in one pass of that step whose
-  runs carry their start positions, as timestamp pairs sorted once into
-  presentation order;
+  runs carry their start positions, as one integer key per segment,
+  sorted once into presentation order and printed from per-position
+  strings;
 * the brute-force oracle re-derives the set top-down by testing every
   candidate segment against the definition clauses, and checks the NFA on
   small cases. It re-derives even the identifier test, reading attributes
@@ -37,7 +38,7 @@ any length.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterator
+from collections.abc import Hashable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -205,23 +206,51 @@ def _attr_value(event: Event, name: str) -> str | None:
 
 @dataclass(frozen=True)
 class MatchResult:
-    """The satisfying segments of one pattern over one event set: the
-    nonempty ones as (start, end) timestamp pairs in presentation order,
-    by (span, start), and whether the empty segment is one of them."""
+    """The satisfying segments of one pattern over one case: the case's
+    timestamps ts, the nonempty segments as sorted integer keys, and whether
+    the empty segment is one of them.
 
-    pairs: tuple[tuple[int, int], ...]
+    With n = len(ts), the segment from ts[i] to ts[j] has the key
+    ((ts[j] - ts[i]) * n + i) * n + j. As i and j are below n, integer order
+    on keys is order by (span, i, j); ts ascends, so i orders as the start
+    does, and a span and a start fix the end. Sorted keys are thus the
+    presentation order, by (span, start). The pairs, segments and ordered()
+    views are built only when read; the listing itself decodes positions."""
+
+    timestamps: tuple[int, ...]
+    keys: tuple[int, ...]
     empty: bool = False
+
+    @classmethod
+    def of_pairs(
+        cls, timestamps: tuple[int, ...], pairs: Iterable[tuple[int, int]], empty: bool = False
+    ) -> MatchResult:
+        """The result holding the (start, end) timestamp pairs, in any order."""
+        n = len(timestamps)
+        position = {t: i for i, t in enumerate(timestamps)}
+        keys = sorted(((end - start) * n + position[start]) * n + position[end] for start, end in pairs)
+        return cls(timestamps, tuple(keys), empty)
 
     @property
     def satisfied(self) -> bool:
-        return self.empty or bool(self.pairs)
+        return self.empty or bool(self.keys)
 
     def text(self) -> str:
         """The ``sccq match`` listing: ``empty`` first when it satisfies,
-        then ``(start,end)`` per pair; ``none`` when nothing does."""
+        then ``(start,end)`` per segment; ``none`` when nothing does. Each
+        position's two halves are formatted once."""
+        ts, n = self.timestamps, len(self.timestamps)
+        left, right = [f"({t}," for t in ts], [f"{t})" for t in ts]
         items = ["empty"] if self.empty else []
-        items += [f"({start},{end})" for start, end in self.pairs]
+        items += [left[k // n % n] + right[k % n] for k in self.keys]
         return ", ".join(items) or "none"
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The nonempty segments as (start, end) timestamp pairs, in
+        presentation order."""
+        ts, n = self.timestamps, len(self.timestamps)
+        return tuple([(ts[k // n % n], ts[k % n]) for k in self.keys])
 
     def ordered(self) -> list[Segment]:
         """Segments by (span, start); the empty segment sorts first."""
@@ -422,18 +451,22 @@ def case_satisfies(pattern: CompiledPattern, es: EventSet) -> bool:
 def satisfying_segments(pattern: CompiledPattern, es: EventSet) -> MatchResult:
     """All segments of the case satisfying the pattern: the empty segment
     exactly for a root star, the others by one pass of the pattern's NFA,
-    sorted once by (span, start) and kept as timestamp pairs. spans yields
-    each end position once with a set of start positions, and a case's
-    timestamps are distinct, so no pair repeats. The case's events must
-    have the schema the pattern was compiled for."""
+    kept as MatchResult's integer keys and sorted once. The key of the
+    segment from ts[i] to ts[j] is ts[j]*n*n + j - (ts[i]*n - i)*n, so each
+    end position gives one base and each start one offset; sorting keys
+    orders by (span, start). spans yields each end position once with a set
+    of start positions, so no key repeats. The case's events must have the
+    schema the pattern was compiled for."""
     ts = es.timestamps
-    keys: list[tuple[int, int, int]] = []
+    n = len(ts)
+    shifted = [(t * n - i) * n for i, t in enumerate(ts)]
+    keys: list[int] = []
     for j, starts in pattern.nfa.spans(es.events):
-        end = ts[j]
-        # The binary digits of starts, lowest first, line up with ts.
-        keys += [(end - start, start, end) for start, bit in zip(ts, bin(starts)[:1:-1]) if bit == "1"]
+        base = ts[j] * n * n + j
+        # The binary digits of starts, lowest first, line up with shifted.
+        keys += [base - offset for offset, bit in zip(shifted, bin(starts)[:1:-1]) if bit == "1"]
     keys.sort()
-    return MatchResult(tuple([(start, end) for _, start, end in keys]), matches_empty(pattern.formula))
+    return MatchResult(ts, tuple(keys), matches_empty(pattern.formula))
 
 
 def pattern_select(pattern: CompiledPattern, log: EventLog) -> EventLog:
@@ -552,8 +585,5 @@ def oracle_satisfying_segments(
     if len(es) > bound:
         raise OracleBoundExceeded(f"event set has {len(es)} events, oracle bound is {bound}")
     oracle = _Oracle(pattern, es)
-    found = sorted(
-        (s for s in enumerate_segments(es) if oracle.satisfies(s, pattern.formula)), key=Segment.sort_key
-    )
-    pairs = tuple((s.start, s.end) for s in found)
-    return MatchResult(pairs, oracle.satisfies(EMPTY_SEGMENT, pattern.formula))  # type: ignore[arg-type]
+    pairs = [(s.start, s.end) for s in enumerate_segments(es) if oracle.satisfies(s, pattern.formula)]
+    return MatchResult.of_pairs(es.timestamps, pairs, oracle.satisfies(EMPTY_SEGMENT, pattern.formula))

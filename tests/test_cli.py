@@ -102,31 +102,40 @@ def test_match_listing_orders_by_timestamp_span(capsys, tmp_path):
 
 def test_match_listing_closed_form_on_a_long_case(capsys, tmp_path):
     # (ANY ~> ANY) ~> ANY holds on exactly the segments of three or more
-    # events: (n-1)(n-2)/2 of them, listed by (span, start).
+    # events: (n-1)(n-2)/2 of them, listed by (span, start). The second run
+    # puts the timestamps at epoch milliseconds, so the listing's keys are
+    # large integers.
     rng = random.Random(61)
-    ts = [0]
-    for _ in range(59):
-        ts.append(ts[-1] + rng.choice((1, 2, 7, 40, 300)))
-    log = tmp_path / "long.csv"
-    log.write_text("eid,cid,ts,a\n" + "".join(f"e{i},c,{t},x\n" for i, t in enumerate(ts)), encoding="utf-8")
-    n = len(ts)
-    keys = sorted((ts[j] - ts[i], ts[i], ts[j]) for i in range(n) for j in range(i + 2, n))
-    assert len(keys) == (n - 1) * (n - 2) // 2
-    code, out, _ = run(capsys, "match", "(ANY ~> ANY) ~> ANY", "--log", str(log))
-    assert code == 0
-    assert out == "c: " + ", ".join(f"({start},{end})" for _, start, end in keys) + "\n"
+    steps = [rng.choice((1, 2, 7, 40, 300)) for _ in range(59)]
+    for offset in (0, 1_675_000_000_000):
+        ts = [offset]
+        for step in steps:
+            ts.append(ts[-1] + step)
+        log = tmp_path / "long.csv"
+        log.write_text("eid,cid,ts,a\n" + "".join(f"e{i},c,{t},x\n" for i, t in enumerate(ts)), encoding="utf-8")
+        n = len(ts)
+        keys = sorted((ts[j] - ts[i], ts[i], ts[j]) for i in range(n) for j in range(i + 2, n))
+        assert len(keys) == (n - 1) * (n - 2) // 2
+        code, out, _ = run(capsys, "match", "(ANY ~> ANY) ~> ANY", "--log", str(log))
+        assert code == 0
+        assert out == "c: " + ", ".join(f"({start},{end})" for _, start, end in keys) + "\n"
 
 
 def test_match_listing_builds_no_segment_set(capsys, monkeypatch, four_csv_path):
+    # The listing prints from sorted keys: it builds neither a set of
+    # segments nor a (start, end) tuple per segment.
     def no_segments(self):
-        raise AssertionError("the listing built a segment set")
+        raise AssertionError("the listing built segments or pairs")
 
     monkeypatch.setattr(matcher.MatchResult, "segments", property(no_segments))
-    code, out, _ = run(capsys, "match", "('e2' ~> 'e4')*", "--log", four_csv_path)
-    assert code == 0 and out == "c1: empty, (20,90)\n"
-    # Checking against the oracle compares the two results as values.
-    code, out, err = run(capsys, "match", "('e2' ~> 'e4')*", "--log", four_csv_path, "--oracle-bound", "4")
-    assert (code, out, err) == (0, "c1: empty, (20,90)\n", "")
+    monkeypatch.setattr(matcher.MatchResult, "pairs", property(no_segments))
+    pairs = "c1: (10,20), (20,30), (10,30), (30,90), (20,90), (10,90)\n"
+    for pattern, listing in (("('e2' ~> 'e4')*", "c1: empty, (20,90)\n"), ("ANY ~> ANY", pairs)):
+        code, out, err = run(capsys, "match", pattern, "--log", four_csv_path)
+        assert (code, out, err) == (0, listing, "")
+        # Checking against the oracle compares the two results as values.
+        code, out, err = run(capsys, "match", pattern, "--log", four_csv_path, "--oracle-bound", "4")
+        assert (code, out, err) == (0, listing, "")
 
 
 def test_match_attribute_flag(capsys, quotes_csv_path):
@@ -138,6 +147,17 @@ def test_match_attribute_flag(capsys, quotes_csv_path):
         "0001: (1675160180724,1675220315296)",
         "0002: (1675213914098,1675282027657)",
     ]
+
+
+def test_match_log_without_attribute_column_exits_1(capsys, tmp_path):
+    log = tmp_path / "bare.csv"
+    log.write_text("eid,cid,ts\ne1,c1,10\n", encoding="utf-8")
+    code, out, err = run(capsys, "match", "ANY", "--log", str(log))
+    assert (code, out) == (1, "")
+    assert err == f"error: {log} has no attribute column for the pattern to read\n"
+    # A named attribute is still checked against the (empty) schema.
+    code, _, err = run(capsys, "match", "ANY", "--log", str(log), "--attribute", "a")
+    assert code == 1 and "attribute 'a' is not in the schema []" in err
 
 
 def test_match_merge_cases_evenness(capsys, quotes_csv_path):
@@ -159,9 +179,13 @@ def test_match_oracle_flag(capsys, monkeypatch, four_csv_path):
     assert code == 1 and "oracle bound" in err
     # An oracle that drops the longest segment disagrees with the listing.
     oracle = cli.oracle_satisfying_segments
+
+    def drop_last(result):
+        return matcher.MatchResult.of_pairs(result.timestamps, result.pairs[:-1], result.empty)
+
     monkeypatch.setattr(
         cli, "oracle_satisfying_segments",
-        lambda *args, **kwargs: matcher.MatchResult(oracle(*args, **kwargs).pairs[:-1]),
+        lambda *args, **kwargs: drop_last(oracle(*args, **kwargs)),
     )
     code, out, err = run(capsys, "match", "ANY ~> 'e4'", "--log", four_csv_path, "--oracle-bound", "4")
     assert (code, out, err) == (3, "c1: (30,90), (20,90), (10,90)\n", "c1: ORACLE MISMATCH\n")

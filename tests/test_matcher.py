@@ -308,6 +308,8 @@ def test_oracle_agrees_on_seeded_batch():
             oracle_satisfying_segments(pattern, es).segments
             == satisfying_segments(pattern, es).segments
         )
+        # cmd_match compares whole results.
+        assert oracle_satisfying_segments(pattern, es) == satisfying_segments(pattern, es)
 
 
 def test_match_result_interface(four_event_log):
@@ -399,6 +401,7 @@ def test_listing_holds_each_segment_once_in_presentation_order():
         keys = [(end - start, start) for start, end in result.pairs]
         assert keys == sorted(set(keys))
         assert result.ordered() == sorted(result.segments, key=Segment.sort_key)
+        assert result.text() == (", ".join(map(str, result.ordered())) or "none")
 
 
 def _count_leaf_tests(pattern):
