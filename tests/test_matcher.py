@@ -304,12 +304,9 @@ def test_oracle_agrees_on_seeded_batch():
             log.schema,
         )
         es = event_sets(log)[0]
-        assert (
-            oracle_satisfying_segments(pattern, es).segments
-            == satisfying_segments(pattern, es).segments
-        )
-        # cmd_match compares whole results.
-        assert oracle_satisfying_segments(pattern, es) == satisfying_segments(pattern, es)
+        oracle, listed = oracle_satisfying_segments(pattern, es), satisfying_segments(pattern, es)
+        assert oracle.segments == listed.segments
+        assert oracle == listed  # as cmd_match compares them
 
 
 def test_match_result_interface(four_event_log):
