@@ -4,13 +4,14 @@ The extensional database holds one ``event(C,E,T)`` fact per event, one
 ``attr_<name>(C,E,V)`` fact per attribute value, where a null value is the
 constant ``null``, and the one fact ``null(null)``. Per case it holds one
 ``next(C,T1,T2)`` fact per pair of consecutive events, and one
-``first(C,T)`` and one ``last(C,T)`` fact. Patterns translate to one
-intensional predicate per subformula, where a whole identifier expression
-is one subformula: NOT flips the polarity of its rules, and the sides of an
-OR derive its predicate themselves; only a negated OR gives each side a
-predicate, joined in one rule. A query adds one ``output`` rule, which
-joins the base body with the root atom of every pattern that is not a star
-(a star holds on every case).
+``first(C,T)`` and one ``last(C,T)`` fact. A pattern translates to one
+intensional predicate per subformula, a whole identifier expression being
+one, and set of endpoints that its reader reads: ``output`` reads the case
+alone, ``~>`` and ``->`` the end of their left operand and the start of
+their right one, and START and END add their endpoint. Equal subformulas
+share a predicate; only a star read at both ends recurses. A query adds one
+``output`` rule, which joins the base body with the root atom of every
+pattern that is not a star (a star holds on every case).
 
 Every negated atom is an EDB atom, so a translated program is semi-positive
 by construction: START and END join ``first`` and ``last``, a negated
@@ -32,7 +33,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import filterfalse
+from itertools import count, filterfalse
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
@@ -108,6 +109,7 @@ FactSet = dict[str, set[tuple[Const, ...]]]
 OUTPUT_PRED = "output"
 
 _C, _E, _T = Var("C"), Var("E"), Var("T")
+_BOTH = frozenset({"start", "end"})  # the endpoints of a segment
 
 NULL: Const = ("n", "")  # the value of every null attribute
 
@@ -163,10 +165,16 @@ def _attr_atom(attr: str, value: Term, negated: bool = False) -> Atom:
     return Atom(attribute_predicate(attr), (_C, _E, value), negated)
 
 
+def _ends(need: frozenset[str], start: Term, end: Term) -> tuple[Term, ...]:
+    """The arguments of an atom that reads the endpoints in `need`, then C."""
+    return (*(v for at, v in (("start", start), ("end", end)) if at in need), _C)
+
+
 class _Translation:
     """Shared state while translating one or more patterns."""
 
     pattern: CompiledPattern  # the pattern being translated, set by root
+    preds: dict[tuple[PatternFormula, frozenset[str]], str]  # its predicates, set by root
 
     def __init__(self) -> None:
         self.rules: list[Rule] = []
@@ -174,12 +182,7 @@ class _Translation:
         # can repeat each other, so a new rule is compared with those alone,
         # which for most heads are none: cheaper than hashing every rule.
         self.by_head: dict[str, list[Rule]] = {}
-        self.counter = 0
-
-    def fresh_pred(self) -> str:
-        name = f"p{self.counter}"
-        self.counter += 1
-        return name
+        self.names = map("p{}".format, count())  # fresh predicate names
 
     def emit(self, head: Atom, *body: BodyItem) -> None:
         """Add the rule, unless the same rule was emitted before."""
@@ -189,32 +192,33 @@ class _Translation:
             same_head.append(rule)
             self.rules.append(rule)
 
-    def root(self, pattern: CompiledPattern) -> str:
-        """Translate a pattern; returns its root predicate."""
+    def root(self, pattern: CompiledPattern, need: frozenset[str]) -> str:
+        """Translate a pattern read at the endpoints in `need`; returns its
+        root predicate. An identifier means another thing in another pattern."""
         self.pattern = pattern
-        return self.formula_pred(pattern.formula)
+        self.preds = {}
+        return self.formula_pred(pattern.formula, need)
 
     # -- identifier expressions -------------------------------------------
 
-    def identifier(self, expr: IdentifierExpr, pred: str, negated: bool = False) -> None:
-        """Emit the rules that derive pred(T,T,C) for the events that match
-        expr, or that fail it when `negated` is set. NOT flips the polarity
-        and the sides of a positive OR derive pred themselves, so neither
-        needs a predicate of its own."""
-        head, single = Atom(pred, (_T, _T, _C)), Atom("event", (_C, _E, _T))
+    def identifier(self, expr: IdentifierExpr, head: Atom, negated: bool = False) -> None:
+        """Emit the rules that derive `head`, over T and C, for the events that
+        match expr, or that fail it when `negated` is set. NOT flips the
+        polarity and the sides of a positive OR derive the head themselves,
+        so neither needs a predicate of its own."""
+        single = Atom("event", (_C, _E, _T))
         if isinstance(expr, NotExpr):
-            self.identifier(expr.inner, pred, not negated)
+            self.identifier(expr.inner, head, not negated)
         elif isinstance(expr, OrExpr) and not negated:
-            self.identifier(expr.left, pred)
-            self.identifier(expr.right, pred)
+            self.identifier(expr.left, head)
+            self.identifier(expr.right, head)
         elif isinstance(expr, OrExpr):
             # An event fails an OR where it fails both sides.
-            ts, te = Var("Ts"), Var("Te")
             sides = []
             for sub in (expr.left, expr.right):
-                sides.append(Atom(self.fresh_pred(), (ts, te, _C)))
-                self.identifier(sub, sides[-1].pred, negated=True)
-            self.emit(Atom(pred, (ts, te, _C)), *sides)
+                sides.append(Atom(next(self.names), (_T, _C)))
+                self.identifier(sub, sides[-1], negated=True)
+            self.emit(head, *sides)
         elif isinstance(expr, Literal):
             self.emit(head, single, _attr_atom(self.pattern.attribute or "", value_const(expr.value), negated))
         elif isinstance(expr, BehaviourRef) and not negated:
@@ -246,53 +250,59 @@ class _Translation:
 
     # -- pattern formulas ----------------------------------------------------
 
-    def formula_pred(self, node: PatternFormula) -> str:
+    def atom(self, node: PatternFormula, need: frozenset[str], start: Term, end: Term) -> Atom:
+        """The atom that reads node at the endpoints in `need`."""
+        return Atom(self.formula_pred(node, need), _ends(need, start, end))
+
+    def formula_pred(self, node: PatternFormula, need: frozenset[str]) -> str:
+        """The predicate of node's nonempty segments over the endpoints in
+        `need` ⊆ {start, end}, then the case: its reader reads no more. Equal
+        subformulas read at equal endpoints share one predicate."""
+        if isinstance(node, (Identifier, AnyEvent)) and len(need) == 1:
+            need = frozenset({"start"})  # a single event starts where it ends
+        if isinstance(node, Star) and need != _BOTH:
+            # Every nonempty star segment begins and ends with an inner one.
+            return self.formula_pred(node.inner, need)
+        if pred := self.preds.get((node, need)):
+            return pred
         ts, te, ts2, te2 = Var("Ts"), Var("Te"), Var("Ts2"), Var("Te2")
-        if isinstance(node, Identifier):
-            pred = self.fresh_pred()
-            self.identifier(node.expr, pred)
-            return pred
-        if isinstance(node, AnyEvent):
-            pred = self.fresh_pred()
-            self.emit(Atom(pred, (_T, _T, _C)), Atom("event", (_C, _E, _T)))
-            return pred
-        if isinstance(node, (Follows, DirectlyFollows)):
-            left = self.formula_pred(node.left)
-            right = self.formula_pred(node.right)
-            pred = self.fresh_pred()
-            first, second = Atom(left, (ts, te, _C)), Atom(right, (ts2, te2, _C))
+        if isinstance(node, Star):  # read at both ends: the one recursion left
+            inner = self.atom(node.inner, _BOTH, ts, te)
+            head = Atom(next(self.names), (ts, te, _C))
+            self.emit(head, inner)
+            self.emit(Atom(head.pred, (ts, te2, _C)), inner, Atom("next", (_C, te, ts2)), Atom(head.pred, (ts2, te2, _C)))
+        elif isinstance(node, (Follows, DirectlyFollows)):
+            first = self.atom(node.left, need & {"start"} | {"end"}, ts, te)
+            second = self.atom(node.right, need & {"end"} | {"start"}, ts2, te2)
+            head = Atom(next(self.names), _ends(need, ts, te2))
             if isinstance(node, DirectlyFollows):
                 # The successor atom sits between the operands, so the right
                 # operand is probed on a bound start and case.
-                self.emit(Atom(pred, (ts, te2, _C)), first, Atom("next", (_C, te, ts2)), second)
+                self.emit(head, first, Atom("next", (_C, te, ts2)), second)
             else:
-                self.emit(Atom(pred, (ts, te2, _C)), first, second, Cmp("<", te, ts2))
-            return pred
-        if isinstance(node, Star):
-            inner = self.formula_pred(node.inner)
-            pred = self.fresh_pred()
-            self.emit(Atom(pred, (ts, te, _C)), Atom(inner, (ts, te, _C)))
-            self.emit(
-                Atom(pred, (ts, te2, _C)),
-                Atom(inner, (ts, te, _C)),
-                Atom("next", (_C, te, ts2)),
-                Atom(pred, (ts2, te2, _C)),
-            )
-            return pred
-        if isinstance(node, (Start, End)):
-            inner = self.formula_pred(node.inner)
-            pred = self.fresh_pred()
-            anchor = Atom("first", (_C, ts)) if isinstance(node, Start) else Atom("last", (_C, te))
-            self.emit(Atom(pred, (ts, te, _C)), Atom(inner, (ts, te, _C)), anchor)
-            return pred
-        raise TypeError(f"not a pattern formula: {node!r}")
+                self.emit(head, first, second, Cmp("<", te, ts2))
+        elif isinstance(node, (Start, End)):
+            start = isinstance(node, Start)
+            inner = self.atom(node.inner, need | {"start" if start else "end"}, ts, te)
+            head = Atom(next(self.names), _ends(need, ts, te))
+            self.emit(head, inner, Atom("first", (_C, ts)) if start else Atom("last", (_C, te)))
+        elif isinstance(node, (Identifier, AnyEvent)):
+            head = Atom(next(self.names), _ends(need, _T, _T))
+            if isinstance(node, Identifier):
+                self.identifier(node.expr, head)
+            else:
+                self.emit(head, Atom("event", (_C, _E, _T)))
+        else:
+            raise TypeError(f"not a pattern formula: {node!r}")
+        self.preds[node, need] = head.pred
+        return head.pred
 
 
 def translate_pattern(pattern: CompiledPattern) -> list[Rule]:
-    """Rules for every subformula of the pattern; they negate EDB atoms only.
-    The head of the final rule is the pattern's root predicate."""
+    """Rules for the pattern read at both ends; they negate EDB atoms only.
+    The head of the final rule is the root predicate, over (Ts, Te, C)."""
     ctx = _Translation()
-    ctx.root(pattern)
+    ctx.root(pattern, _BOTH)
     return ctx.rules
 
 
@@ -316,15 +326,10 @@ def _const_term(ref: ColumnRef, value: str | int) -> Const:
     return value_const(str(value))
 
 
-def translate_query(query: Query, schema: tuple[str, ...]) -> DatalogProgram:
-    """Translate a whole query: the output rule, then the pattern rules."""
-    return _translate_plan(compile_plan(query, schema))
-
-
-def _translate_plan(plan: Plan) -> DatalogProgram:
-    """Translate a query already compiled for its schema."""
-    edb = edb_predicates(plan.schema)
-
+def translate_query(query: Query | Plan, schema: tuple[str, ...]) -> DatalogProgram:
+    """Translate a whole query, compiled for `schema` unless it is a compiled
+    plan already: the output rule, then the pattern rules."""
+    plan = query if isinstance(query, Plan) else compile_plan(query, schema)
     columns = [*plan.projection]
     for sel in plan.row_selections:
         columns += (sel.left, sel.right) if isinstance(sel, ColumnEquality) else (sel.column,)
@@ -344,16 +349,16 @@ def _translate_plan(plan: Plan) -> DatalogProgram:
 
     # A star pattern holds on every case through the empty segment, which no
     # derived tuple witnesses, so its atom could never narrow the output: it
-    # gets neither an atom nor rules.
+    # gets neither an atom nor rules. The output reads no endpoint of a root.
     ctx = _Translation()
     pattern_atoms = [
-        Atom(ctx.root(pattern), (Var(f"Ps{i}"), Var(f"Pe{i}"), _C))
-        for i, pattern in enumerate(plan.pattern_selections)
+        Atom(ctx.root(pattern, frozenset()), (_C,))
+        for pattern in plan.pattern_selections
         if not matches_empty(pattern.formula)
     ]
     head = Atom(OUTPUT_PRED, tuple(_column_term(ref, attr_vars) for ref in plan.projection))
     rules = [Rule(head, tuple([*base_body, *pattern_atoms])), *ctx.rules]
-    return DatalogProgram(tuple(rules), edb)
+    return DatalogProgram(tuple(rules), edb_predicates(plan.schema))
 
 
 # --- static audit (safety + semi-positive negation) ---------------------------
@@ -392,11 +397,6 @@ def audit_program(program: DatalogProgram) -> list[tuple[str, str]]:
                     ("stratification", f"negated predicate {item.pred!r} in rule for {head!r} is not EDB")
                 )
     return findings
-
-
-def _check_program(program: DatalogProgram) -> None:
-    for kind, message in audit_program(program):
-        raise UnsafeRule(message) if kind == "unsafe" else StratificationViolation(message)
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -640,7 +640,8 @@ def evaluate(program: DatalogProgram, facts: FactSet) -> FactSet:
     """Least fixpoint, one dependency component at a time, each by
     semi-naive iteration on its own new tuples. The input FactSet is not
     mutated; the result holds EDB and derived relations together."""
-    _check_program(program)
+    for kind, message in audit_program(program):
+        raise UnsafeRule(message) if kind == "unsafe" else StratificationViolation(message)
     rels: dict[str, set[tuple[Const, ...]]] = {p: set(ts) for p, ts in facts.items()}
     for rule in program.rules:
         rels.setdefault(rule.head.pred, set())
@@ -747,8 +748,7 @@ def cross_check(query: Query, log: EventLog) -> CheckReport:
     report data, not an error."""
     plan = compile_plan(query, log.schema)
     ra_rows = frozenset(execute(plan, log).rows)
-    program = _translate_plan(plan)
-    derived = evaluate(program, facts_from_log(log))
+    derived = evaluate(translate_query(plan, log.schema), facts_from_log(log))
     dl_rows = frozenset(tuple(_untag(v) for v in t) for t in derived.get(OUTPUT_PRED, set()))
     return CheckReport(
         equal=ra_rows == dl_rows,

@@ -232,7 +232,7 @@ def test_translate(capsys, quotes_csv_path):
         "--log", quotes_csv_path,
     )
     assert code == 0
-    assert out.splitlines()[0] == "output(C) :- event(C,E,T), p0(Ps0,Pe0,C)."
+    assert out.splitlines()[0] == "output(C) :- event(C,E,T), p0(C)."  # the output reads the case alone
     assert 'attr_event_name(C,E,"Send quote")' in out
     assert "facts" not in out
     code, out, _ = run(

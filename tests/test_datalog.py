@@ -39,8 +39,8 @@ from sccq.datalog import (
 )
 from sccq.engine import compile_plan, execute
 from sccq.errors import MalformedCsv, StratificationViolation, UnsafeRule
-from sccq.eventlog import Event, EventLog, event_sets, load_event_log
-from sccq.gen import DEFAULT_VALUES, random_event_log, random_pair, random_pattern, random_query
+from sccq.eventlog import Event, EventLog, event_sets, load_event_log, merge_cases
+from sccq.gen import DEFAULT_VALUES, display_log, random_event_log, random_pair, random_pattern, random_query
 from sccq.matcher import compile_pattern, oracle_satisfying_segments, satisfying_segments
 from sccq.parser import parse_pattern, parse_query, pretty_print, pretty_print_pattern
 
@@ -342,10 +342,11 @@ def test_translate_or_and_negation():
     root = demorgan[-1].head.pred
     body_preds = [b.pred for b in demorgan[-1].body if isinstance(b, Atom)]
     assert body_preds == [demorgan[0].head.pred, demorgan[1].head.pred]
+    # The sides hold one event each, so they need one timestamp column.
     assert [rule_to_text(r) for r in demorgan] == [
-        'p1(T,T,C) :- event(C,E,T), !attr_event_name(C,E,"a").',
-        'p2(T,T,C) :- event(C,E,T), !attr_event_name(C,E,"b").',
-        "p0(Ts,Te,C) :- p1(Ts,Te,C), p2(Ts,Te,C).",
+        'p1(T,C) :- event(C,E,T), !attr_event_name(C,E,"a").',
+        'p2(T,C) :- event(C,E,T), !attr_event_name(C,E,"b").',
+        "p0(T,T,C) :- p1(T,C), p2(T,C).",
     ]
 
     # NOT flips the polarity of the rules it contains, and the sides of an
@@ -365,9 +366,9 @@ def test_translate_negated_behaviour_ref_by_de_morgan(quotes_log):
     program = translate_query(query, quotes_log.schema)
     # one rule per failing conjunct; a = b fails where a differs from b or a is null
     assert program_to_text(program).splitlines()[1:] == [
-        'p0(T,T,C) :- event(C,E,T), !attr_status(C,E,"WIP").',
-        "p0(T,T,C) :- event(C,E,T), attr_event_name(C,E,V1), !attr_status(C,E,V1).",
-        "p0(T,T,C) :- event(C,E,T), attr_event_name(C,E,V1), null(V1).",
+        'p0(C) :- event(C,E,T), !attr_status(C,E,"WIP").',
+        "p0(C) :- event(C,E,T), attr_event_name(C,E,V1), !attr_status(C,E,V1).",
+        "p0(C) :- event(C,E,T), attr_event_name(C,E,V1), null(V1).",
     ]
     assert audit_program(program) == []
 
@@ -376,7 +377,7 @@ def test_translate_negated_behaviour_ref_by_de_morgan(quotes_log):
         quotes_log.schema,
     )
     assert rule_to_text(positive.rules[-1]) == (
-        "p0(T,T,C) :- event(C,E,T), attr_event_name(C,E,V0), attr_status(C,E,V0), !null(V0)."
+        "p0(C) :- event(C,E,T), attr_event_name(C,E,V0), attr_status(C,E,V0), !null(V0)."
     )
 
 
@@ -413,9 +414,10 @@ def test_translate_query_output_rules(quotes_log):
     # pattern atom joins on the case variable
     pattern_atom = [b for b in body if isinstance(b, Atom) and b.pred.startswith("p")][-1]
     assert pattern_atom.args[-1] == Var("C")
-    # the pattern rules close the program; ~> uses no helper
+    # the pattern rules close the program; ~> uses no helper, and reads its
+    # left operand at the end and its right one at the start
     assert [r.head.pred for r in program.rules] == [OUTPUT_PRED, "p0", "p1", "p2"]
-    assert rule_to_text(program.rules[-1]) == "p2(Ts,Te2,C) :- p0(Ts,Te,C), p1(Ts2,Te2,C), Te < Ts2."
+    assert rule_to_text(program.rules[-1]) == "p2(C) :- p0(Te,C), p1(Ts2,C), Te < Ts2."
 
 
 def test_translate_query_emits_only_used_helpers(quotes_log):
@@ -427,8 +429,8 @@ def test_translate_query_emits_only_used_helpers(quotes_log):
     assert text("SELECT cid FROM eventlog") == ["output(C) :- event(C,E,T)."]
     assert text("SELECT cid FROM eventlog WHERE event_name MATCHES (START (ANY) END)")[1:] == [
         "p0(T,T,C) :- event(C,E,T).",
-        "p1(Ts,Te,C) :- p0(Ts,Te,C), first(C,Ts).",
-        "p2(Ts,Te,C) :- p1(Ts,Te,C), last(C,Te).",
+        "p1(Te,C) :- p0(Ts,Te,C), first(C,Ts).",
+        "p2(C) :- p1(Te,C), last(C,Te).",
     ]
 
 
@@ -441,10 +443,10 @@ def test_translate_query_drops_star_patterns(quotes_log):
         "AND status MATCHES ('x' -> 'y') AND event_name MATCHES ('b'*)"
     )
     assert program_to_text(translate_query(mixed, quotes_log.schema)).splitlines() == [
-        "output(C) :- event(C,E,T), p2(Ps1,Pe1,C).",
-        'p0(T,T,C) :- event(C,E,T), attr_status(C,E,"x").',
-        'p1(T,T,C) :- event(C,E,T), attr_status(C,E,"y").',
-        "p2(Ts,Te2,C) :- p0(Ts,Te,C), next(C,Te,Ts2), p1(Ts2,Te2,C).",
+        "output(C) :- event(C,E,T), p2(C).",
+        'p0(T,C) :- event(C,E,T), attr_status(C,E,"x").',
+        'p1(T,C) :- event(C,E,T), attr_status(C,E,"y").',
+        "p2(C) :- p0(Te,C), next(C,Te,Ts2), p1(Ts2,C).",
     ]
 
 
@@ -604,8 +606,9 @@ def test_evaluate_start_and_end_relations(quotes_log):
     program = translate_query(query, quotes_log.schema)
     derived = evaluate(program, facts_from_log(quotes_log))
     sets = {("c", es.cid): es.timestamps for es in event_sets(quotes_log)}
-    # p1 is START (ANY): the first event of each case; p2 adds END
-    assert derived["p1"] == {(ts[0], ts[0], c) for c, ts in sets.items()}
+    # p1 is START (ANY) read at its end: the first event of each case; p2
+    # adds END and keeps the case alone
+    assert derived["p1"] == {(ts[0], c) for c, ts in sets.items()}
     # every case has more than one event, so no single event both starts
     # and ends its case
     assert derived["p2"] == derived[OUTPUT_PRED] == set()
@@ -829,15 +832,52 @@ def test_nested_identifier_corpus():
 
 
 def test_cross_check_long_case_corpus():
-    # The first 100 pairs of the seed: the next 200 agree as well, but two
-    # of them take seconds each in the join that `~>` makes over all pairs
-    # of its operands' segments.
+    # 300 pairs of cases of up to 150 events: `~>` joins one endpoint of each
+    # operand, so no pair needs all pairs of its operands' segments.
     mismatches = []
-    for i, (query, log) in enumerate(seeded(long_case_pair, 2026, 100)):
+    for i, (query, log) in enumerate(seeded(long_case_pair, 2026, 300)):
         report = cross_check(query, log)
         if not report.equal:
             mismatches.append(f"pair {i}: {report.summary()}  {pretty_print(query)}")
     assert mismatches == []
+
+
+def _recursive_rules(program):
+    """Rules whose body reads their own head predicate."""
+    return [r for r in program.rules if any(isinstance(b, Atom) and b.pred == r.head.pred for b in r.body)]
+
+
+def test_translation_cost_pins(monkeypatch):
+    # The output reads only the case of a pattern, and `~>` reads its left
+    # operand at the end and its right one at the start, so the nested query
+    # joins single timestamps: its bindings grow with n^2, not n^4.
+    bindings = [0]
+    real = datalog._join
+
+    def counted(rows, index, key):
+        for row in real(rows, index, key):
+            bindings[0] += 1
+            yield row
+
+    monkeypatch.setattr(datalog, "_join", counted)
+    log = merge_cases(display_log(random.Random(5), cases=12, max_events=12))
+    nested = parse_query("SELECT cid FROM eventlog WHERE event_name MATCHES ((ANY ~> ANY) ~> (ANY ~> ANY))")
+    growth = []
+    for n in (40, 80):
+        bindings[0] = 0
+        assert cross_check(nested, EventLog(log.schema, log.events[:n])).equal
+        growth.append(bindings[0])
+    assert growth[1] < 8 * growth[0], growth
+    # Equal subformulas read at equal endpoints share one predicate.
+    assert len(translate_query(nested, log.schema).rules) <= 6
+
+    # A star read at one end is its inner predicate; read at both, it recurses.
+    def recursive(pattern):
+        query = parse_query(f"SELECT cid FROM eventlog WHERE event_name MATCHES ({pattern})")
+        return _recursive_rules(translate_query(query, log.schema))
+
+    assert recursive("('a' -> 'b')* -> 'c'") == []
+    assert len(recursive("START ((ANY -> ANY)*) END")) == 1
 
 
 def _copy_rules(program):
@@ -868,9 +908,7 @@ def test_translated_programs_have_no_copy_rules():
     for name, corpus in translation_corpora().items():
         for query, log in corpus:
             program = translate_query(query, log.schema)
-            recursive = {r.head.pred for r in program.rules if any(
-                isinstance(b, Atom) and b.pred == r.head.pred for b in r.body
-            )}
+            recursive = {r.head.pred for r in _recursive_rules(program)}
             copies = _copy_rules(program)
             assert [rule_to_text(r) for r in copies if r.head.pred not in recursive] == [], (
                 f"{name}: {pretty_print(query)}"
@@ -902,8 +940,8 @@ def test_serialization_formats(quotes_log):
         quotes_log.schema,
     )
     assert program_to_text(program).splitlines() == [
-        "output(C) :- event(C,E,T), p0(Ps0,Pe0,C).",
-        'p0(T,T,C) :- event(C,E,T), !attr_event_name(C,E,"a").',
+        "output(C) :- event(C,E,T), p0(C).",
+        'p0(C) :- event(C,E,T), !attr_event_name(C,E,"a").',
     ]
 
     log = EventLog(

@@ -25,6 +25,7 @@ def test_trace_hooks_see_every_layer(capsys, quotes_csv_path):
     finally:
         tracer.restore()
     capsys.readouterr()
-    for counter in ("event_sets_calls", "case_satisfies_calls", "edb_facts"):
+    for counter in ("event_sets_calls", "case_satisfies_calls", "edb_facts", "rules"):
         assert tracer.counts[counter] > 0, counter
-    assert {span[0] for span in tracer.spans} >= {"cli.main", "eventlog.load", "datalog.evaluate"}
+    spans = {span[0] for span in tracer.spans}
+    assert spans >= {"cli.main", "eventlog.load", "datalog.translate", "datalog.evaluate"}
