@@ -8,10 +8,11 @@ constant ``null``, and the one fact ``null(null)``. Per case it holds one
 intensional predicate per subformula, a whole identifier expression being
 one, and set of endpoints that its reader reads: ``output`` reads the case
 alone, ``~>`` and ``->`` the end of their left operand and the start of
-their right one, and START and END add their endpoint. Equal subformulas
-share a predicate; only a star read at both ends recurses. A query adds one
-``output`` rule, which joins the base body with the root atom of every
-pattern that is not a star (a star holds on every case).
+their right one, and START and END add their endpoint; a single event has
+one timestamp column for both. A predicate is its definition, so a query
+derives each relation once; only a star read at both ends recurses. A query
+adds one ``output`` rule, which joins the base body with each distinct root
+atom of the patterns that are not stars (a star holds on every case).
 
 Every negated atom is an EDB atom, so a translated program is semi-positive
 by construction: START and END join ``first`` and ``last``, a negated
@@ -109,6 +110,8 @@ FactSet = dict[str, set[tuple[Const, ...]]]
 OUTPUT_PRED = "output"
 
 _C, _E, _T = Var("C"), Var("E"), Var("T")
+_TS, _TE, _TS2, _TE2 = Var("Ts"), Var("Te"), Var("Ts2"), Var("Te2")  # segment endpoints
+_EVENT = Atom("event", (_C, _E, _T))  # one event of the log, at T
 _BOTH = frozenset({"start", "end"})  # the endpoints of a segment
 
 NULL: Const = ("n", "")  # the value of every null attribute
@@ -171,57 +174,54 @@ def _ends(need: frozenset[str], start: Term, end: Term) -> tuple[Term, ...]:
 
 
 class _Translation:
-    """Shared state while translating one or more patterns."""
+    """Shared state while translating the patterns of one query. A derived
+    predicate is its definition, its head arguments and its set of rule
+    bodies over fixed variable names, so a relation that two subformulas or
+    two patterns derive alike is one predicate."""
 
     pattern: CompiledPattern  # the pattern being translated, set by root
-    preds: dict[tuple[PatternFormula, frozenset[str]], str]  # its predicates, set by root
 
     def __init__(self) -> None:
         self.rules: list[Rule] = []
-        # The rules emitted so far per head predicate. Only rules of one head
-        # can repeat each other, so a new rule is compared with those alone,
-        # which for most heads are none: cheaper than hashing every rule.
-        self.by_head: dict[str, list[Rule]] = {}
+        self.defined: dict[object, str] = {}  # by definition; a star by its inner atom
         self.names = map("p{}".format, count())  # fresh predicate names
 
-    def emit(self, head: Atom, *body: BodyItem) -> None:
-        """Add the rule, unless the same rule was emitted before."""
-        rule = Rule(head, body)
-        same_head = self.by_head.setdefault(head.pred, [])
-        if rule not in same_head:
-            same_head.append(rule)
-            self.rules.append(rule)
+    def define(self, head: tuple[Term, ...], bodies: list[tuple[BodyItem, ...]]) -> str:
+        """The predicate with these head arguments and this set of rule
+        bodies: the one defined before, or a fresh one with a rule per body."""
+        key = (head, frozenset(bodies))
+        pred = self.defined.get(key)
+        if pred is None:
+            pred = self.defined[key] = next(self.names)
+            self.rules += (Rule(Atom(pred, head), body) for body in dict.fromkeys(bodies))
+        return pred
 
-    def root(self, pattern: CompiledPattern, need: frozenset[str]) -> str:
-        """Translate a pattern read at the endpoints in `need`; returns its
-        root predicate. An identifier means another thing in another pattern."""
+    def root(self, pattern: CompiledPattern, need: frozenset[str]) -> tuple[Atom, Term, Term]:
+        """Translate a pattern read at the endpoints in `need`, as `read`
+        does; its identifiers read its attribute and its behaviours."""
         self.pattern = pattern
-        self.preds = {}
-        return self.formula_pred(pattern.formula, need)
+        return self.read(pattern.formula, need, _TS, _TE)
 
     # -- identifier expressions -------------------------------------------
 
-    def identifier(self, expr: IdentifierExpr, head: Atom, negated: bool = False) -> None:
-        """Emit the rules that derive `head`, over T and C, for the events that
-        match expr, or that fail it when `negated` is set. NOT flips the
-        polarity and the sides of a positive OR derive the head themselves,
-        so neither needs a predicate of its own."""
-        single = Atom("event", (_C, _E, _T))
+    def identifier(self, expr: IdentifierExpr, negated: bool = False) -> list[tuple[BodyItem, ...]]:
+        """The rule bodies, over T and C, that hold for the events that match
+        expr, or that fail it when `negated` is set. NOT flips the polarity
+        and a positive OR joins the bodies of its sides, so neither needs a
+        predicate of its own."""
         if isinstance(expr, NotExpr):
-            self.identifier(expr.inner, head, not negated)
-        elif isinstance(expr, OrExpr) and not negated:
-            self.identifier(expr.left, head)
-            self.identifier(expr.right, head)
-        elif isinstance(expr, OrExpr):
-            # An event fails an OR where it fails both sides.
-            sides = []
-            for sub in (expr.left, expr.right):
-                sides.append(Atom(next(self.names), (_T, _C)))
-                self.identifier(sub, sides[-1], negated=True)
-            self.emit(head, *sides)
-        elif isinstance(expr, Literal):
-            self.emit(head, single, _attr_atom(self.pattern.attribute or "", value_const(expr.value), negated))
-        elif isinstance(expr, BehaviourRef) and not negated:
+            return self.identifier(expr.inner, not negated)
+        if isinstance(expr, OrExpr) and not negated:
+            return self.identifier(expr.left) + self.identifier(expr.right)
+        if isinstance(expr, OrExpr):
+            # An event fails an OR where it fails both sides, or the one side twice.
+            sides = [self.identifier(sub, negated=True) for sub in (expr.left, expr.right)]
+            if set(sides[0]) == set(sides[1]):
+                return sides[0]
+            return [tuple(Atom(self.define((_T, _C), side), (_T, _C)) for side in sides)]
+        if isinstance(expr, Literal):
+            return [(_EVENT, _attr_atom(self.pattern.attribute or "", value_const(expr.value), negated))]
+        if isinstance(expr, BehaviourRef) and not negated:
             atoms: list[Atom] = []
             for i, conj in enumerate(self.pattern.behaviour(expr.name).conjuncts):
                 if isinstance(conj, AttrEqConst):
@@ -233,77 +233,75 @@ class _Translation:
                         _attr_atom(conj.right, shared),
                         Atom("null", (shared,), negated=True),
                     ]
-            self.emit(head, single, *atoms)
-        elif isinstance(expr, BehaviourRef):
+            return [(_EVENT, *atoms)]
+        if isinstance(expr, BehaviourRef):
             # De Morgan: the behaviour fails where one of its conjuncts fails.
             # a = b fails where a differs from b or a is null.
+            bodies: list[tuple[BodyItem, ...]] = []
             for i, conj in enumerate(self.pattern.behaviour(expr.name).conjuncts):
                 if isinstance(conj, AttrEqConst):
-                    self.emit(head, single, _attr_atom(conj.attr, value_const(str(conj.value)), True))
+                    bodies.append((_EVENT, _attr_atom(conj.attr, value_const(str(conj.value)), True)))
                 else:
                     shared = Var(f"V{i}")
                     left = _attr_atom(conj.left, shared)
-                    self.emit(head, single, left, _attr_atom(conj.right, shared, True))
-                    self.emit(head, single, left, Atom("null", (shared,)))
-        else:
-            raise TypeError(f"not an identifier expression: {expr!r}")
+                    bodies.append((_EVENT, left, _attr_atom(conj.right, shared, True)))
+                    bodies.append((_EVENT, left, Atom("null", (shared,))))
+            return bodies
+        raise TypeError(f"not an identifier expression: {expr!r}")
 
     # -- pattern formulas ----------------------------------------------------
 
-    def atom(self, node: PatternFormula, need: frozenset[str], start: Term, end: Term) -> Atom:
-        """The atom that reads node at the endpoints in `need`."""
-        return Atom(self.formula_pred(node, need), _ends(need, start, end))
-
-    def formula_pred(self, node: PatternFormula, need: frozenset[str]) -> str:
-        """The predicate of node's nonempty segments over the endpoints in
-        `need` ⊆ {start, end}, then the case: its reader reads no more. Equal
-        subformulas read at equal endpoints share one predicate."""
-        if isinstance(node, (Identifier, AnyEvent)) and len(need) == 1:
-            need = frozenset({"start"})  # a single event starts where it ends
+    def read(self, node: PatternFormula, need: frozenset[str], start: Term, end: Term) -> tuple[Atom, Term, Term]:
+        """The atom that reads node's nonempty segments over `start` and
+        `end` at the endpoints in `need` ⊆ {start, end}, then the case, and
+        the terms that stand for their start and end: its reader reads no
+        more. A single event has one timestamp column, read as `start`."""
         if isinstance(node, Star) and need != _BOTH:
             # Every nonempty star segment begins and ends with an inner one.
-            return self.formula_pred(node.inner, need)
-        if pred := self.preds.get((node, need)):
-            return pred
-        ts, te, ts2, te2 = Var("Ts"), Var("Te"), Var("Ts2"), Var("Te2")
+            return self.read(node.inner, need, start, end)
+        ts, te, ts2, te2 = _TS, _TE, _TS2, _TE2
         if isinstance(node, Star):  # read at both ends: the one recursion left
-            inner = self.atom(node.inner, _BOTH, ts, te)
-            head = Atom(next(self.names), (ts, te, _C))
-            self.emit(head, inner)
-            self.emit(Atom(head.pred, (ts, te2, _C)), inner, Atom("next", (_C, te, ts2)), Atom(head.pred, (ts2, te2, _C)))
-        elif isinstance(node, (Follows, DirectlyFollows)):
-            first = self.atom(node.left, need & {"start"} | {"end"}, ts, te)
-            second = self.atom(node.right, need & {"end"} | {"start"}, ts2, te2)
-            head = Atom(next(self.names), _ends(need, ts, te2))
+            inner, ts, te = self.read(node.inner, _BOTH, ts, te)
+            pred = self.defined.get(inner)
+            if pred is None:  # it reads itself, so it is named before its rules
+                pred = self.defined[inner] = next(self.names)
+                self.rules += [
+                    Rule(Atom(pred, (ts, te, _C)), (inner,)),
+                    Rule(Atom(pred, (ts, te2, _C)), (inner, Atom("next", (_C, te, ts2)), Atom(pred, (ts2, te2, _C)))),
+                ]
+            return Atom(pred, (start, end, _C)), start, end
+        if isinstance(node, (Follows, DirectlyFollows)):
+            first, ts, te = self.read(node.left, need & {"start"} | {"end"}, ts, te)
+            second, ts2, te2 = self.read(node.right, need & {"end"} | {"start"}, ts2, te2)
+            # The successor atom sits between the operands, so the right
+            # operand is probed on a bound start and case.
             if isinstance(node, DirectlyFollows):
-                # The successor atom sits between the operands, so the right
-                # operand is probed on a bound start and case.
-                self.emit(head, first, Atom("next", (_C, te, ts2)), second)
+                bodies = [(first, Atom("next", (_C, te, ts2)), second)]
             else:
-                self.emit(head, first, second, Cmp("<", te, ts2))
+                bodies = [(first, second, Cmp("<", te, ts2))]
+            te = te2
         elif isinstance(node, (Start, End)):
-            start = isinstance(node, Start)
-            inner = self.atom(node.inner, need | {"start" if start else "end"}, ts, te)
-            head = Atom(next(self.names), _ends(need, ts, te))
-            self.emit(head, inner, Atom("first", (_C, ts)) if start else Atom("last", (_C, te)))
+            at = isinstance(node, Start)
+            inner, ts, te = self.read(node.inner, need | {"start" if at else "end"}, ts, te)
+            bodies = [(inner, Atom("first", (_C, ts)) if at else Atom("last", (_C, te)))]
         elif isinstance(node, (Identifier, AnyEvent)):
-            head = Atom(next(self.names), _ends(need, _T, _T))
-            if isinstance(node, Identifier):
-                self.identifier(node.expr, head)
-            else:
-                self.emit(head, Atom("event", (_C, _E, _T)))
+            ts = te = _T
+            bodies = self.identifier(node.expr) if isinstance(node, Identifier) else [(_EVENT,)]
         else:
             raise TypeError(f"not a pattern formula: {node!r}")
-        self.preds[node, need] = head.pred
-        return head.pred
+        if ts == te:  # a single event starts where it ends: one column
+            need, end = need and frozenset({"start"}), start
+        return Atom(self.define(_ends(need, ts, te), bodies), _ends(need, start, end)), start, end
 
 
 def translate_pattern(pattern: CompiledPattern) -> list[Rule]:
     """Rules for the pattern read at both ends; they negate EDB atoms only.
-    The head of the final rule is the root predicate, over (Ts, Te, C)."""
+    The head of the final rule is the root predicate, over (Ts, Te, C): the
+    root of a single event repeats its one timestamp."""
     ctx = _Translation()
-    ctx.root(pattern, _BOTH)
-    return ctx.rules
+    root, start, end = ctx.root(pattern, _BOTH)
+    pred = root.pred if start == end else None  # the root of a single event
+    return [Rule(Atom(pred, r.head.args[:1] + r.head.args), r.body) if r.head.pred == pred else r for r in ctx.rules]
 
 
 def _column_term(ref: ColumnRef, attr_vars: dict[str, Var]) -> Term:
@@ -336,7 +334,7 @@ def translate_query(query: Query | Plan, schema: tuple[str, ...]) -> DatalogProg
     referenced = list(dict.fromkeys(ref.name for ref in columns if ref.kind == "attr"))
     attr_vars = {name: Var(f"V{i}") for i, name in enumerate(referenced)}
 
-    base_body: list[BodyItem] = [Atom("event", (_C, _E, _T))]
+    base_body: list[BodyItem] = [_EVENT]
     base_body.extend(_attr_atom(name, attr_vars[name]) for name in referenced)
     for sel in plan.row_selections:
         if isinstance(sel, ConstEquality):
@@ -351,13 +349,11 @@ def translate_query(query: Query | Plan, schema: tuple[str, ...]) -> DatalogProg
     # derived tuple witnesses, so its atom could never narrow the output: it
     # gets neither an atom nor rules. The output reads no endpoint of a root.
     ctx = _Translation()
-    pattern_atoms = [
-        Atom(ctx.root(pattern, frozenset()), (_C,))
-        for pattern in plan.pattern_selections
-        if not matches_empty(pattern.formula)
-    ]
+    roots = dict.fromkeys(
+        ctx.root(pattern, frozenset())[0] for pattern in plan.pattern_selections if not matches_empty(pattern.formula)
+    )
     head = Atom(OUTPUT_PRED, tuple(_column_term(ref, attr_vars) for ref in plan.projection))
-    rules = [Rule(head, tuple([*base_body, *pattern_atoms])), *ctx.rules]
+    rules = [Rule(head, (*base_body, *roots)), *ctx.rules]
     return DatalogProgram(tuple(rules), edb_predicates(plan.schema))
 
 
@@ -728,11 +724,20 @@ def _untag(value: Const) -> str | int | None:
 class CheckReport:
     """Set-normalized comparison of the two back ends on one query."""
 
-    equal: bool
     ra_rows: frozenset[tuple]
     datalog_rows: frozenset[tuple]
-    ra_only: frozenset[tuple]
-    datalog_only: frozenset[tuple]
+
+    @property
+    def equal(self) -> bool:
+        return self.ra_rows == self.datalog_rows
+
+    @property
+    def ra_only(self) -> frozenset[tuple]:
+        return self.ra_rows - self.datalog_rows
+
+    @property
+    def datalog_only(self) -> frozenset[tuple]:
+        return self.datalog_rows - self.ra_rows
 
     def summary(self) -> str:
         if self.equal:
@@ -750,10 +755,4 @@ def cross_check(query: Query, log: EventLog) -> CheckReport:
     ra_rows = frozenset(execute(plan, log).rows)
     derived = evaluate(translate_query(plan, log.schema), facts_from_log(log))
     dl_rows = frozenset(tuple(_untag(v) for v in t) for t in derived.get(OUTPUT_PRED, set()))
-    return CheckReport(
-        equal=ra_rows == dl_rows,
-        ra_rows=ra_rows,
-        datalog_rows=dl_rows,
-        ra_only=frozenset(ra_rows - dl_rows),
-        datalog_only=frozenset(dl_rows - ra_rows),
-    )
+    return CheckReport(ra_rows, dl_rows)
