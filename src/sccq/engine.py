@@ -194,10 +194,12 @@ def execute(plan: Plan, log: EventLog, *, set_semantics: bool = False) -> Result
         return ResultTable(columns, ())
     events: Sequence[Event] = log.events  # already in (cid, ts) order
     if plan.pattern_selections:
-        events = log.restrict({
-            es.cid for es in event_sets(log)
+        # The surviving cases' events, in order, from the groups themselves.
+        events = [
+            e for es in event_sets(log)
             if all(case_satisfies(pattern, es) for pattern in plan.pattern_selections)
-        }).events
+            for e in es.events
+        ]
     for test in tests:
         events = list(filter(test, events))
     rows = list(zip(*[map(_reader(ref, log.schema), events) for ref in plan.projection]))

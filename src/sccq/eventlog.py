@@ -162,7 +162,8 @@ class EventLog:
 @dataclass(frozen=True)
 class EventSet:
     """All events of one case, ascending by timestamp: a run of an
-    EventLog's ordered events."""
+    EventLog's ordered events. The matcher names a segment by the positions
+    of its first and last events in ``events``."""
 
     cid: str
     events: tuple[Event, ...]
@@ -173,18 +174,6 @@ class EventSet:
     @cached_property
     def timestamps(self) -> tuple[int, ...]:
         return tuple(e.ts for e in self.events)
-
-    @cached_property
-    def _index(self) -> dict[int, int]:
-        return {ts: i for i, ts in enumerate(self.timestamps)}
-
-    def event_at(self, ts: int) -> Event:
-        return self.events[self._index[ts]]
-
-    def successor(self, ts: int) -> int | None:
-        """The next event timestamp strictly after ``ts``, or None."""
-        i = self._index[ts] + 1
-        return self.timestamps[i] if i < len(self.timestamps) else None
 
 
 class Segment(NamedTuple):
@@ -202,12 +191,6 @@ class Segment(NamedTuple):
     @property
     def is_empty(self) -> bool:
         return self.start is None
-
-    def sort_key(self) -> tuple[int, int]:
-        """(span, start) presentation order; the empty segment sorts first."""
-        if self.is_empty:
-            return (-1, -1)
-        return (self.end - self.start, self.start)  # type: ignore[operator]
 
     def __str__(self) -> str:
         if self.is_empty:
@@ -319,13 +302,6 @@ def cases(log: EventLog) -> frozenset[str]:
 def event_sets(log: EventLog) -> list[EventSet]:
     """All per-case event sets, ordered by case id."""
     return [EventSet(cid, tuple(run)) for cid, run in groupby(log.events, key=attrgetter("cid"))]
-
-
-def enumerate_segments(es: EventSet) -> list[Segment]:
-    """Every nonempty segment of the case: all timestamp pairs t_b <= t_e,
-    ascending by (start, end). Exactly n(n+1)/2 segments for n events."""
-    ts = es.timestamps
-    return [Segment.interval(ts[i], ts[j]) for i in range(len(ts)) for j in range(i, len(ts))]
 
 
 def merge_cases(log: EventLog) -> EventLog:

@@ -27,9 +27,11 @@ Two evaluators derive the set:
   sorted once into presentation order and printed from per-position
   strings;
 * the brute-force oracle re-derives the set top-down by testing every
-  candidate segment against the definition clauses, and checks the NFA on
-  small cases. It re-derives even the identifier test, reading attributes
-  by name, and shares only the AST and the segment types with the NFA.
+  candidate segment, named by the positions of its first and last events,
+  against the definition clauses, and checks the NFA on small cases. Its
+  recursion goes only as deep as the pattern nests, whatever the case's
+  length. It re-derives even the identifier test, reading attributes by
+  name, and shares only the AST and MatchResult with the NFA.
 
 The Datalog translation (``datalog.py``) is the second, independent
 reference: its root relation is the listing's nonempty part on cases of
@@ -65,15 +67,7 @@ from .ast import (
     matches_empty,
 )
 from .errors import OracleBoundExceeded, SccError, UnboundBehaviourName, UnknownAttribute
-from .eventlog import (
-    EMPTY_SEGMENT,
-    Event,
-    EventLog,
-    EventSet,
-    Segment,
-    enumerate_segments,
-    event_sets,
-)
+from .eventlog import EMPTY_SEGMENT, Event, EventLog, EventSet, Segment, event_sets
 
 DEFAULT_ORACLE_BOUND = 12
 LeafTest = Callable[[Event], bool]  # a compiled identifier: does one event match it?
@@ -222,13 +216,13 @@ class MatchResult:
     empty: bool = False
 
     @classmethod
-    def of_pairs(
-        cls, timestamps: tuple[int, ...], pairs: Iterable[tuple[int, int]], empty: bool = False
+    def of_positions(
+        cls, timestamps: tuple[int, ...], positions: Iterable[tuple[int, int]], empty: bool = False
     ) -> MatchResult:
-        """The result holding the (start, end) timestamp pairs, in any order."""
+        """The result holding the segments from timestamps[i] to
+        timestamps[j] for the (i, j) in positions, in any order."""
         n = len(timestamps)
-        position = {t: i for i, t in enumerate(timestamps)}
-        keys = sorted(((end - start) * n + position[start]) * n + position[end] for start, end in pairs)
+        keys = sorted(((timestamps[j] - timestamps[i]) * n + i) * n + j for i, j in positions)
         return cls(timestamps, tuple(keys), empty)
 
     @property
@@ -509,67 +503,55 @@ def _oracle_identifier(expr: IdentifierExpr, event: Event, pattern: CompiledPatt
 
 
 class _Oracle:
+    """The satisfaction clauses, top-down, over the segments of one case
+    named by positions: (i, j) runs from events[i] to events[j], and any
+    i > j is the empty segment."""
+
     def __init__(self, pattern: CompiledPattern, es: EventSet):
         self.pattern = pattern
-        self.es = es
-        self.memo: dict[tuple[PatternFormula, Segment], bool] = {}
+        self.events = es.events
+        self.last = len(es.events) - 1
+        # Keyed by the node's id: the formula outlives the oracle, and a
+        # frozen AST node would hash its whole subtree on every lookup.
+        self.memo: dict[tuple[int, int, int], bool] = {}
 
-    def span(self, seg: Segment) -> list[int]:
-        return [t for t in self.es.timestamps if seg.start <= t <= seg.end]  # type: ignore[operator]
-
-    def satisfies(self, seg: Segment, node: PatternFormula) -> bool:
-        key = (node, seg)
+    def satisfies(self, i: int, j: int, node: PatternFormula) -> bool:
+        key = (id(node), i, j)
         cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-        result = self._satisfies(seg, node)
-        self.memo[key] = result
-        return result
+        if cached is None:
+            cached = self.memo[key] = self._satisfies(i, j, node)
+        return cached
 
-    def _satisfies(self, seg: Segment, node: PatternFormula) -> bool:
-        if seg.is_empty:
+    def _satisfies(self, i: int, j: int, node: PatternFormula) -> bool:
+        if i > j:
             return isinstance(node, Star)
         if isinstance(node, Identifier):
-            return seg.start == seg.end and _oracle_identifier(
-                node.expr, self.es.event_at(seg.start), self.pattern  # type: ignore[arg-type]
-            )
+            return i == j and _oracle_identifier(node.expr, self.events[i], self.pattern)
         if isinstance(node, AnyEvent):
-            return seg.start == seg.end
+            return i == j
         if isinstance(node, Start):
-            return seg.start == self.es.timestamps[0] and self.satisfies(seg, node.inner)
+            return i == 0 and self.satisfies(i, j, node.inner)
         if isinstance(node, End):
-            return seg.end == self.es.timestamps[-1] and self.satisfies(seg, node.inner)
+            return j == self.last and self.satisfies(i, j, node.inner)
         if isinstance(node, Follows):
-            inside = self.span(seg)
-            for ta in inside:
-                if not self.satisfies(Segment.interval(seg.start, ta), node.left):  # type: ignore[arg-type]
-                    continue
-                for tb in inside:
-                    if tb > ta and self.satisfies(Segment.interval(tb, seg.end), node.right):  # type: ignore[arg-type]
-                        return True
-            return False
+            return any(
+                self.satisfies(i, a, node.left) and any(self.satisfies(b, j, node.right) for b in range(a + 1, j + 1))
+                for a in range(i, j)
+            )
         if isinstance(node, DirectlyFollows):
-            for ta in self.span(seg):
-                if ta == seg.end:
-                    continue
-                tb = self.es.successor(ta)
-                if tb is None or tb > seg.end:  # type: ignore[operator]
-                    continue
-                if self.satisfies(Segment.interval(seg.start, ta), node.left) and self.satisfies(  # type: ignore[arg-type]
-                    Segment.interval(tb, seg.end), node.right  # type: ignore[arg-type]
-                ):
-                    return True
-            return False
+            return any(self.satisfies(i, a, node.left) and self.satisfies(a + 1, j, node.right) for a in range(i, j))
         if isinstance(node, Star):
-            for ta in self.span(seg):
-                if not self.satisfies(Segment.interval(seg.start, ta), node.inner):  # type: ignore[arg-type]
-                    continue
-                if ta == seg.end:
-                    return True
-                rest = Segment.interval(self.es.successor(ta), seg.end)  # type: ignore[arg-type]
-                if self.satisfies(rest, node):
-                    return True
-            return False
+            # Settle the star on each shorter suffix (k, j), shortest first,
+            # so that reading (a + 1, j) below finds it in the memo: the
+            # recursion goes only as deep as the pattern, not the case. Once
+            # (i + 1, j) is settled, so is every shorter suffix.
+            if (id(node), i + 1, j) not in self.memo:
+                for k in range(j, i, -1):
+                    self.satisfies(k, j, node)
+            return any(
+                self.satisfies(i, a, node.inner) and (a == j or self.satisfies(a + 1, j, node))
+                for a in range(i, j + 1)
+            )
         raise TypeError(f"not a pattern formula: {node!r}")
 
 
@@ -584,6 +566,6 @@ def oracle_satisfying_segments(
     """
     if len(es) > bound:
         raise OracleBoundExceeded(f"event set has {len(es)} events, oracle bound is {bound}")
-    oracle = _Oracle(pattern, es)
-    pairs = [(s.start, s.end) for s in enumerate_segments(es) if oracle.satisfies(s, pattern.formula)]
-    return MatchResult.of_pairs(es.timestamps, pairs, oracle.satisfies(EMPTY_SEGMENT, pattern.formula))
+    oracle, formula, n = _Oracle(pattern, es), pattern.formula, len(es)
+    positions = [(i, j) for i in range(n) for j in range(i, n) if oracle.satisfies(i, j, formula)]
+    return MatchResult.of_positions(es.timestamps, positions, oracle.satisfies(0, -1, formula))

@@ -181,7 +181,7 @@ def test_match_oracle_flag(capsys, monkeypatch, four_csv_path):
     oracle = cli.oracle_satisfying_segments
 
     def drop_last(result):
-        return matcher.MatchResult.of_pairs(result.timestamps, result.pairs[:-1], result.empty)
+        return matcher.MatchResult(result.timestamps, result.keys[:-1], result.empty)
 
     monkeypatch.setattr(
         cli, "oracle_satisfying_segments",
@@ -189,6 +189,16 @@ def test_match_oracle_flag(capsys, monkeypatch, four_csv_path):
     )
     code, out, err = run(capsys, "match", "ANY ~> 'e4'", "--log", four_csv_path, "--oracle-bound", "4")
     assert (code, out, err) == (3, "c1: (30,90), (20,90), (10,90)\n", "c1: ORACLE MISMATCH\n")
+
+
+def test_match_oracle_checks_a_long_case(capsys, tmp_path):
+    # The oracle's recursion follows the pattern's nesting, not the case's
+    # length: a bound far above the default lists a 500-event case without
+    # running out of stack.
+    log = tmp_path / "deep.csv"
+    log.write_text("eid,cid,ts,a\n" + "".join(f"e{i},c,{i},x\n" for i in range(500)), encoding="utf-8")
+    code, out, err = run(capsys, "match", "START (ANY*) END", "--log", str(log), "--oracle-bound", "500")
+    assert (code, out, err) == (0, "c: (0,499)\n", "")
 
 
 def test_match_single_case(capsys, quotes_csv_path):

@@ -11,7 +11,6 @@ from sccq.eventlog import (
     EventLog,
     Segment,
     cases,
-    enumerate_segments,
     event_sets,
     load_event_log,
     merge_cases,
@@ -240,42 +239,19 @@ def test_serialize_null_as_empty_field():
     assert serialize_event_log(log).splitlines()[1] == "e1,c1,1,"
 
 
-def test_cases_and_case_events(quotes_log):
+def test_cases_and_case_events(quotes_log, four_event_log):
     assert cases(quotes_log) == frozenset({"0001", "0002"})
+    assert event_sets(four_event_log)[0].timestamps == (10, 20, 30, 90)
     sets = event_sets(quotes_log)
     assert [es.cid for es in sets] == ["0001", "0002"]
     assert [e.eid for e in sets[0].events] == ["e0001", "e0003", "e0005"]
     assert [e.eid for e in sets[1].events] == ["e0002", "e0004", "e0006", "e0007"]
 
 
-def test_event_set_navigation(four_event_log):
-    es = event_sets(four_event_log)[0]
-    assert es.timestamps == (10, 20, 30, 90)
-    assert es.successor(10) == 20
-    assert es.successor(90) is None
-    assert es.event_at(30).eid == "e3"
-
-
-def test_enumerate_segments_count_and_order(four_event_log):
-    segs = enumerate_segments(event_sets(four_event_log)[0])
-    assert len(segs) == 10  # n(n+1)/2 for n=4
-    assert segs[0] == Segment.interval(10, 10)
-    assert segs[-1] == Segment.interval(90, 90)
-    assert all(s.start <= s.end for s in segs)
-
-
 def test_segment_invariants():
     assert EMPTY_SEGMENT.is_empty
     assert str(EMPTY_SEGMENT) == "empty"
     assert str(Segment.interval(3, 9)) == "(3,9)"
-    # presentation order: empty first, then by (span, start)
-    segs = [Segment.interval(10, 90), Segment.interval(30, 90), EMPTY_SEGMENT, Segment.interval(20, 90)]
-    assert sorted(segs, key=Segment.sort_key) == [
-        EMPTY_SEGMENT,
-        Segment.interval(30, 90),
-        Segment.interval(20, 90),
-        Segment.interval(10, 90),
-    ]
 
 
 def test_merge_cases(quotes_log):

@@ -22,7 +22,7 @@ from sccq.ast import (
 )
 from sccq.datalog import DatalogProgram, edb_predicates, evaluate, facts_from_log, translate_pattern
 from sccq.errors import OracleBoundExceeded, SccError, UnboundBehaviourName, UnknownAttribute
-from sccq.eventlog import EMPTY_SEGMENT, Event, EventLog, Segment, cases, event_sets, merge_cases
+from sccq.eventlog import EMPTY_SEGMENT, Event, EventLog, EventSet, Segment, cases, event_sets, merge_cases
 from sccq.gen import random_event_log, random_pattern
 from sccq.matcher import (
     compile_pattern,
@@ -296,6 +296,8 @@ def test_oracle_bound():
 
 
 def test_oracle_agrees_on_seeded_batch():
+    # The second pass puts each timestamp t at 1_675_000_000_000 + t * t:
+    # epoch milliseconds with uneven gaps between the positions.
     rng = random.Random(5)
     for _ in range(60):
         log = random_event_log(rng, cases=1, max_events=7, schema=("event_name",), values=("a", "b", "c"))
@@ -304,9 +306,52 @@ def test_oracle_agrees_on_seeded_batch():
             log.schema,
         )
         es = event_sets(log)[0]
-        oracle, listed = oracle_satisfying_segments(pattern, es), satisfying_segments(pattern, es)
-        assert oracle.segments == listed.segments
-        assert oracle == listed  # as cmd_match compares them
+        epoch = EventSet(es.cid, tuple(e._replace(ts=1_675_000_000_000 + e.ts * e.ts) for e in es.events))
+        for case in (es, epoch):
+            oracle, listed = oracle_satisfying_segments(pattern, case), satisfying_segments(pattern, case)
+            assert oracle.segments == listed.segments
+            assert oracle == listed  # as cmd_match compares them
+
+
+def test_oracle_agrees_on_cases_of_no_and_one_event():
+    one = Event("e1", "c", 7, (("event_name", "a"),))
+    for text in ("ANY*", "'a'", "START (ANY) END"):
+        pattern = simple(text)
+        for es in (EventSet("c", ()), EventSet("c", (one,))):
+            assert oracle_satisfying_segments(pattern, es) == satisfying_segments(pattern, es), (text, len(es))
+    # With no event, the empty segment is (0, -1), and only a star holds on it.
+    none, star = EventSet("c", ()), simple("ANY*")
+    assert matcher._Oracle(star, none).satisfies(0, -1, star.formula)
+    assert oracle_satisfying_segments(star, none).ordered() == [EMPTY_SEGMENT]
+    assert oracle_satisfying_segments(simple("START (ANY) END"), none).ordered() == []
+    assert oracle_satisfying_segments(simple("'a'"), EventSet("c", (one,))).pairs == ((7, 7),)
+
+
+def _oracle_depth(monkeypatch, text, n):
+    """The deepest nesting of _Oracle.satisfies calls while the oracle lists
+    the pattern over one case of n events named a, b, a, b, ..."""
+    depth, deepest = [0], [0]
+    satisfies = matcher._Oracle.satisfies
+
+    def counted(self, *args):
+        depth[0] += 1
+        deepest[0] = max(deepest[0], depth[0])
+        try:
+            return satisfies(self, *args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(matcher._Oracle, "satisfies", counted)
+    es = EventSet("c", tuple(Event(f"e{i}", "c", i, (("event_name", "ab"[i % 2]),)) for i in range(n)))
+    oracle_satisfying_segments(simple(text), es, bound=len(es))
+    monkeypatch.undo()
+    return deepest[0]
+
+
+@pytest.mark.parametrize("text", ["ANY*", "'a' -> ('b' -> 'a')*"])
+def test_oracle_recursion_is_as_deep_as_the_pattern(monkeypatch, text):
+    depths = {n: _oracle_depth(monkeypatch, text, n) for n in (10, 80)}
+    assert depths[10] == depths[80], depths
 
 
 def test_match_result_interface(four_event_log):
@@ -397,7 +442,8 @@ def test_listing_holds_each_segment_once_in_presentation_order():
         assert len(result.pairs) + result.empty == len(result.segments)
         keys = [(end - start, start) for start, end in result.pairs]
         assert keys == sorted(set(keys))
-        assert result.ordered() == sorted(result.segments, key=Segment.sort_key)
+        by_span_start = sorted(result.segments, key=lambda s: (-1, -1) if s.is_empty else (s.end - s.start, s.start))
+        assert result.ordered() == by_span_start
         assert result.text() == (", ".join(map(str, result.ordered())) or "none")
 
 
