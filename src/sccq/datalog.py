@@ -9,20 +9,23 @@ intensional predicate per subformula, a whole identifier expression being
 one, and set of endpoints that its reader reads: ``output`` reads the case
 alone, ``~>`` and ``->`` the end of their left operand and the start of
 their right one, and START and END add their endpoint; a single event has
-one timestamp column for both. A predicate is its definition, so a query
-derives each relation once; only a star read at both ends recurses. A query
-adds one ``output`` rule, which joins the base body with each distinct root
+one timestamp column for both. Rule bodies of identifier expressions
+compose over one event, as the variable of ``a = b`` is named after a's
+schema position, so only a conjunction's part of several bodies gets a
+predicate; no body lists an item twice. A predicate is its definition, so
+a query derives each relation once; only a star read at both ends recurses.
+A query adds one ``output`` rule, which joins the base body with each root
 atom of the patterns that are not stars (a star holds on every case).
 
 Every negated atom is an EDB atom, so a translated program is semi-positive
-by construction: START and END join ``first`` and ``last``, a negated
-behaviour reference expands by De Morgan into one rule per conjunct, and an
-equality between two attributes excludes ``null``. ``evaluate`` audits
-safety and semi-positivity, then evaluates the strongly connected
-components of the predicate graph in dependency order: a component that
-does not read itself runs once, a recursive one by semi-naive iteration on
-its own new tuples. Each rule runs as a pipeline of hash-indexed joins and
-semi-joins. The same audit is exposed for static scans.
+by construction: START and END join ``first`` and ``last``, a failed
+conjunction holds where one conjunct fails (De Morgan), and an equality
+between two attributes excludes ``null``. ``evaluate`` audits safety and
+semi-positivity, then evaluates the strongly connected components of the
+predicate graph in dependency order: a component that does not read itself
+runs once, a recursive one by semi-naive iteration on its own new tuples.
+Each rule runs as a pipeline of hash-indexed joins and semi-joins. The same
+audit is exposed for static scans.
 
 Constants are namespaced by sort (case id, event id, timestamp, attribute
 value, null) so equalities across sorts never unify by accident; timestamps
@@ -168,6 +171,11 @@ def _attr_atom(attr: str, value: Term, negated: bool = False) -> Atom:
     return Atom(attribute_predicate(attr), (_C, _E, value), negated)
 
 
+def _body(items: Iterable[BodyItem]) -> tuple[BodyItem, ...]:
+    """A rule body that lists each item once, in the order first given."""
+    return tuple(dict.fromkeys(items))
+
+
 def _ends(need: frozenset[str], start: Term, end: Term) -> tuple[Term, ...]:
     """The arguments of an atom that reads the endpoints in `need`, then C."""
     return (*(v for at, v in (("start", start), ("end", end)) if at in need), _C)
@@ -193,7 +201,7 @@ class _Translation:
         pred = self.defined.get(key)
         if pred is None:
             pred = self.defined[key] = next(self.names)
-            self.rules += (Rule(Atom(pred, head), body) for body in dict.fromkeys(bodies))
+            self.rules += (Rule(Atom(pred, head), body) for body in bodies)
         return pred
 
     def root(self, pattern: CompiledPattern, need: frozenset[str]) -> tuple[Atom, Term, Term]:
@@ -205,49 +213,41 @@ class _Translation:
     # -- identifier expressions -------------------------------------------
 
     def identifier(self, expr: IdentifierExpr, negated: bool = False) -> list[tuple[BodyItem, ...]]:
-        """The rule bodies, over T and C, that hold for the events that match
-        expr, or that fail it when `negated` is set. NOT flips the polarity
-        and a positive OR joins the bodies of its sides, so neither needs a
-        predicate of its own."""
+        """The rule bodies, over T and C, of the events that match expr, or
+        fail it when `negated` is set; NOT flips the polarity. An OR, or a
+        failed conjunction, holds where one part holds: its bodies are theirs.
+        A conjunction, or a failed OR, holds where all parts hold: one body,
+        into which a part of one body merges and a part of several is read
+        through its (T, C) predicate. A literal is one conjunct a = value."""
         if isinstance(expr, NotExpr):
             return self.identifier(expr.inner, not negated)
-        if isinstance(expr, OrExpr) and not negated:
-            return self.identifier(expr.left) + self.identifier(expr.right)
         if isinstance(expr, OrExpr):
-            # An event fails an OR where it fails both sides, or the one side twice.
-            sides = [self.identifier(sub, negated=True) for sub in (expr.left, expr.right)]
-            if set(sides[0]) == set(sides[1]):
-                return sides[0]
-            return [tuple(Atom(self.define((_T, _C), side), (_T, _C)) for side in sides)]
-        if isinstance(expr, Literal):
-            return [(_EVENT, _attr_atom(self.pattern.attribute or "", value_const(expr.value), negated))]
-        if isinstance(expr, BehaviourRef) and not negated:
-            atoms: list[Atom] = []
-            for i, conj in enumerate(self.pattern.behaviour(expr.name).conjuncts):
-                if isinstance(conj, AttrEqConst):
-                    atoms.append(_attr_atom(conj.attr, value_const(str(conj.value))))
-                else:
-                    shared = Var(f"V{i}")
-                    atoms += [
-                        _attr_atom(conj.left, shared),
-                        _attr_atom(conj.right, shared),
-                        Atom("null", (shared,), negated=True),
-                    ]
-            return [(_EVENT, *atoms)]
-        if isinstance(expr, BehaviourRef):
-            # De Morgan: the behaviour fails where one of its conjuncts fails.
-            # a = b fails where a differs from b or a is null.
-            bodies: list[tuple[BodyItem, ...]] = []
-            for i, conj in enumerate(self.pattern.behaviour(expr.name).conjuncts):
-                if isinstance(conj, AttrEqConst):
-                    bodies.append((_EVENT, _attr_atom(conj.attr, value_const(str(conj.value)), True)))
-                else:
-                    shared = Var(f"V{i}")
-                    left = _attr_atom(conj.left, shared)
-                    bodies.append((_EVENT, left, _attr_atom(conj.right, shared, True)))
-                    bodies.append((_EVENT, left, Atom("null", (shared,))))
-            return bodies
-        raise TypeError(f"not an identifier expression: {expr!r}")
+            parts = [self.identifier(side, negated) for side in (expr.left, expr.right)]
+        elif isinstance(expr, Literal):
+            parts = [self._conjunct(AttrEqConst(self.pattern.attribute or "", expr.value), negated)]
+        elif isinstance(expr, BehaviourRef):
+            parts = [self._conjunct(conj, negated) for conj in self.pattern.behaviour(expr.name).conjuncts]
+        else:
+            raise TypeError(f"not an identifier expression: {expr!r}")
+        if isinstance(expr, OrExpr) != negated:  # any of the parts
+            return list(dict.fromkeys(body for part in parts for body in part))
+        if len(set(map(frozenset, parts))) == 1:  # all of one part: that part
+            return parts[0]
+        bodies = [part[0] if len(part) == 1 else (Atom(self.define((_T, _C), part), (_T, _C)),) for part in parts]
+        return [_body(item for body in bodies for item in body)]
+
+    def _conjunct(self, conj: AttrEqConst | AttrEqAttr, negated: bool) -> list[tuple[BodyItem, ...]]:
+        """The bodies of the events where conj holds, or fails when `negated`
+        is set. The value of attribute a at E is always V<i>, i being a's
+        schema position, so bodies over one event merge without a clash.
+        a = b fails where a differs from b or a is null."""
+        if isinstance(conj, AttrEqConst):
+            return [(_EVENT, _attr_atom(conj.attr, value_const(str(conj.value)), negated))]
+        shared = Var(f"V{self.pattern.schema.index(conj.left)}")
+        left = _attr_atom(conj.left, shared)
+        if negated:
+            return [(_EVENT, left, _attr_atom(conj.right, shared, True)), (_EVENT, left, Atom("null", (shared,)))]
+        return [_body((_EVENT, left, _attr_atom(conj.right, shared), Atom("null", (shared,), negated=True)))]
 
     # -- pattern formulas ----------------------------------------------------
 
@@ -349,11 +349,9 @@ def translate_query(query: Query | Plan, schema: tuple[str, ...]) -> DatalogProg
     # derived tuple witnesses, so its atom could never narrow the output: it
     # gets neither an atom nor rules. The output reads no endpoint of a root.
     ctx = _Translation()
-    roots = dict.fromkeys(
-        ctx.root(pattern, frozenset())[0] for pattern in plan.pattern_selections if not matches_empty(pattern.formula)
-    )
+    roots = [ctx.root(p, frozenset())[0] for p in plan.pattern_selections if not matches_empty(p.formula)]
     head = Atom(OUTPUT_PRED, tuple(_column_term(ref, attr_vars) for ref in plan.projection))
-    rules = [Rule(head, (*base_body, *roots)), *ctx.rules]
+    rules = [Rule(head, _body((*base_body, *roots))), *ctx.rules]
     return DatalogProgram(tuple(rules), edb_predicates(plan.schema))
 
 

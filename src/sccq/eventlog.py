@@ -12,8 +12,7 @@ EventLog is the one type that enforces the keys and the order: it sorts its
 events by (cid, ts) and checks them in one pass. Sorting makes each case one
 run, so (eid, cid) is checked against the eids of the current run only, and
 (cid, ts) against the previous event. Event, EventSet and Segment are
-immutable values derived from it and are not checked again, and neither is a
-log that ``EventLog.restrict`` cuts to whole cases of a checked one.
+immutable values derived from it and are not checked again.
 
 ``load_event_log`` streams the CSV and takes one step per row: check the
 field count, read the timestamp (plain digits through ``int`` directly,
@@ -29,7 +28,6 @@ from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Container
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
@@ -147,16 +145,6 @@ class EventLog:
             prev_ts = ts
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "events", ordered)
-
-    def restrict(self, cids: Container[str]) -> EventLog:
-        """The log of the events whose case is in cids. A case-closed subset
-        of a valid log is valid and in order, so it is neither sorted nor
-        checked again. It sets the two fields by hand, so a field added to
-        EventLog must be added here too (test_eventlog checks the list)."""
-        subset = object.__new__(EventLog)
-        object.__setattr__(subset, "schema", self.schema)
-        object.__setattr__(subset, "events", tuple([e for e in self.events if e.cid in cids]))
-        return subset
 
 
 @dataclass(frozen=True)

@@ -471,7 +471,7 @@ def pattern_select(pattern: CompiledPattern, log: EventLog) -> EventLog:
     schema is not the one the pattern was compiled for.
     """
     pattern.check_schema(log.schema)
-    return log.restrict({es.cid for es in event_sets(log) if case_satisfies(pattern, es)})
+    return EventLog(log.schema, tuple(e for es in event_sets(log) if case_satisfies(pattern, es) for e in es.events))
 
 
 # --- brute-force oracle ------------------------------------------------------

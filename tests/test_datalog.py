@@ -1,5 +1,5 @@
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -339,16 +339,11 @@ def test_translate_or_and_negation():
     negated = [b for b in rule.body if isinstance(b, Atom) and b.negated]
     assert [a.pred for a in negated] == ["attr_event_name"]
 
-    # De Morgan: NOT (a OR b) conjoins the two negated forms
+    # De Morgan: NOT (a OR b) conjoins the two negated forms. Each side is
+    # one body over the same event, so the two merge into one rule.
     demorgan = translate_pattern(simple("NOT ('a' OR 'b')"))
-    root = demorgan[-1].head.pred
-    body_preds = [b.pred for b in demorgan[-1].body if isinstance(b, Atom)]
-    assert body_preds == [demorgan[0].head.pred, demorgan[1].head.pred]
-    # The sides hold one event each, so they need one timestamp column.
     assert [rule_to_text(r) for r in demorgan] == [
-        'p0(T,C) :- event(C,E,T), !attr_event_name(C,E,"a").',
-        'p1(T,C) :- event(C,E,T), !attr_event_name(C,E,"b").',
-        "p2(T,T,C) :- p0(T,C), p1(T,C).",
+        'p0(T,T,C) :- event(C,E,T), !attr_event_name(C,E,"a"), !attr_event_name(C,E,"b").',
     ]
 
     # NOT flips the polarity of the rules it contains, and the sides of an
@@ -366,11 +361,12 @@ def test_translate_negated_behaviour_ref_by_de_morgan(quotes_log):
         "MATCHES (NOT (w))"
     )
     program = translate_query(query, quotes_log.schema)
-    # one rule per failing conjunct; a = b fails where a differs from b or a is null
+    # one rule per failing conjunct; a = b fails where a differs from b or a
+    # is null, and the value of event_name is V0 after its schema position
     assert program_to_text(program).splitlines()[1:] == [
         'p0(C) :- event(C,E,T), !attr_status(C,E,"WIP").',
-        "p0(C) :- event(C,E,T), attr_event_name(C,E,V1), !attr_status(C,E,V1).",
-        "p0(C) :- event(C,E,T), attr_event_name(C,E,V1), null(V1).",
+        "p0(C) :- event(C,E,T), attr_event_name(C,E,V0), !attr_status(C,E,V0).",
+        "p0(C) :- event(C,E,T), attr_event_name(C,E,V0), null(V0).",
     ]
     assert audit_program(program) == []
 
@@ -399,6 +395,20 @@ def test_negated_behaviour_with_nulls_agrees_with_relational():
         assert report.datalog_rows == (holds if pattern == "w" else fails)
     rows = cross_check(parse_query("SELECT cid FROM eventlog WHERE a = b"), log)
     assert rows.equal and rows.datalog_rows == {("c3",)}
+
+    # Two behaviours conjoined over one event: each conjunct's variable is
+    # the value of its own attribute, so c need not equal a.
+    values = [("x", "x", "x"), ("x", "x", "y"), ("x", "x", None), ("x", "y", "y"), (None, None, "x")]
+    log = EventLog(
+        ("a", "b", "c"),
+        tuple(Event(f"e{i}", f"c{i}", 1, tuple(zip("abc", row))) for i, row in enumerate(values)),
+    )
+    query = parse_query(
+        "SELECT cid FROM eventlog WHERE BEHAVIOUR a = b AS w, c = c AS v MATCHES (NOT (NOT (w) OR NOT (v)))"
+    )
+    report = cross_check(query, log)
+    assert report.equal, report.summary()
+    assert report.datalog_rows == {("c0",), ("c1",)}
 
 
 def test_translate_query_output_rules(quotes_log):
@@ -964,6 +974,32 @@ def test_translated_programs_repeat_no_rule():
         for query, log in corpus:
             rules = translate_query(query, log.schema).rules
             assert len(set(rules)) == len(rules), f"{name}: {pretty_print(query)}"
+
+
+def test_identifier_conjunctions_name_only_multi_body_parts():
+    # A part of a conjunction that is one body merges into the conjunction's
+    # body, so a (T, C) predicate read there has several rules; and no rule,
+    # the output rule included, lists a body item twice.
+    repeated = translate_query(parse_query("SELECT cid FROM eventlog WHERE a = b AND a = b AND a = b"), ("a", "b"))
+    assert rule_to_text(repeated.rules[0]) == (
+        "output(C) :- event(C,E,T), attr_a(C,E,V0), attr_b(C,E,V1), V0 = V1, !null(V0)."
+    )
+    t_c = (Var("T"), Var("C"))
+    for name, corpus in translation_corpora().items():
+        for query, log in corpus:
+            program = translate_query(query, log.schema)
+            heads = Counter(r.head.pred for r in program.rules)
+            read = {
+                a.pred for r in program.rules for a in r.body
+                if isinstance(a, Atom) and a.args == t_c and a.pred not in program.edb_predicates
+            }
+            assert [p for p in read if heads[p] == 1] == [], f"{name}: {pretty_print(query)}"
+            rules = list(program.rules)
+            for match in query.conditions:
+                if isinstance(match, (SimpleMatch, BehaviourMatch)):
+                    rules += translate_pattern(compile_pattern(match, log.schema))
+            for rule in rules:
+                assert len(set(rule.body)) == len(rule.body), f"{name}: {rule_to_text(rule)}"
 
 
 def test_audit_clean_on_generated_programs():

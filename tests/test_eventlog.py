@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import random
 
@@ -121,25 +120,6 @@ def test_log_checks_names_of_each_distinct_attrs_tuple():
     swapped = Event("e9", "c1", 9, (("b", None), ("a", "x")))
     with pytest.raises(KeyViolation, match="'e9' attribute names"):
         EventLog(("a", "b"), (*events, swapped))
-
-
-def test_restrict_keeps_whole_cases_without_rechecking(monkeypatch):
-    log = random_event_log(random.Random(7), cases=6, max_events=5)
-    kept = {"0001", "0004", "absent"}
-    expected = EventLog(log.schema, tuple(e for e in log.events if e.cid in kept))
-    assert expected.events
-
-    def rebuilt(self):
-        raise AssertionError("restrict sorted and checked the events again")
-
-    # restrict sets these fields by hand and skips __init__; a new field
-    # would be missing from every restricted log.
-    assert [f.name for f in dataclasses.fields(EventLog)] == ["schema", "events"]
-    monkeypatch.setattr(EventLog, "__post_init__", rebuilt)
-    subset = log.restrict(kept)
-    assert subset == expected
-    assert log.restrict(set()).events == ()
-    assert log.restrict(cases(log)) == log
 
 
 def test_load_canonical_and_alias_headers(quotes_log):
