@@ -6,16 +6,17 @@ constant ``null``, and the one fact ``null(null)``. Per case it holds one
 ``next(C,T1,T2)`` fact per pair of consecutive events, and one
 ``first(C,T)`` and one ``last(C,T)`` fact. A pattern translates to one
 intensional predicate per subformula, a whole identifier expression being
-one, and set of endpoints that its reader reads: ``output`` reads the case
-alone, ``~>`` and ``->`` the end of their left operand and the start of
-their right one, and START and END add their endpoint; a single event has
-one timestamp column for both. Rule bodies of identifier expressions
+one, and per set of endpoints that its reader reads: ``output`` reads the
+case alone, ``~>`` and ``->`` the end of their left operand and the start
+of their right one, and START and END add their endpoint; a single event
+has one timestamp column for both. Rule bodies of identifier expressions
 compose over one event, as the variable of ``a = b`` is named after a's
 schema position, so only a conjunction's part of several bodies gets a
-predicate; no body lists an item twice. A predicate is its definition, so
-a query derives each relation once; only a star read at both ends recurses.
-A query adds one ``output`` rule, which joins the base body with each root
-atom of the patterns that are not stars (a star holds on every case).
+predicate; no body lists an item twice or an atom beside its negation. A
+predicate is its definition, so a query derives each relation once; only a
+star read at both ends recurses. A query adds one ``output`` rule, which
+joins the base body with the root atom of each pattern that is not a star
+(a star holds on every case).
 
 Every negated atom is an EDB atom, so a translated program is semi-positive
 by construction: START and END join ``first`` and ``last``, a failed
@@ -176,6 +177,11 @@ def _body(items: Iterable[BodyItem]) -> tuple[BodyItem, ...]:
     return tuple(dict.fromkeys(items))
 
 
+def _contradiction(body: tuple[BodyItem, ...]) -> Atom | None:
+    """A negated atom whose positive form the body holds too, or None."""
+    return next((i for i in body if isinstance(i, Atom) and i.negated and Atom(i.pred, i.args) in body), None)
+
+
 def _ends(need: frozenset[str], start: Term, end: Term) -> tuple[Term, ...]:
     """The arguments of an atom that reads the endpoints in `need`, then C."""
     return (*(v for at, v in (("start", start), ("end", end)) if at in need), _C)
@@ -218,7 +224,8 @@ class _Translation:
         failed conjunction, holds where one part holds: its bodies are theirs.
         A conjunction, or a failed OR, holds where all parts hold: one body,
         into which a part of one body merges and a part of several is read
-        through its (T, C) predicate. A literal is one conjunct a = value."""
+        through its (T, C) predicate. It has none if a part has none or it
+        holds an atom and its negation. A literal is one conjunct a = value."""
         if isinstance(expr, NotExpr):
             return self.identifier(expr.inner, not negated)
         if isinstance(expr, OrExpr):
@@ -231,22 +238,24 @@ class _Translation:
             raise TypeError(f"not an identifier expression: {expr!r}")
         if isinstance(expr, OrExpr) != negated:  # any of the parts
             return list(dict.fromkeys(body for part in parts for body in part))
-        if len(set(map(frozenset, parts))) == 1:  # all of one part: that part
-            return parts[0]
+        if len(set(map(frozenset, parts))) == 1 or not all(parts):  # that part, or a part with no body
+            return min(parts, key=len)
         bodies = [part[0] if len(part) == 1 else (Atom(self.define((_T, _C), part), (_T, _C)),) for part in parts]
-        return [_body(item for body in bodies for item in body)]
+        body = _body(item for body in bodies for item in body)
+        return [body] if _contradiction(body) is None else []
 
     def _conjunct(self, conj: AttrEqConst | AttrEqAttr, negated: bool) -> list[tuple[BodyItem, ...]]:
         """The bodies of the events where conj holds, or fails when `negated`
         is set. The value of attribute a at E is always V<i>, i being a's
-        schema position, so bodies over one event merge without a clash.
-        a = b fails where a differs from b or a is null."""
+        schema position, so bodies over one event merge without a clash. a = b
+        fails where a differs from b or a is null, a = a where a is null."""
         if isinstance(conj, AttrEqConst):
             return [(_EVENT, _attr_atom(conj.attr, value_const(str(conj.value)), negated))]
         shared = Var(f"V{self.pattern.schema.index(conj.left)}")
         left = _attr_atom(conj.left, shared)
         if negated:
-            return [(_EVENT, left, _attr_atom(conj.right, shared, True)), (_EVENT, left, Atom("null", (shared,)))]
+            null = (_EVENT, left, Atom("null", (shared,)))
+            return [null] if conj.left == conj.right else [(_EVENT, left, _attr_atom(conj.right, shared, True)), null]
         return [_body((_EVENT, left, _attr_atom(conj.right, shared), Atom("null", (shared,), negated=True)))]
 
     # -- pattern formulas ----------------------------------------------------
@@ -367,8 +376,8 @@ def _item_vars(item: BodyItem) -> set[str]:
 
 def audit_program(program: DatalogProgram) -> list[tuple[str, str]]:
     """Static scan; returns (kind, message) findings, empty when clean.
-    Kinds: "unsafe", and "stratification" for a negated atom whose predicate
-    is not EDB."""
+    Kinds: "unsafe", "stratification" for a negated atom that is not EDB,
+    and "unsatisfiable" for a body that holds an atom beside its negation."""
     findings: list[tuple[str, str]] = []
     for rule in program.rules:
         head = rule.head.pred
@@ -390,6 +399,8 @@ def audit_program(program: DatalogProgram) -> list[tuple[str, str]]:
                 findings.append(
                     ("stratification", f"negated predicate {item.pred!r} in rule for {head!r} is not EDB")
                 )
+        if (negated := _contradiction(rule.body)) is not None:
+            findings.append(("unsatisfiable", f"rule for {head!r} holds {_atom_text(negated)} beside its negation"))
     return findings
 
 
@@ -635,7 +646,8 @@ def evaluate(program: DatalogProgram, facts: FactSet) -> FactSet:
     semi-naive iteration on its own new tuples. The input FactSet is not
     mutated; the result holds EDB and derived relations together."""
     for kind, message in audit_program(program):
-        raise UnsafeRule(message) if kind == "unsafe" else StratificationViolation(message)
+        if kind != "unsatisfiable":  # such a rule runs, and derives nothing
+            raise UnsafeRule(message) if kind == "unsafe" else StratificationViolation(message)
     rels: dict[str, set[tuple[Const, ...]]] = {p: set(ts) for p, ts in facts.items()}
     for rule in program.rules:
         rels.setdefault(rule.head.pred, set())

@@ -1,5 +1,6 @@
 import random
 from collections import Counter, defaultdict
+from functools import cache
 
 import pytest
 
@@ -767,7 +768,7 @@ def seeded(pair, seed, size):
     """The first `size` pairs that `pair` draws from one generator seeded
     with `seed`."""
     rng = random.Random(seed)
-    return [pair(rng) for _ in range(size)]
+    return tuple(pair(rng) for _ in range(size))
 
 
 def nested_identifier_pair(rng, behaviour):
@@ -792,9 +793,10 @@ def nested_identifier_pair(rng, behaviour):
     return Query(("cid",), "eventlog", (match,)), log
 
 
+@cache
 def nested_identifier_corpus():
     rng = random.Random(4242)
-    return [nested_identifier_pair(rng, behaviour=i % 2 == 1) for i in range(400)]
+    return tuple(nested_identifier_pair(rng, behaviour=i % 2 == 1) for i in range(400))
 
 
 def long_case_pair(rng):
@@ -906,19 +908,21 @@ def _copy_rules(program):
     ]
 
 
+@cache
 def translation_corpora():
-    return {
-        "random": seeded(random_pair, 81, 100),
-        "null-bearing": seeded(null_bearing_pair, 85, 300),
-        "nested": nested_identifier_corpus(),
-        "long-case": seeded(long_case_pair, 2026, 100),
-    }
+    """(name, pairs) for each corpus, built once per session."""
+    return (
+        ("random", seeded(random_pair, 81, 100)),
+        ("null-bearing", seeded(null_bearing_pair, 85, 300)),
+        ("nested", nested_identifier_corpus()),
+        ("long-case", seeded(long_case_pair, 2026, 100)),
+    )
 
 
 def test_translated_programs_have_no_copy_rules():
     # The one exception is a star's base rule: its predicate reads itself.
     stars = 0
-    for name, corpus in translation_corpora().items():
+    for name, corpus in translation_corpora():
         for query, log in corpus:
             program = translate_query(query, log.schema)
             recursive = {r.head.pred for r in _recursive_rules(program)}
@@ -943,7 +947,7 @@ def _defined_twice(rules):
 def test_translated_programs_define_each_relation_once():
     # A predicate is its definition, shared by every subformula and every
     # pattern of a query that derives the same relation.
-    for name, corpus in translation_corpora().items():
+    for name, corpus in translation_corpora():
         for query, log in corpus:
             assert _defined_twice(translate_query(query, log.schema).rules) == 0, f"{name}: {pretty_print(query)}"
             for match in query.conditions:
@@ -970,7 +974,7 @@ def test_translated_programs_repeat_no_rule():
     # Two patterns on one attribute share the predicate of their literal.
     shared = program("event_name MATCHES ('a' ~> 'b') AND event_name MATCHES ('b' ~> 'c')")
     assert sum('"b"' in rule_to_text(r) for r in shared.rules) == 1
-    for name, corpus in translation_corpora().items():
+    for name, corpus in translation_corpora():
         for query, log in corpus:
             rules = translate_query(query, log.schema).rules
             assert len(set(rules)) == len(rules), f"{name}: {pretty_print(query)}"
@@ -985,7 +989,7 @@ def test_identifier_conjunctions_name_only_multi_body_parts():
         "output(C) :- event(C,E,T), attr_a(C,E,V0), attr_b(C,E,V1), V0 = V1, !null(V0)."
     )
     t_c = (Var("T"), Var("C"))
-    for name, corpus in translation_corpora().items():
+    for name, corpus in translation_corpora():
         for query, log in corpus:
             program = translate_query(query, log.schema)
             heads = Counter(r.head.pred for r in program.rules)
@@ -1000,6 +1004,65 @@ def test_identifier_conjunctions_name_only_multi_body_parts():
                     rules += translate_pattern(compile_pattern(match, log.schema))
             for rule in rules:
                 assert len(set(rule.body)) == len(rule.body), f"{name}: {rule_to_text(rule)}"
+
+
+def _contradictory_rules(rules):
+    """Rules whose body holds an atom beside its negation."""
+    return [
+        r for r in rules
+        if any(isinstance(i, Atom) and i.negated and Atom(i.pred, i.args) in r.body for i in r.body)
+    ]
+
+
+def test_translated_rules_can_fire():
+    # A body that holds an atom and its negation never holds, so the
+    # translation emits none: a failed a = a is its null body alone, and a
+    # conjunction whose merged body would hold both has no body.
+    for name, corpus in translation_corpora():
+        for query, log in corpus:
+            programs = [translate_query(query, log.schema)]
+            edb = programs[0].edb_predicates
+            programs += [
+                DatalogProgram(tuple(translate_pattern(compile_pattern(match, log.schema))), edb)
+                for match in query.conditions if isinstance(match, (SimpleMatch, BehaviourMatch))
+            ]
+            for program in programs:
+                assert [rule_to_text(r) for r in _contradictory_rules(program.rules)] == [], (
+                    f"{name}: {pretty_print(query)}"
+                )
+                assert [f for f in audit_program(program) if f[0] == "unsatisfiable"] == [], pretty_print(query)
+    query = parse_query(
+        "SELECT cid, eid FROM eventlog WHERE BEHAVIOUR resource = resource AS r MATCHES (NOT (r) ~> ANY)"
+    )
+    assert program_to_text(translate_query(query, ("event_name", "resource"))).splitlines() == [
+        "output(C,E) :- event(C,E,T), p2(C).",
+        "p0(T,C) :- event(C,E,T), attr_resource(C,E,V1), null(V1).",
+        "p1(T,C) :- event(C,E,T).",
+        "p2(C) :- p0(Ts,C), p1(Ts2,C), Ts < Ts2.",
+    ]
+    # 'b' and NOT ('b') merge into one body that never holds, so the
+    # conjunction has none, nor has the conjunction that holds it.
+    assert translate_pattern(simple("NOT ('b' OR NOT ('b'))")) == []
+    assert translate_pattern(simple("NOT (NOT ('a') OR NOT (NOT ('b' OR NOT ('b'))))")) == []
+
+
+def test_audit_reports_and_evaluate_runs_unsatisfiable_rules():
+    v = Var("V")
+    body = (Atom("event", (_C, _E, _T)), Atom("attr_a", (_C, _E, v)))
+    never = Rule(Atom("p", (_C,)), (*body, Atom("attr_a", (_C, _E, v), negated=True)))
+    program = DatalogProgram((never,), edb_predicates(("a",)))
+    assert audit_program(program) == [
+        ("unsatisfiable", "rule for 'p' holds !attr_a(C,E,V) beside its negation")
+    ]
+    log = EventLog(("a",), (Event("e1", "c", 1, (("a", "x"),)), Event("e2", "c", 2, (("a", None),))))
+    assert evaluate(program, facts_from_log(log))["p"] == set()
+    # An unsafe or non-EDB negation still raises, whatever else the rule holds.
+    unsafe = Rule(Atom("p", (_C, Var("X"))), never.body)
+    with pytest.raises(UnsafeRule, match="X"):
+        evaluate(DatalogProgram((unsafe,), program.edb_predicates), facts_from_log(log))
+    idb = Rule(Atom("p", (_C,)), (*never.body, Atom("q", (_C,), negated=True)))
+    with pytest.raises(StratificationViolation, match="'q'"):
+        evaluate(DatalogProgram((idb,), program.edb_predicates), facts_from_log(log))
 
 
 def test_audit_clean_on_generated_programs():
