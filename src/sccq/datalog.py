@@ -12,11 +12,12 @@ of their right one, and START and END add their endpoint; a single event
 has one timestamp column for both. Rule bodies of identifier expressions
 compose over one event, as the variable of ``a = b`` is named after a's
 schema position, so only a conjunction's part of several bodies gets a
-predicate; no body lists an item twice or an atom beside its negation. A
+predicate; no body lists an item twice, and none that can never hold is
+emitted, so a subformula may be empty, and so is every operator over it. A
 predicate is its definition, so a query derives each relation once; only a
 star read at both ends recurses. A query adds one ``output`` rule, which
 joins the base body with the root atom of each pattern that is not a star
-(a star holds on every case).
+(a star holds on every case); a query that can never match has no rule.
 
 Every negated atom is an EDB atom, so a translated program is semi-positive
 by construction: START and END join ``first`` and ``last``, a failed
@@ -40,7 +41,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import count, filterfalse
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Union
+from typing import Callable, Container, Iterable, Iterator, NamedTuple, Union
 
 from .ast import (
     AnyEvent,
@@ -177,9 +178,48 @@ def _body(items: Iterable[BodyItem]) -> tuple[BodyItem, ...]:
     return tuple(dict.fromkeys(items))
 
 
-def _contradiction(body: tuple[BodyItem, ...]) -> Atom | None:
-    """A negated atom whose positive form the body holds too, or None."""
-    return next((i for i in body if isinstance(i, Atom) and i.negated and Atom(i.pred, i.args) in body), None)
+def _never_holds(body: tuple[BodyItem, ...], edb: Container[str], derived: Container[str]) -> str | None:
+    """Why a rule body can never hold, or None: it reads a derived predicate
+    with no rule, `derived` holding those with one; or it holds an atom
+    beside its negation; or the terms that it equates, through = and through
+    the values of two attr_a(C,E,·) atoms of one event (attr_a is a function
+    of (C, E)), include two constants."""
+    pairs: list[tuple[Term, Term]] = []  # the terms equated
+    values: dict[tuple[str, Term, Term], Term] = {}  # an attribute's first value at an event
+    for i in body:
+        if isinstance(i, Cmp):
+            if i.op == "=":
+                pairs.append((i.left, i.right))
+        elif i.negated:
+            if Atom(i.pred, i.args) in body:
+                return f"holds {_atom_text(i)} beside its negation"
+        elif i.pred not in edb:
+            if i.pred not in derived:
+                return f"reads {i.pred!r}, which no rule derives"
+        elif i.pred.startswith("attr_"):
+            event = (i.pred, *i.args[:2])
+            if event in values:
+                pairs.append((values[event], i.args[2]))
+            else:
+                values[event] = i.args[2]
+    same: dict[Term, Term] = {}  # a term to one it equals; a constant is last
+
+    def find(term: Term) -> Term:
+        while term in same:
+            term = same[term]
+        return term
+
+    for left, right in pairs:
+        left, right = find(left), find(right)
+        if left == right:
+            continue
+        if isinstance(left, Var):
+            same[left] = right
+        elif isinstance(right, Var):
+            same[right] = left
+        else:
+            return f"equates {_term_text(left)} and {_term_text(right)}"
+    return None
 
 
 def _ends(need: frozenset[str], start: Term, end: Term) -> tuple[Term, ...]:
@@ -191,23 +231,39 @@ class _Translation:
     """Shared state while translating the patterns of one query. A derived
     predicate is its definition, its head arguments and its set of rule
     bodies over fixed variable names, so a relation that two subformulas or
-    two patterns derive alike is one predicate."""
+    two patterns derive alike is one predicate. It gets no rule whose body
+    can never hold, so a predicate with no rule is an empty relation, and a
+    body that reads one is dropped in turn."""
 
     pattern: CompiledPattern  # the pattern being translated, set by root
 
-    def __init__(self) -> None:
+    def __init__(self, edb: frozenset[str]) -> None:
+        self.edb = edb
         self.rules: list[Rule] = []
+        self.heads: set[str] = set()  # the predicates with a rule
         self.defined: dict[object, str] = {}  # by definition; a star by its inner atom
         self.names = map("p{}".format, count())  # fresh predicate names
 
+    def holds(self, body: tuple[BodyItem, ...]) -> bool:
+        """Whether the body can hold, over the rules emitted so far."""
+        return _never_holds(body, self.edb, self.heads) is None
+
+    def emit(self, head: Atom, body: tuple[BodyItem, ...]) -> None:
+        """Add the rule head :- body, unless its body can never hold."""
+        if self.holds(body):
+            self.rules.append(Rule(head, body))
+            self.heads.add(head.pred)
+
     def define(self, head: tuple[Term, ...], bodies: list[tuple[BodyItem, ...]]) -> str:
         """The predicate with these head arguments and this set of rule
-        bodies: the one defined before, or a fresh one with a rule per body."""
+        bodies: the one defined before, or a fresh one with a rule per body
+        that can hold."""
         key = (head, frozenset(bodies))
         pred = self.defined.get(key)
         if pred is None:
             pred = self.defined[key] = next(self.names)
-            self.rules += (Rule(Atom(pred, head), body) for body in bodies)
+            for body in bodies:
+                self.emit(Atom(pred, head), body)
         return pred
 
     def root(self, pattern: CompiledPattern, need: frozenset[str]) -> tuple[Atom, Term, Term]:
@@ -224,8 +280,8 @@ class _Translation:
         failed conjunction, holds where one part holds: its bodies are theirs.
         A conjunction, or a failed OR, holds where all parts hold: one body,
         into which a part of one body merges and a part of several is read
-        through its (T, C) predicate. It has none if a part has none or it
-        holds an atom and its negation. A literal is one conjunct a = value."""
+        through its (T, C) predicate. It has none if a part has none or the
+        body can never hold. A literal is one conjunct a = value."""
         if isinstance(expr, NotExpr):
             return self.identifier(expr.inner, not negated)
         if isinstance(expr, OrExpr):
@@ -242,7 +298,7 @@ class _Translation:
             return min(parts, key=len)
         bodies = [part[0] if len(part) == 1 else (Atom(self.define((_T, _C), part), (_T, _C)),) for part in parts]
         body = _body(item for body in bodies for item in body)
-        return [body] if _contradiction(body) is None else []
+        return [body] if self.holds(body) else []
 
     def _conjunct(self, conj: AttrEqConst | AttrEqAttr, negated: bool) -> list[tuple[BodyItem, ...]]:
         """The bodies of the events where conj holds, or fails when `negated`
@@ -274,10 +330,8 @@ class _Translation:
             pred = self.defined.get(inner)
             if pred is None:  # it reads itself, so it is named before its rules
                 pred = self.defined[inner] = next(self.names)
-                self.rules += [
-                    Rule(Atom(pred, (ts, te, _C)), (inner,)),
-                    Rule(Atom(pred, (ts, te2, _C)), (inner, Atom("next", (_C, te, ts2)), Atom(pred, (ts2, te2, _C)))),
-                ]
+                self.emit(Atom(pred, (ts, te, _C)), (inner,))
+                self.emit(Atom(pred, (ts, te2, _C)), (inner, Atom("next", (_C, te, ts2)), Atom(pred, (ts2, te2, _C))))
             return Atom(pred, (start, end, _C)), start, end
         if isinstance(node, (Follows, DirectlyFollows)):
             first, ts, te = self.read(node.left, need & {"start"} | {"end"}, ts, te)
@@ -306,9 +360,12 @@ class _Translation:
 def translate_pattern(pattern: CompiledPattern) -> list[Rule]:
     """Rules for the pattern read at both ends; they negate EDB atoms only.
     The head of the final rule is the root predicate, over (Ts, Te, C): the
-    root of a single event repeats its one timestamp."""
-    ctx = _Translation()
+    root of a single event repeats its one timestamp. A pattern that no
+    segment can satisfy has no rule."""
+    ctx = _Translation(edb_predicates(pattern.schema))
     root, start, end = ctx.root(pattern, _BOTH)
+    if root.pred not in ctx.heads:
+        return []
     pred = root.pred if start == end else None  # the root of a single event
     return [Rule(Atom(pred, r.head.args[:1] + r.head.args), r.body) if r.head.pred == pred else r for r in ctx.rules]
 
@@ -357,11 +414,14 @@ def translate_query(query: Query | Plan, schema: tuple[str, ...]) -> DatalogProg
     # A star pattern holds on every case through the empty segment, which no
     # derived tuple witnesses, so its atom could never narrow the output: it
     # gets neither an atom nor rules. The output reads no endpoint of a root.
-    ctx = _Translation()
+    # A query whose output body can never hold has no rule at all.
+    edb = edb_predicates(plan.schema)
+    ctx = _Translation(edb)
     roots = [ctx.root(p, frozenset())[0] for p in plan.pattern_selections if not matches_empty(p.formula)]
     head = Atom(OUTPUT_PRED, tuple(_column_term(ref, attr_vars) for ref in plan.projection))
-    rules = [Rule(head, _body((*base_body, *roots))), *ctx.rules]
-    return DatalogProgram(tuple(rules), edb_predicates(plan.schema))
+    body = _body((*base_body, *roots))
+    rules = (Rule(head, body), *ctx.rules) if ctx.holds(body) else ()
+    return DatalogProgram(rules, edb)
 
 
 # --- static audit (safety + semi-positive negation) ---------------------------
@@ -377,8 +437,11 @@ def _item_vars(item: BodyItem) -> set[str]:
 def audit_program(program: DatalogProgram) -> list[tuple[str, str]]:
     """Static scan; returns (kind, message) findings, empty when clean.
     Kinds: "unsafe", "stratification" for a negated atom that is not EDB,
-    and "unsatisfiable" for a body that holds an atom beside its negation."""
+    and "unsatisfiable" for a body that can never hold: it reads a derived
+    predicate with no rule, equates two constants, or holds an atom beside
+    its negation."""
     findings: list[tuple[str, str]] = []
+    derived = {rule.head.pred for rule in program.rules}
     for rule in program.rules:
         head = rule.head.pred
         # One set for the whole body: a call of _item_vars per atom, merged,
@@ -399,8 +462,8 @@ def audit_program(program: DatalogProgram) -> list[tuple[str, str]]:
                 findings.append(
                     ("stratification", f"negated predicate {item.pred!r} in rule for {head!r} is not EDB")
                 )
-        if (negated := _contradiction(rule.body)) is not None:
-            findings.append(("unsatisfiable", f"rule for {head!r} holds {_atom_text(negated)} beside its negation"))
+        if (reason := _never_holds(rule.body, program.edb_predicates, derived)) is not None:
+            findings.append(("unsatisfiable", f"rule for {head!r} {reason}"))
     return findings
 
 

@@ -231,12 +231,16 @@ class MatchResult:
 
     def text(self) -> str:
         """The ``sccq match`` listing: ``empty`` first when it satisfies,
-        then ``(start,end)`` per segment; ``none`` when nothing does. Each
-        position's two halves are formatted once."""
+        then ``(start,end)`` per segment; ``none`` when nothing does. With
+        fewer segments than events each segment is formatted from its key,
+        else each position's two halves are formatted once."""
         ts, n = self.timestamps, len(self.timestamps)
-        left, right = [f"({t}," for t in ts], [f"{t})" for t in ts]
         items = ["empty"] if self.empty else []
-        items += [left[k // n % n] + right[k % n] for k in self.keys]
+        if len(self.keys) < n:
+            items += [f"({ts[k // n % n]},{ts[k % n]})" for k in self.keys]
+        else:
+            left, right = [f"({t}," for t in ts], [f"{t})" for t in ts]
+            items += [left[k // n % n] + right[k % n] for k in self.keys]
         return ", ".join(items) or "none"
 
     @cached_property

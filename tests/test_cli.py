@@ -257,6 +257,18 @@ def test_translate(capsys, quotes_csv_path):
     assert 'next("0002",1675147138009,1675213914098).' in facts
 
 
+def test_query_that_can_never_match_translates_to_no_rule(capsys, quotes_csv_path):
+    # x AND NOT (x) holds on no event, and no event has two event names: the
+    # program has no rule, and both back ends select no row.
+    behaviours = "SELECT cid FROM eventlog WHERE BEHAVIOUR event_name = {} AS x, event_name = {} AS y MATCHES ({})"
+    contradiction = behaviours.format("'Send quote'", "'Send quote'", "NOT (NOT (x) OR x)")
+    assert run(capsys, "translate", contradiction, "--log", quotes_csv_path) == (0, "\n", "")
+    two_names = behaviours.format("'Send quote'", "'Review request'", "NOT (NOT (x) OR NOT (y)) ~> ANY")
+    assert run(capsys, "translate", two_names, "--log", quotes_csv_path) == (0, "\n", "")
+    for query in (contradiction, two_names):
+        assert run(capsys, "check", query, "--log", quotes_csv_path) == (0, "EQUAL (0 distinct tuples)\n", "")
+
+
 def test_log_with_byte_order_mark(capsys, tmp_path):
     path = tmp_path / "bom.csv"
     path.write_text("eid,cid,ts,event_name\ne1,c1,10,a\ne2,c1,20,b\n", encoding="utf-8-sig")

@@ -1014,10 +1014,36 @@ def _contradictory_rules(rules):
     ]
 
 
+def _constant_clashes(rules):
+    """(attribute clashes, variable clashes): the rules that give one
+    attribute of one event two constants, and those that equate one variable
+    to two constants."""
+    clashes = ([], [])
+    for r in rules:
+        attrs, variables = defaultdict(set), defaultdict(set)
+        for i in r.body:
+            if isinstance(i, Atom) and not i.negated and i.pred.startswith("attr_") and not isinstance(i.args[2], Var):
+                attrs[i.pred, i.args[:2]].add(i.args[2])
+            elif isinstance(i, Cmp) and i.op == "=" and isinstance(i.left, Var) and not isinstance(i.right, Var):
+                variables[i.left].add(i.right)
+        for found, values in zip(clashes, (attrs, variables)):
+            if any(len(v) > 1 for v in values.values()):
+                found.append(rule_to_text(r))
+    return clashes
+
+
+def _empty_reads(program):
+    """The derived predicates that a rule reads and no rule derives."""
+    heads = {r.head.pred for r in program.rules} | program.edb_predicates
+    return sorted({i.pred for r in program.rules for i in r.body if isinstance(i, Atom) and i.pred not in heads})
+
+
 def test_translated_rules_can_fire():
-    # A body that holds an atom and its negation never holds, so the
-    # translation emits none: a failed a = a is its null body alone, and a
-    # conjunction whose merged body would hold both has no body.
+    # A body never holds if it holds an atom and its negation, gives one
+    # attribute of one event two constants (attr_a is a function of (C, E)),
+    # equates a variable to two constants, or reads a relation that no rule
+    # derives; the translation emits none. A failed a = a is its null body
+    # alone, and a subformula with no body left is empty, up to the root.
     for name, corpus in translation_corpora():
         for query, log in corpus:
             programs = [translate_query(query, log.schema)]
@@ -1027,10 +1053,11 @@ def test_translated_rules_can_fire():
                 for match in query.conditions if isinstance(match, (SimpleMatch, BehaviourMatch))
             ]
             for program in programs:
-                assert [rule_to_text(r) for r in _contradictory_rules(program.rules)] == [], (
-                    f"{name}: {pretty_print(query)}"
-                )
-                assert [f for f in audit_program(program) if f[0] == "unsatisfiable"] == [], pretty_print(query)
+                where = f"{name}: {pretty_print(query)}"
+                assert [rule_to_text(r) for r in _contradictory_rules(program.rules)] == [], where
+                assert _constant_clashes(program.rules) == ([], []), where
+                assert _empty_reads(program) == [], where
+                assert [f for f in audit_program(program) if f[0] == "unsatisfiable"] == [], where
     query = parse_query(
         "SELECT cid, eid FROM eventlog WHERE BEHAVIOUR resource = resource AS r MATCHES (NOT (r) ~> ANY)"
     )
@@ -1044,25 +1071,49 @@ def test_translated_rules_can_fire():
     # conjunction has none, nor has the conjunction that holds it.
     assert translate_pattern(simple("NOT ('b' OR NOT ('b'))")) == []
     assert translate_pattern(simple("NOT (NOT ('a') OR NOT (NOT ('b' OR NOT ('b'))))")) == []
+    # A query that can never match translates to no rule: x AND NOT (x)
+    # holds on no event, no event is both 'c' and 'a', and no row has two
+    # event names.
+    behaviours = "SELECT cid FROM eventlog WHERE BEHAVIOUR event_name = {} AS x, event_name = {} AS y MATCHES ({})"
+    for text in (
+        behaviours.format("'b'", "'b'", "NOT (NOT (x) OR x)"),
+        behaviours.format("'c'", "'a'", "NOT (NOT (x) OR NOT (y)) ~> ANY"),
+        "SELECT cid, event_name FROM eventlog WHERE event_name = 'b' AND event_name = 'a'",
+    ):
+        query = parse_query(text)
+        assert translate_query(query, ("event_name",)).rules == (), text
+        for match in query.conditions:
+            if isinstance(match, BehaviourMatch):
+                assert translate_pattern(compile_pattern(match, ("event_name",))) == [], text
 
 
 def test_audit_reports_and_evaluate_runs_unsatisfiable_rules():
+    # One rule per reason a body can never hold; each gets exactly one
+    # finding, and evaluate runs it and derives nothing from it.
     v = Var("V")
     body = (Atom("event", (_C, _E, _T)), Atom("attr_a", (_C, _E, v)))
-    never = Rule(Atom("p", (_C,)), (*body, Atom("attr_a", (_C, _E, v), negated=True)))
-    program = DatalogProgram((never,), edb_predicates(("a",)))
-    assert audit_program(program) == [
-        ("unsatisfiable", "rule for 'p' holds !attr_a(C,E,V) beside its negation")
-    ]
+    edb = edb_predicates(("a",))
+    never = {
+        "holds !attr_a(C,E,V) beside its negation": (*body, Atom("attr_a", (_C, _E, v), negated=True)),
+        'equates "x" and "y"': (*body, Atom("attr_a", (_C, _E, ("v", "x"))), Atom("attr_a", (_C, _E, ("v", "y")))),
+        'equates "a" and "b"': (*body, Cmp("=", v, ("v", "a")), Cmp("=", v, ("v", "b"))),
+        "reads 'q', which no rule derives": (*body, Atom("q", (_C,))),
+    }
     log = EventLog(("a",), (Event("e1", "c", 1, (("a", "x"),)), Event("e2", "c", 2, (("a", None),))))
-    assert evaluate(program, facts_from_log(log))["p"] == set()
-    # An unsafe or non-EDB negation still raises, whatever else the rule holds.
-    unsafe = Rule(Atom("p", (_C, Var("X"))), never.body)
-    with pytest.raises(UnsafeRule, match="X"):
-        evaluate(DatalogProgram((unsafe,), program.edb_predicates), facts_from_log(log))
-    idb = Rule(Atom("p", (_C,)), (*never.body, Atom("q", (_C,), negated=True)))
-    with pytest.raises(StratificationViolation, match="'q'"):
-        evaluate(DatalogProgram((idb,), program.edb_predicates), facts_from_log(log))
+    for reason, never_body in never.items():
+        program = DatalogProgram((Rule(Atom("p", (_C,)), never_body),), edb)
+        assert audit_program(program) == [("unsatisfiable", f"rule for 'p' {reason}")]
+        assert evaluate(program, facts_from_log(log))["p"] == set()
+        # An unsafe or non-EDB negation still raises, whatever else the rule holds.
+        unsafe = Rule(Atom("p", (_C, Var("X"))), never_body)
+        with pytest.raises(UnsafeRule, match="X"):
+            evaluate(DatalogProgram((unsafe,), edb), facts_from_log(log))
+        idb = Rule(Atom("p", (_C,)), (*never_body, Atom("r", (_C,), negated=True)))
+        with pytest.raises(StratificationViolation, match="'r'"):
+            evaluate(DatalogProgram((idb,), edb), facts_from_log(log))
+    # The same body with one constant is clean: the value x holds at e1.
+    once = Rule(Atom("p", (_C,)), (*body, Atom("attr_a", (_C, _E, ("v", "x")))))
+    assert audit_program(DatalogProgram((once,), edb)) == []
 
 
 def test_audit_clean_on_generated_programs():

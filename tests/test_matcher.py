@@ -436,15 +436,20 @@ def test_nfa_agrees_with_oracle_on_short_cases():
 
 def test_listing_holds_each_segment_once_in_presentation_order():
     # The listing keeps no segment set: spans yields each end position once
-    # with a set of starts, so no pair can repeat.
+    # with a set of starts, so no pair can repeat. text() formats a case
+    # with fewer segments than events per segment, any other per position;
+    # the corpus reaches both.
+    few = set()
     for p, es in _nfa_corpus(random.Random(19), 1500, 1, 8):
         result = satisfying_segments(p, es)
+        few.add(len(result.keys) < len(result.timestamps))
         assert len(result.pairs) + result.empty == len(result.segments)
         keys = [(end - start, start) for start, end in result.pairs]
         assert keys == sorted(set(keys))
         by_span_start = sorted(result.segments, key=lambda s: (-1, -1) if s.is_empty else (s.end - s.start, s.start))
         assert result.ordered() == by_span_start
         assert result.text() == (", ".join(map(str, result.ordered())) or "none")
+    assert few == {True, False}
 
 
 def _count_leaf_tests(pattern):
