@@ -745,13 +745,20 @@ def evaluate(program: DatalogProgram, facts: FactSet) -> FactSet:
 
 # --- serialization ------------------------------------------------------------
 
+# The quote, the backslash and every character that str.splitlines breaks
+# on, escaped, so that each rule and each fact is one line of text.
+_ESCAPES = str.maketrans(
+    {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"}
+    | {c: f"\\u{ord(c):04x}" for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+)
+
+
 def _const_text(value: Const) -> str:
     if isinstance(value, int):
         return str(value)
     if value == NULL:
         return "null"
-    payload = value[1].replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{payload}"'
+    return f'"{value[1].translate(_ESCAPES)}"'
 
 
 def _term_text(term: Term) -> str:

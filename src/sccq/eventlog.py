@@ -21,12 +21,20 @@ and build the Event as a plain tuple of its four fields. Events loaded from
 CSV share their ``attrs`` tuples: all events whose attribute fields are
 equal hold one and the same tuple, so a log of many events over few
 distinct attribute combinations builds, and name-checks, each combination
-once.
+once. From the first data row until the EventLog is built, including its
+sort and key checks, ``load_event_log`` pauses CPython's cyclic garbage
+collector, which would otherwise re-scan the growing list of events many
+times. This is safe because every value it builds (strings, ints, Event
+and attrs tuples) is acyclic, so reference counting alone frees it. The
+switch is process-wide: for the length of one load no thread's cyclic
+garbage is collected. The caller's setting is restored on return and on
+every error, so a caller that had the collector off keeps it off.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import io
 from dataclasses import dataclass
 from functools import cached_property
@@ -219,6 +227,11 @@ def load_event_log(
     usual aliases (event_id/eid, case_id/cid, timestamp/ts/event_time) when
     not given. Every remaining column becomes a schema attribute, in header
     order. Empty attribute fields ingest as null.
+
+    The cyclic garbage collector is paused from the first data row until
+    the EventLog is built: the values built are acyclic, so reference
+    counting frees them. This changes a process-wide setting for the length
+    of one load; the caller's setting is restored however the load ends.
     """
     stream = io.StringIO(source) if isinstance(source, str) else source
     reader = csv.reader(stream)
@@ -246,6 +259,10 @@ def load_event_log(
     append = events.append
     new = tuple.__new__  # Event's own __new__ is a Python function; the tuple is the same
     lineno = 1
+    # Nothing built from here to the EventLog can form a reference cycle, so
+    # the paused collector has nothing to find in the events as they pile up.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != width:
@@ -267,8 +284,12 @@ def load_event_log(
             append(new(Event, (row[ei], row[ci], ts, attrs)))
     except csv.Error as exc:  # raised while reading the row after `lineno`
         raise MalformedCsv(f"row {lineno + 1}: {exc}") from None
-    del shared  # free before sorting: one entry per event when values are all distinct
-    return EventLog(schema=schema, events=tuple(events))
+    else:
+        del shared  # free before sorting: one entry per event when values are all distinct
+        return EventLog(schema=schema, events=tuple(events))
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def serialize_event_log(log: EventLog) -> str:

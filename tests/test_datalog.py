@@ -1150,6 +1150,33 @@ def test_serialization_formats(quotes_log):
         "null(null).",
     ]
 
+    # Line breaks in a value or in a query literal are escaped, so each rule
+    # and each fact is one line; a tab stays as it is.
+    program = translate_query(
+        parse_query("SELECT cid FROM eventlog WHERE event_name MATCHES ('a\nb' ~> 'c\r\nd')"),
+        ("event_name",),
+    )
+    assert program_to_text(program).splitlines() == [
+        "output(C) :- event(C,E,T), p2(C).",
+        'p0(T,C) :- event(C,E,T), attr_event_name(C,E,"a\\nb").',
+        'p1(T,C) :- event(C,E,T), attr_event_name(C,E,"c\\r\\nd").',
+        "p2(C) :- p0(Ts,C), p1(Ts2,C), Ts < Ts2.",
+    ]
+    # Every character of the Basic Multilingual Plane, which holds all that
+    # str.splitlines breaks on.
+    plane = "".join(map(chr, range(0x10000)))
+    log = EventLog(
+        ("a",),
+        (
+            Event("e\n1", "c\r", 1, (("a", "x\ty"),)),
+            Event("e\n1", "c\r\n", 2, (("a", plane),)),
+        ),
+    )
+    facts = facts_from_log(log)
+    facts_text = facts_to_text(facts)
+    assert len(facts_text.splitlines()) == sum(map(len, facts.values())) == 9
+    assert facts_text.splitlines()[0] == 'attr_a("c\\r","e\\n1","x\ty").'
+
 
 def test_evaluate_matches_naive_reference_on_translated_programs():
     rng = random.Random(84)

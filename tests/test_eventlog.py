@@ -1,3 +1,5 @@
+import csv
+import gc
 import io
 import random
 
@@ -169,6 +171,77 @@ def test_load_errors():
         load_event_log("eid,cid,ts\n1,c,5\n", eid_col="ts")
     with pytest.raises(BadTimestamp, match="row 2"):
         load_event_log("eid,cid,ts\n1,c,soon\n")
+
+
+# 3,000 events, past the collector's youngest threshold (700 on 3.10-3.12),
+# some with a null value and one with an ISO-8601 timestamp.
+LARGE_ROWS = ["eid,cid,ts,a,b", "e0,c0,1970-01-01T00:00:00Z,x,"]
+LARGE_ROWS += [f"e{i},c{i % 300},{i},v{i % 7},{'' if i % 5 else 'y'}" for i in range(1, 3000)]
+
+
+def large_csv(row3000: str | None = None) -> str:
+    """The large log, with its row 3,000 (its 2,999th event) replaced."""
+    rows = LARGE_ROWS if row3000 is None else [*LARGE_ROWS[:2999], row3000, *LARGE_ROWS[3000:]]
+    return "\n".join(rows) + "\n"
+
+
+@pytest.fixture
+def collector():
+    """Leaves the cyclic collector switched on or off as the test found it."""
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_leaves_the_collector_as_it_found_it(collector, enabled):
+    (gc.enable if enabled else gc.disable)()
+    assert len(load_event_log(large_csv()).events) == 3000
+    assert gc.isenabled() is enabled
+    failures = {
+        "e2998,c298,soon,x,": (BadTimestamp, "^row 3000: cannot parse timestamp 'soon'$"),
+        "e2998,c298": (MalformedCsv, "^row 3000 has 2 fields, header has 5$"),
+        "e2997,c297,2997,x,": (KeyViolation, r"^duplicate \(eid, cid\) pair \('e2997', 'c297'\)$"),
+    }
+    for row, (error, message) in failures.items():
+        with pytest.raises(error, match=message):
+            load_event_log(large_csv(row))
+        assert gc.isenabled() is enabled
+
+
+def test_large_load_starts_no_collection(collector):
+    gc.enable()
+    text = large_csv()
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        # The same rows, read without the pause, start a collection.
+        rows = list(csv.reader(io.StringIO(text)))
+        assert starts
+        del rows
+        gc.collect()  # no collection is due as the load starts
+        starts.clear()
+        log = load_event_log(text)
+    finally:
+        gc.callbacks.remove(record)
+    assert starts == []
+    assert len(log.events) == 3000
+
+
+def test_loaded_values_hold_no_cycles(collector):
+    # The pause relies on this: reference counting alone frees a loaded log.
+    parse_timestamp("1970-01-01T00:00:00Z")  # its first call imports datetime
+    text = large_csv()
+    gc.collect()
+    log = load_event_log(text)
+    assert log.events[0].value("b") is None
+    del log
+    assert gc.collect() == 0
 
 
 def test_load_timestamp_paths():
