@@ -5,19 +5,21 @@ The extensional database holds one ``event(C,E,T)`` fact per event, one
 constant ``null``, and the one fact ``null(null)``. Per case it holds one
 ``next(C,T1,T2)`` fact per pair of consecutive events, and one
 ``first(C,T)`` and one ``last(C,T)`` fact. A pattern translates to one
-intensional predicate per subformula, a whole identifier expression being
-one, and per set of endpoints that its reader reads: ``output`` reads the
-case alone, ``~>`` and ``->`` the end of their left operand and the start
-of their right one, and START and END add their endpoint; a single event
-has one timestamp column for both. Rule bodies of identifier expressions
-compose over one event, as the variable of ``a = b`` is named after a's
-schema position, so only a conjunction's part of several bodies gets a
-predicate; no body lists an item twice, and none that can never hold is
-emitted, so a subformula may be empty, and so is every operator over it. A
-predicate is its definition, so a query derives each relation once; only a
-star read at both ends recurses. A query adds one ``output`` rule, which
-joins the base body with the root atom of each pattern that is not a star
-(a star holds on every case); a query that can never match has no rule.
+intensional predicate per subformula other than START and END, a whole
+identifier expression being one, and per set of endpoints that its reader
+reads: ``output`` reads the case alone, ``~>`` and ``->`` the end of their
+left operand and the start of their right one; a single event has one
+timestamp column for both. START and END are anchors: the single event or
+star read at both ends that owns the endpoint joins ``first`` or ``last``.
+Rule bodies of identifier expressions compose over one event, as the
+variable of ``a = b`` is named after a's schema position, so only a
+conjunction's part of several bodies gets a predicate; no body lists an
+item twice, and none that can never hold is emitted, so a subformula may
+be empty, and so is every operator over it. A predicate is its definition,
+so a query derives each relation once; only a star read at both ends
+recurses. A query adds one ``output`` rule, which joins the base body with
+the root atom of each pattern that is not a star (a star holds on every
+case); a query that can never match has no rule.
 
 Every negated atom is an EDB atom, so a translated program is semi-positive
 by construction: START and END join ``first`` and ``last``, a failed
@@ -316,26 +318,36 @@ class _Translation:
 
     # -- pattern formulas ----------------------------------------------------
 
-    def read(self, node: PatternFormula, need: frozenset[str], start: Term, end: Term) -> tuple[Atom, Term, Term]:
+    def read(
+        self, node: PatternFormula, need: frozenset[str], start: Term, end: Term, anchors: frozenset[str] = frozenset()
+    ) -> tuple[Atom, Term, Term]:
         """The atom that reads node's nonempty segments over `start` and
         `end` at the endpoints in `need` ⊆ {start, end}, then the case, and
         the terms that stand for their start and end: its reader reads no
-        more. A single event has one timestamp column, read as `start`."""
-        if isinstance(node, Star) and need != _BOTH:
+        more. A single event has one timestamp column, read as `start`.
+        START and END add their endpoint to `anchors`, which `~>` and `->`
+        pass to the operand that owns it, down to a single event or a star
+        read at both ends, which joins `first` or `last`."""
+        if isinstance(node, (Start, End)):
+            return self.read(node.inner, need, start, end, anchors | {"start" if isinstance(node, Start) else "end"})
+        if isinstance(node, Star) and need | anchors != _BOTH:
             # Every nonempty star segment begins and ends with an inner one.
-            return self.read(node.inner, need, start, end)
+            return self.read(node.inner, need, start, end, anchors)
         ts, te, ts2, te2 = _TS, _TE, _TS2, _TE2
         if isinstance(node, Star):  # read at both ends: the one recursion left
-            inner, ts, te = self.read(node.inner, _BOTH, ts, te)
+            inner, s, e = self.read(node.inner, _BOTH, ts, te)
             pred = self.defined.get(inner)
             if pred is None:  # it reads itself, so it is named before its rules
                 pred = self.defined[inner] = next(self.names)
-                self.emit(Atom(pred, (ts, te, _C)), (inner,))
-                self.emit(Atom(pred, (ts, te2, _C)), (inner, Atom("next", (_C, te, ts2)), Atom(pred, (ts2, te2, _C))))
-            return Atom(pred, (start, end, _C)), start, end
-        if isinstance(node, (Follows, DirectlyFollows)):
-            first, ts, te = self.read(node.left, need & {"start"} | {"end"}, ts, te)
-            second, ts2, te2 = self.read(node.right, need & {"end"} | {"start"}, ts2, te2)
+                self.emit(Atom(pred, (s, e, _C)), (inner,))
+                self.emit(Atom(pred, (s, te2, _C)), (inner, Atom("next", (_C, e, ts2)), Atom(pred, (ts2, te2, _C))))
+            if not anchors:
+                return Atom(pred, (start, end, _C)), start, end
+            bodies = [(Atom(pred, (ts, te, _C)),)]  # not s, e: a single event's are one term
+        elif isinstance(node, (Follows, DirectlyFollows)):
+            first, ts, te = self.read(node.left, need & {"start"} | {"end"}, ts, te, anchors & {"start"})
+            second, ts2, te2 = self.read(node.right, need & {"end"} | {"start"}, ts2, te2, anchors & {"end"})
+            anchors = frozenset()  # the operands join them
             # The successor atom sits between the operands, so the right
             # operand is probed on a bound start and case.
             if isinstance(node, DirectlyFollows):
@@ -343,15 +355,13 @@ class _Translation:
             else:
                 bodies = [(first, second, Cmp("<", te, ts2))]
             te = te2
-        elif isinstance(node, (Start, End)):
-            at = isinstance(node, Start)
-            inner, ts, te = self.read(node.inner, need | {"start" if at else "end"}, ts, te)
-            bodies = [(inner, Atom("first", (_C, ts)) if at else Atom("last", (_C, te)))]
         elif isinstance(node, (Identifier, AnyEvent)):
             ts = te = _T
             bodies = self.identifier(node.expr) if isinstance(node, Identifier) else [(_EVENT,)]
         else:
             raise TypeError(f"not a pattern formula: {node!r}")
+        joins = tuple(Atom(p, (_C, t)) for at, p, t in (("start", "first", ts), ("end", "last", te)) if at in anchors)
+        bodies = [(*body, *joins) for body in bodies]
         if ts == te:  # a single event starts where it ends: one column
             need, end = need and frozenset({"start"}), start
         return Atom(self.define(_ends(need, ts, te), bodies), _ends(need, start, end)), start, end

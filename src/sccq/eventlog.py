@@ -226,7 +226,8 @@ def load_event_log(
     The three role columns are located by the given header names, or by the
     usual aliases (event_id/eid, case_id/cid, timestamp/ts/event_time) when
     not given. Every remaining column becomes a schema attribute, in header
-    order. Empty attribute fields ingest as null.
+    order. Empty attribute fields ingest as null. Quoting is strict: a stray
+    quote, or one never closed, is an error at its row.
 
     The cyclic garbage collector is paused from the first data row until
     the EventLog is built: the values built are acyclic, so reference
@@ -234,7 +235,7 @@ def load_event_log(
     of one load; the caller's setting is restored however the load ends.
     """
     stream = io.StringIO(source) if isinstance(source, str) else source
-    reader = csv.reader(stream)
+    reader = csv.reader(stream, strict=True)
     try:
         header = next(reader)
     except StopIteration:

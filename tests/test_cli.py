@@ -312,6 +312,14 @@ def test_csv_reader_errors_exit_1(capsys, tmp_path):
     path.write_text("eid,cid," + "t" * 200_000 + "\n", encoding="utf-8")
     code, _, err = run(capsys, "query", "SELECT eid FROM eventlog", "--log", str(path))
     assert code == 1 and "error: row 1: field larger than field limit" in err
+    # Quoting is strict: a quote never closed does not swallow the rows after
+    # it, and text after a closing quote is refused at its row.
+    path.write_text('eid,cid,ts,a\n1,c,5,"abc\n2,c,6,x\n3,c,7,y\n', encoding="utf-8")
+    code, _, err = run(capsys, "query", "SELECT eid FROM eventlog", "--log", str(path))
+    assert code == 1 and "error: row 2: unexpected end of data" in err
+    path.write_text('eid,cid,ts,a\n1,c,5,x\n2,c,6,"abc"def\n', encoding="utf-8")
+    code, _, err = run(capsys, "query", "SELECT eid FROM eventlog", "--log", str(path))
+    assert code == 1 and "error: row 3: " in err
 
 
 def test_check_fixture_and_mismatch(capsys, quotes_csv_path, tmp_path, monkeypatch):

@@ -441,9 +441,7 @@ def test_translate_query_emits_only_used_helpers(quotes_log):
 
     assert text("SELECT cid FROM eventlog") == ["output(C) :- event(C,E,T)."]
     assert text("SELECT cid FROM eventlog WHERE event_name MATCHES (START (ANY) END)")[1:] == [
-        "p0(T,C) :- event(C,E,T).",
-        "p1(Ts,C) :- p0(Ts,C), first(C,Ts).",
-        "p2(C) :- p1(Ts,C), last(C,Ts).",
+        "p0(C) :- event(C,E,T), first(C,T), last(C,T).",
     ]
 
 
@@ -615,16 +613,21 @@ def test_evaluate_monotone_for_negation_free_programs():
 
 
 def test_evaluate_start_and_end_relations(quotes_log):
-    query = parse_query("SELECT cid FROM eventlog WHERE event_name MATCHES (START (ANY) END)")
-    program = translate_query(query, quotes_log.schema)
-    derived = evaluate(program, facts_from_log(quotes_log))
     sets = {("c", es.cid): es.timestamps for es in event_sets(quotes_log)}
-    # p1 is START (ANY) read at its end: the first event of each case; p2
-    # adds END and keeps the case alone
-    assert derived["p1"] == {(ts[0], c) for c, ts in sets.items()}
-    # every case has more than one event, so no single event both starts
-    # and ends its case
-    assert derived["p2"] == derived[OUTPUT_PRED] == set()
+
+    def derived(pattern):
+        query = parse_query(f"SELECT cid FROM eventlog WHERE event_name MATCHES ({pattern})")
+        return evaluate(translate_query(query, quotes_log.schema), facts_from_log(quotes_log))
+
+    # p0 is START (ANY): the first event of each case; p1 is ANY END, the
+    # last one; every case has two events, so p2 keeps every case
+    ends = derived("START (ANY) ~> ANY END")
+    assert ends["p0"] == {(ts[0], c) for c, ts in sets.items()}
+    assert ends["p1"] == {(ts[-1], c) for c, ts in sets.items()}
+    assert ends["p2"] == {(c,) for c in sets}
+    # p0 is the case whose one event both starts and ends it: none here
+    both = derived("START (ANY) END")
+    assert both["p0"] == both[OUTPUT_PRED] == set()
 
 
 def test_evaluate_does_not_mutate_input(quotes_log):
@@ -894,6 +897,19 @@ def test_translation_cost_pins(monkeypatch):
     assert recursive("('a' -> 'b')* -> 'c'") == []
     assert len(recursive("START ((ANY -> ANY)*) END")) == 1
 
+    # START and END join the operand that owns their endpoint, so the
+    # anchored query derives its operands from the case's first and last
+    # events alone, not over every start before an anchor filters them.
+    anchored = parse_query(
+        "SELECT cid FROM eventlog WHERE event_name MATCHES (START ((ANY ~> ANY) ~> (ANY ~> ANY)) END)"
+    )
+    growth = []
+    for n in (40, 80):
+        bindings[0] = 0
+        assert cross_check(anchored, EventLog(log.schema, log.events[:n])).equal
+        growth.append(bindings[0])
+    assert growth[1] < 8 * growth[0], growth
+
 
 def _copy_rules(program):
     """Rules whose body is one positive derived atom with the head's
@@ -932,6 +948,49 @@ def test_translated_programs_have_no_copy_rules():
             stars += len(recursive)
     # The corpora reach stars read at both ends, the one place a copy may be.
     assert stars > 0
+
+
+def _anchor_wrappers(rules, edb):
+    """Rules whose body is one derived atom plus only first and last atoms,
+    unless that atom is a star read at both ends: it reads itself."""
+    recursive = {r.head.pred for r in _recursive_rules(DatalogProgram(tuple(rules), edb))}
+    wrappers = []
+    for r in rules:
+        derived = [i for i in r.body if isinstance(i, Atom) and i.pred not in edb]
+        anchors = [i for i in r.body if isinstance(i, Atom) and i.pred in ("first", "last")]
+        if len(derived) == 1 and anchors and len(derived) + len(anchors) == len(r.body):
+            if derived[0].pred not in recursive:
+                wrappers.append(rule_to_text(r))
+    return wrappers
+
+
+def test_translated_programs_have_no_anchor_wrappers():
+    # START and END add no relation: the single event, or the star read at
+    # both ends, that owns the endpoint joins first or last itself.
+    for name, corpus in translation_corpora():
+        for query, log in corpus:
+            program = translate_query(query, log.schema)
+            assert _anchor_wrappers(program.rules, program.edb_predicates) == [], f"{name}: {pretty_print(query)}"
+            for match in query.conditions:
+                if isinstance(match, (SimpleMatch, BehaviourMatch)):
+                    rules = translate_pattern(compile_pattern(match, log.schema))
+                    assert _anchor_wrappers(rules, program.edb_predicates) == [], f"{name}: {pretty_print(query)}"
+    # START (ANY) END is one rule: see test_translate_query_emits_only_used_helpers.
+    assert [rule_to_text(r) for r in translate_pattern(simple("START ('a' ~> 'b') END"))] == [
+        'p0(T,C) :- event(C,E,T), attr_event_name(C,E,"a"), first(C,T).',
+        'p1(T,C) :- event(C,E,T), attr_event_name(C,E,"b"), last(C,T).',
+        "p2(Ts,Ts2,C) :- p0(Ts,C), p1(Ts2,C), Ts < Ts2.",
+    ]
+    # A star read at both ends keeps its recursion, and its anchored reader
+    # reads it over two distinct timestamps: a single event's one would keep
+    # only the segments of one event.
+    assert [rule_to_text(r) for r in translate_pattern(simple("START ('a'*) END"))][-1] == (
+        "p2(Ts,Te,C) :- p1(Ts,Te,C), first(C,Ts), last(C,Te)."
+    )
+    rows = [("c1", "a"), ("c1", "a"), ("c1", "a"), ("c2", "a"), ("c2", "b")]
+    log = EventLog(("event_name",), tuple(Event(f"e{i}", c, i, (("event_name", v),)) for i, (c, v) in enumerate(rows)))
+    report = cross_check(parse_query("SELECT cid FROM eventlog WHERE event_name MATCHES (START ('a'*) END)"), log)
+    assert report.equal and report.datalog_rows == {("c1",)}
 
 
 def _defined_twice(rules):
