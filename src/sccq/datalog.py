@@ -31,9 +31,13 @@ runs once, a recursive one by semi-naive iteration on its own new tuples.
 Each rule runs as a pipeline of hash-indexed joins and semi-joins. The same
 audit is exposed for static scans.
 
-Constants are namespaced by sort (case id, event id, timestamp, attribute
-value, null) so equalities across sorts never unify by accident; timestamps
-are plain ints so the comparison built-ins apply to them alone.
+Constants are the log's values as they are: a str case id, event id or
+attribute value, an int timestamp, and None for null, printed ``null``.
+Each variable stays in columns of one sort (C case ids, E event ids, T, Ts
+and Te timestamps, V<i> attribute values), so no join compares values of
+two sorts; the one row filter that would, an equality between two column
+kinds such as ``eid = cid``, never holds, and its query translates to no
+rule. Timestamps alone are ints, so ``<`` applies to them alone.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ from .errors import MalformedCsv, StratificationViolation, UnsafeRule
 from .eventlog import EventLog, event_sets
 from .matcher import CompiledPattern
 
-Const = Union[int, tuple[str, str]]  # int = timestamp; ("c"|"e"|"v"|"n", text) otherwise
+Const = Union[int, str, None]  # int = timestamp; str = id or attribute value; None = null
 
 
 @dataclass(frozen=True)
@@ -90,7 +94,7 @@ class Atom:
 @dataclass(frozen=True)
 class Cmp:
     """Built-in comparison. < is defined on timestamps only; = is plain
-    sort-aware equality."""
+    equality of values."""
 
     op: str  # "<" or "="
     left: Term
@@ -121,19 +125,7 @@ _TS, _TE, _TS2, _TE2 = Var("Ts"), Var("Te"), Var("Ts2"), Var("Te2")  # segment e
 _EVENT = Atom("event", (_C, _E, _T))  # one event of the log, at T
 _BOTH = frozenset({"start", "end"})  # the endpoints of a segment
 
-NULL: Const = ("n", "")  # the value of every null attribute
-
-
-def cid_const(value: str) -> Const:
-    return ("c", value)
-
-
-def eid_const(value: str) -> Const:
-    return ("e", value)
-
-
-def value_const(value: str) -> Const:
-    return ("v", value)
+NULL: Const = None  # the value of every null attribute
 
 
 def attribute_predicate(name: str) -> str:
@@ -158,12 +150,12 @@ def facts_from_log(log: EventLog) -> FactSet:
     facts["null"].add((NULL,))
     preds = {name: attribute_predicate(name) for name in log.schema}
     for ev in log.events:
-        c, e = cid_const(ev.cid), eid_const(ev.eid)
+        c, e = ev.cid, ev.eid
         facts["event"].add((c, e, ev.ts))
         for name, value in ev.attrs:
-            facts[preds[name]].add((c, e, NULL if value is None else value_const(value)))
+            facts[preds[name]].add((c, e, value))
     for es in event_sets(log):
-        c = cid_const(es.cid)
+        c = es.cid
         ts = es.timestamps
         facts["next"].update((c, t1, t2) for t1, t2 in zip(ts, ts[1:]))
         facts["first"].add((c, ts[0]))
@@ -308,7 +300,7 @@ class _Translation:
         schema position, so bodies over one event merge without a clash. a = b
         fails where a differs from b or a is null, a = a where a is null."""
         if isinstance(conj, AttrEqConst):
-            return [(_EVENT, _attr_atom(conj.attr, value_const(str(conj.value)), negated))]
+            return [(_EVENT, _attr_atom(conj.attr, str(conj.value), negated))]
         shared = Var(f"V{self.pattern.schema.index(conj.left)}")
         left = _attr_atom(conj.left, shared)
         if negated:
@@ -391,19 +383,18 @@ def _column_term(ref: ColumnRef, attr_vars: dict[str, Var]) -> Term:
 
 
 def _const_term(ref: ColumnRef, value: str | int) -> Const:
-    if ref.kind == "eid":
-        return eid_const(str(value))
-    if ref.kind == "cid":
-        return cid_const(str(value))
-    if ref.kind == "ts":
-        return value if isinstance(value, int) else value_const(value)
-    return value_const(str(value))
+    return value if ref.kind == "ts" else str(value)  # a quoted ts never equals an int
 
 
 def translate_query(query: Query | Plan, schema: tuple[str, ...]) -> DatalogProgram:
     """Translate a whole query, compiled for `schema` unless it is a compiled
-    plan already: the output rule, then the pattern rules."""
+    plan already: the output rule, then the pattern rules. An equality
+    between two column kinds, such as eid = cid, compares two sorts and never
+    holds, as in engine._row_test: its query has no rule."""
     plan = query if isinstance(query, Plan) else compile_plan(query, schema)
+    edb = edb_predicates(plan.schema)
+    if any(isinstance(sel, ColumnEquality) and sel.left.kind != sel.right.kind for sel in plan.row_selections):
+        return DatalogProgram((), edb)
     columns = [*plan.projection]
     for sel in plan.row_selections:
         columns += (sel.left, sel.right) if isinstance(sel, ColumnEquality) else (sel.column,)
@@ -425,7 +416,6 @@ def translate_query(query: Query | Plan, schema: tuple[str, ...]) -> DatalogProg
     # derived tuple witnesses, so its atom could never narrow the output: it
     # gets neither an atom nor rules. The output reads no endpoint of a root.
     # A query whose output body can never hold has no rule at all.
-    edb = edb_predicates(plan.schema)
     ctx = _Translation(edb)
     roots = [ctx.root(p, frozenset())[0] for p in plan.pattern_selections if not matches_empty(p.formula)]
     head = Atom(OUTPUT_PRED, tuple(_column_term(ref, attr_vars) for ref in plan.projection))
@@ -440,8 +430,8 @@ def _terms(item: BodyItem) -> tuple[Term, ...]:
     return (item.left, item.right) if isinstance(item, Cmp) else item.args
 
 
-def _item_vars(item: BodyItem) -> set[str]:
-    return {t.name for t in _terms(item) if isinstance(t, Var)}
+def _item_vars(item: BodyItem) -> set[Var]:
+    return {t for t in _terms(item) if isinstance(t, Var)}
 
 
 def audit_program(program: DatalogProgram) -> list[tuple[str, str]]:
@@ -456,15 +446,13 @@ def audit_program(program: DatalogProgram) -> list[tuple[str, str]]:
         head = rule.head.pred
         # One set for the whole body: a call of _item_vars per atom, merged,
         # made the audit about 1.4 times slower on translated programs.
-        positive = {
-            t.name for i in rule.body if isinstance(i, Atom) and not i.negated for t in i.args if isinstance(t, Var)
-        }
+        positive = {t for i in rule.body if isinstance(i, Atom) and not i.negated for t in i.args if isinstance(t, Var)}
         checked = [(rule.head, "the head")] + [
             (i, f"built-in {i.op}" if isinstance(i, Cmp) else f"negated atom {i.pred}")
             for i in rule.body if isinstance(i, Cmp) or i.negated
         ]
         for item, where in checked:
-            for name in sorted(_item_vars(item) - positive):
+            for name in sorted(v.name for v in _item_vars(item) - positive):
                 findings.append(
                     ("unsafe", f"variable {name} in {where} of rule for {head!r} is not bound by a positive body atom")
                 )
@@ -542,18 +530,20 @@ def _key(positions: tuple[int, ...]) -> _Getter:
 
 
 def _compile_rule(rule: Rule) -> _JoinPlan:
-    atoms: list[tuple[set[str], BodyItem]] = []
-    pending: list[tuple[set[str], BodyItem]] = []
+    atoms: list[tuple[set[Var], BodyItem]] = []
+    pending: list[tuple[set[Var], BodyItem]] = []
     for item in rule.body:
         (atoms if isinstance(item, Atom) and not item.negated else pending).append((_item_vars(item), item))
-    slots: dict[str | Const, int] = {}  # by constant, then by variable name
+    # By constant, then by variable: keyed by the Var itself, so the
+    # constant "C" never takes variable C's slot.
+    slots: dict[Term, int] = {}
     for const in dict.fromkeys(t for i in (rule.head, *rule.body) for t in _terms(i) if not isinstance(t, Var)):
         slots[const] = len(slots)
     first_row = tuple(slots)
     # A filter that reads an atom's new variable cannot run before that atom.
     # later[k] is what the head, the filters and the atoms after atom k read.
     read = _item_vars(rule.head).union(*(names for names, _ in pending))
-    later: list[set[str]] = []
+    later: list[set[Var]] = []
     for names, _ in reversed(atoms):
         later.append(read)
         read = read | names
@@ -563,14 +553,14 @@ def _compile_rule(rule: Rule) -> _JoinPlan:
     for (_, atom), after in zip(atoms, later):
         index, key, fresh = _probe(atom, slots, after)
         if index.values:
-            for name in fresh:
-                slots[name] = len(slots)
+            for var in fresh:
+                slots[var] = len(slots)
         steps.append(_Step(index, key, _ready(pending, slots)))
-    head = _picker(tuple(slots[_name(t)] for t in rule.head.args))
+    head = _picker(tuple(slots[t] for t in rule.head.args))
     return _JoinPlan(first_row, filters, tuple(steps), head)
 
 
-def _ready(pending: list[tuple[set[str], BodyItem]], slots: dict[str | Const, int]) -> tuple[_Filter, ...]:
+def _ready(pending: list[tuple[set[Var], BodyItem]], slots: dict[Term, int]) -> tuple[_Filter, ...]:
     """Take from `pending` the filters whose variables have slots."""
     bound = slots.keys()
     ready = [item for names, item in pending if names <= bound]
@@ -578,20 +568,13 @@ def _ready(pending: list[tuple[set[str], BodyItem]], slots: dict[str | Const, in
         return ()
     pending[:] = [(names, item) for names, item in pending if not names <= bound]
     return tuple(
-        (item.op, slots[_name(item.left)], slots[_name(item.right)]) if isinstance(item, Cmp)
+        (item.op, slots[item.left], slots[item.right]) if isinstance(item, Cmp)
         else ("!", *_probe(item, slots)[:2])
         for item in ready
     )
 
 
-def _name(term: Term) -> str | Const:
-    """The key of a term's slot: a variable's name, or the constant itself."""
-    return term.name if isinstance(term, Var) else term
-
-
-def _probe(
-    atom: Atom, slots: dict[str | Const, int], later: set[str] = frozenset()
-) -> tuple[_Index, _Getter, dict[str | Const, int]]:
+def _probe(atom: Atom, slots: dict[Term, int], later: set[Var] = frozenset()) -> tuple[_Index, _Getter, dict[Var, int]]:
     """The index through which an atom is probed once `slots` are bound,
     the function that reads its probe key from a row, and its new variables
     with the position of each. Every constant has a slot, so the index is
@@ -599,17 +582,17 @@ def _probe(
     variable, the index is a set of keys: a semi-join."""
     positions: list[int] = []
     repeats: list[tuple[int, int]] = []
-    fresh: dict[str | Const, int] = {}
-    for i, name in enumerate(map(_name, atom.args)):
-        if name in slots:
+    fresh: dict[Var, int] = {}
+    for i, term in enumerate(atom.args):
+        if term in slots:
             positions.append(i)
-        elif name in fresh:
-            repeats.append((i, fresh[name]))
+        elif term in fresh:
+            repeats.append((i, fresh[term]))
         else:
-            fresh[name] = i
+            fresh[term] = i
     values = () if later.isdisjoint(fresh) else tuple(fresh.values())
     index = _Index(atom.pred, len(atom.args), tuple(positions), tuple(repeats), values)
-    return index, _key(tuple(slots[_name(atom.args[i])] for i in positions)), fresh
+    return index, _key(tuple(slots[atom.args[i]] for i in positions)), fresh
 
 
 class _Relations:
@@ -766,9 +749,9 @@ _ESCAPES = str.maketrans(
 def _const_text(value: Const) -> str:
     if isinstance(value, int):
         return str(value)
-    if value == NULL:
+    if value is None:
         return "null"
-    return f'"{value[1].translate(_ESCAPES)}"'
+    return f'"{value.translate(_ESCAPES)}"'
 
 
 def _term_text(term: Term) -> str:
@@ -804,12 +787,6 @@ def facts_to_text(facts: FactSet) -> str:
 
 # --- differential check -------------------------------------------------------
 
-def _untag(value: Const) -> str | int | None:
-    if value == NULL:
-        return None
-    return value if isinstance(value, int) else value[1]
-
-
 @dataclass(frozen=True)
 class CheckReport:
     """Set-normalized comparison of the two back ends on one query."""
@@ -844,5 +821,5 @@ def cross_check(query: Query, log: EventLog) -> CheckReport:
     plan = compile_plan(query, log.schema)
     ra_rows = frozenset(execute(plan, log).rows)
     derived = evaluate(translate_query(plan, log.schema), facts_from_log(log))
-    dl_rows = frozenset(tuple(_untag(v) for v in t) for t in derived.get(OUTPUT_PRED, set()))
+    dl_rows = frozenset(derived.get(OUTPUT_PRED, set()))
     return CheckReport(ra_rows, dl_rows)

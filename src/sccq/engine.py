@@ -10,8 +10,8 @@ A query compiles to a plan of three layers, applied in this order:
 
 Equality is sort-aware: the fixed columns eid, cid and ts and the event
 attributes live in separate value sorts, so an equality across sorts is
-false even when the printed values coincide. This mirrors the namespaced
-constants of the Datalog back end, keeping the two result-equivalent.
+false even when the printed values coincide. The Datalog back end settles
+it the same way, when translating: such a query has no rule.
 
 ``execute`` turns each row selection and projection column, once per query,
 into a reader by schema position; an equality across sorts is decided false

@@ -344,7 +344,7 @@ def test_check_fixture_and_mismatch(capsys, quotes_csv_path, tmp_path, monkeypat
 
     # A Datalog side that gains an event of a case the log lacks derives a
     # row the relational side has not.
-    ghost = (("c", "ghost"), ("e", "g1"), 1)
+    ghost = ("ghost", "g1", 1)
     monkeypatch.setattr(datalog, "facts_from_log", lambda log: {**extract(log), "event": {ghost}})
     code, out, _ = run(capsys, "check", "SELECT cid FROM eventlog", "--log", quotes_csv_path)
     assert code == 3

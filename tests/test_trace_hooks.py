@@ -22,10 +22,15 @@ def test_trace_hooks_see_every_layer(capsys, quotes_csv_path):
         )
         assert sccq.cli.main(["query", query, "--log", quotes_csv_path]) == 0
         assert sccq.cli.main(["check", "SELECT eid FROM eventlog", "--log", quotes_csv_path]) == 0
+        pattern = "'Review request' ~> 'Send quote'"
+        assert sccq.cli.main(["match", pattern, "--log", quotes_csv_path, "--merge-cases"]) == 0
     finally:
         tracer.restore()
     capsys.readouterr()
-    for counter in ("event_sets_calls", "case_satisfies_calls", "edb_facts", "rules"):
+    for counter in ("event_sets_calls", "case_satisfies_calls", "edb_facts", "rules", "segments_listed"):
         assert tracer.counts[counter] > 0, counter
     spans = {span[0] for span in tracer.spans}
-    assert spans >= {"cli.main", "eventlog.load", "datalog.translate", "datalog.evaluate"}
+    assert spans >= {
+        "cli.main", "eventlog.load", "eventlog.merge", "matcher.satisfying_segments",
+        "datalog.translate", "datalog.evaluate",
+    }
