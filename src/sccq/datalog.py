@@ -11,15 +11,16 @@ reads: ``output`` reads the case alone, ``~>`` and ``->`` the end of their
 left operand and the start of their right one; a single event has one
 timestamp column for both. START and END are anchors: the single event or
 star read at both ends that owns the endpoint joins ``first`` or ``last``.
-Rule bodies of identifier expressions compose over one event, as the
-variable of ``a = b`` is named after a's schema position, so only a
-conjunction's part of several bodies gets a predicate; no body lists an
-item twice, and none that can never hold is emitted, so a subformula may
-be empty, and so is every operator over it. A predicate is its definition,
-so a query derives each relation once; only a star read at both ends
-recurses. A query adds one ``output`` rule, which joins the base body with
-the root atom of each pattern that is not a star (a star holds on every
-case); a query that can never match has no rule.
+The value of attribute a at an event is always ``V<i>``, i being a's schema
+position, so rule bodies over one event compose: only a conjunction's part
+of several bodies gets a predicate; no body lists an item twice, and none
+that can never hold is emitted, so a subformula may be empty, and so is
+every operator over it. A predicate is its definition, so a query derives
+each relation once; only a star read at both ends recurses. A query adds
+one ``output`` rule: the base body, in which a row filter on attributes is
+the body of the behaviour conjunct it equals, and the root atom of each
+pattern that is not a star (a star holds on every case). A query that can
+never match has no rule.
 
 Every negated atom is an EDB atom, so a translated program is semi-positive
 by construction: START and END join ``first`` and ``last``, a failed
@@ -35,16 +36,17 @@ Constants are the log's values as they are: a str case id, event id or
 attribute value, an int timestamp, and None for null, printed ``null``.
 Each variable stays in columns of one sort (C case ids, E event ids, T, Ts
 and Te timestamps, V<i> attribute values), so no join compares values of
-two sorts; the one row filter that would, an equality between two column
-kinds such as ``eid = cid``, never holds, and its query translates to no
-rule. Timestamps alone are ints, so ``<`` applies to them alone.
+two sorts. A row filter that compares two sorts never holds, and its query
+translates to no rule: an equality between two column kinds, such as
+``eid = cid``, or of ``ts`` with a quoted value, such as ``ts = 'x'``.
+Timestamps alone are ints, so ``<`` applies to them alone.
 """
 
 from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count, filterfalse
 from operator import itemgetter
 from typing import Callable, Container, Iterable, Iterator, NamedTuple, Union
@@ -221,6 +223,26 @@ def _ends(need: frozenset[str], start: Term, end: Term) -> tuple[Term, ...]:
     return (*(v for at, v in (("start", start), ("end", end)) if at in need), _C)
 
 
+def _value(attr: str, schema: tuple[str, ...]) -> Var:
+    """The value of attribute `attr` at E: V<i>, i being its schema position."""
+    return Var(f"V{schema.index(attr)}")
+
+
+def _conjunct(conj: AttrEqConst | AttrEqAttr, schema: tuple[str, ...], negated: bool) -> list[tuple[BodyItem, ...]]:
+    """The bodies of the events where conj holds, or fails when `negated`
+    is set. Attribute a is always read as _value(a), so bodies over one
+    event merge without a clash. a = b fails where a differs from b or a is
+    null, a = a where a is null."""
+    if isinstance(conj, AttrEqConst):
+        return [(_EVENT, _attr_atom(conj.attr, str(conj.value), negated))]
+    shared = _value(conj.left, schema)
+    left = _attr_atom(conj.left, shared)
+    if negated:
+        null = (_EVENT, left, Atom("null", (shared,)))
+        return [null] if conj.left == conj.right else [(_EVENT, left, _attr_atom(conj.right, shared, True)), null]
+    return [_body((_EVENT, left, _attr_atom(conj.right, shared), Atom("null", (shared,), negated=True)))]
+
+
 class _Translation:
     """Shared state while translating the patterns of one query. A derived
     predicate is its definition, its head arguments and its set of rule
@@ -281,9 +303,9 @@ class _Translation:
         if isinstance(expr, OrExpr):
             parts = [self.identifier(side, negated) for side in (expr.left, expr.right)]
         elif isinstance(expr, Literal):
-            parts = [self._conjunct(AttrEqConst(self.pattern.attribute or "", expr.value), negated)]
+            parts = [_conjunct(AttrEqConst(self.pattern.attribute or "", expr.value), self.pattern.schema, negated)]
         elif isinstance(expr, BehaviourRef):
-            parts = [self._conjunct(conj, negated) for conj in self.pattern.behaviour(expr.name).conjuncts]
+            parts = [_conjunct(c, self.pattern.schema, negated) for c in self.pattern.behaviour(expr.name).conjuncts]
         else:
             raise TypeError(f"not an identifier expression: {expr!r}")
         if isinstance(expr, OrExpr) != negated:  # any of the parts
@@ -293,20 +315,6 @@ class _Translation:
         bodies = [part[0] if len(part) == 1 else (Atom(self.define((_T, _C), part), (_T, _C)),) for part in parts]
         body = _body(item for body in bodies for item in body)
         return [body] if self.holds(body) else []
-
-    def _conjunct(self, conj: AttrEqConst | AttrEqAttr, negated: bool) -> list[tuple[BodyItem, ...]]:
-        """The bodies of the events where conj holds, or fails when `negated`
-        is set. The value of attribute a at E is always V<i>, i being a's
-        schema position, so bodies over one event merge without a clash. a = b
-        fails where a differs from b or a is null, a = a where a is null."""
-        if isinstance(conj, AttrEqConst):
-            return [(_EVENT, _attr_atom(conj.attr, str(conj.value), negated))]
-        shared = Var(f"V{self.pattern.schema.index(conj.left)}")
-        left = _attr_atom(conj.left, shared)
-        if negated:
-            null = (_EVENT, left, Atom("null", (shared,)))
-            return [null] if conj.left == conj.right else [(_EVENT, left, _attr_atom(conj.right, shared, True)), null]
-        return [_body((_EVENT, left, _attr_atom(conj.right, shared), Atom("null", (shared,), negated=True)))]
 
     # -- pattern formulas ----------------------------------------------------
 
@@ -372,45 +380,37 @@ def translate_pattern(pattern: CompiledPattern) -> list[Rule]:
     return [Rule(Atom(pred, r.head.args[:1] + r.head.args), r.body) if r.head.pred == pred else r for r in ctx.rules]
 
 
-def _column_term(ref: ColumnRef, attr_vars: dict[str, Var]) -> Term:
-    if ref.kind == "eid":
-        return _E
-    if ref.kind == "cid":
-        return _C
-    if ref.kind == "ts":
-        return _T
-    return attr_vars[ref.name]
-
-
-def _const_term(ref: ColumnRef, value: str | int) -> Const:
-    return value if ref.kind == "ts" else str(value)  # a quoted ts never equals an int
+def _column_term(ref: ColumnRef, schema: tuple[str, ...]) -> Term:
+    return _value(ref.name, schema) if ref.kind == "attr" else {"eid": _E, "cid": _C, "ts": _T}[ref.kind]
 
 
 def translate_query(query: Query | Plan, schema: tuple[str, ...]) -> DatalogProgram:
     """Translate a whole query, compiled for `schema` unless it is a compiled
-    plan already: the output rule, then the pattern rules. An equality
-    between two column kinds, such as eid = cid, compares two sorts and never
-    holds, as in engine._row_test: its query has no rule."""
+    plan already: the output rule, then the pattern rules. A row filter on
+    attributes is the body of the behaviour conjunct it equals, and attribute
+    a is read as V<i>, i being a's schema position. A row filter that
+    compares two sorts, such as eid = cid or ts = 'x', never holds, as in
+    engine._row_test: its query has no rule."""
     plan = query if isinstance(query, Plan) else compile_plan(query, schema)
-    edb = edb_predicates(plan.schema)
-    if any(isinstance(sel, ColumnEquality) and sel.left.kind != sel.right.kind for sel in plan.row_selections):
+    schema, edb = plan.schema, edb_predicates(plan.schema)
+    if any(
+        sel.left.kind != sel.right.kind if isinstance(sel, ColumnEquality)
+        else sel.column.kind == "ts" and not isinstance(sel.value, int)
+        for sel in plan.row_selections
+    ):
         return DatalogProgram((), edb)
-    columns = [*plan.projection]
-    for sel in plan.row_selections:
-        columns += (sel.left, sel.right) if isinstance(sel, ColumnEquality) else (sel.column,)
-    referenced = list(dict.fromkeys(ref.name for ref in columns if ref.kind == "attr"))
-    attr_vars = {name: Var(f"V{i}") for i, name in enumerate(referenced)}
-
     base_body: list[BodyItem] = [_EVENT]
-    base_body.extend(_attr_atom(name, attr_vars[name]) for name in referenced)
+    base_body += (_attr_atom(ref.name, _column_term(ref, schema)) for ref in plan.projection if ref.kind == "attr")
     for sel in plan.row_selections:
-        if isinstance(sel, ConstEquality):
-            base_body.append(Cmp("=", _column_term(sel.column, attr_vars), _const_term(sel.column, sel.value)))
+        if isinstance(sel, ConstEquality) and sel.column.kind == "attr":
+            base_body += _conjunct(AttrEqConst(sel.column.name, sel.value), schema, False)[0]
+        elif isinstance(sel, ConstEquality):  # an int for ts, which no quoted value reaches; a str for an id
+            value = sel.value if sel.column.kind == "ts" else str(sel.value)
+            base_body.append(Cmp("=", _column_term(sel.column, schema), value))
+        elif sel.left.kind == "attr":
+            base_body += _conjunct(AttrEqAttr(sel.left.name, sel.right.name), schema, False)[0]
         else:
-            left = _column_term(sel.left, attr_vars)
-            base_body.append(Cmp("=", left, _column_term(sel.right, attr_vars)))
-            if sel.left.kind == sel.right.kind == "attr":
-                base_body.append(Atom("null", (left,), negated=True))
+            base_body.append(Cmp("=", _column_term(sel.left, schema), _column_term(sel.right, schema)))
 
     # A star pattern holds on every case through the empty segment, which no
     # derived tuple witnesses, so its atom could never narrow the output: it
@@ -418,7 +418,7 @@ def translate_query(query: Query | Plan, schema: tuple[str, ...]) -> DatalogProg
     # A query whose output body can never hold has no rule at all.
     ctx = _Translation(edb)
     roots = [ctx.root(p, frozenset())[0] for p in plan.pattern_selections if not matches_empty(p.formula)]
-    head = Atom(OUTPUT_PRED, tuple(_column_term(ref, attr_vars) for ref in plan.projection))
+    head = Atom(OUTPUT_PRED, tuple(_column_term(ref, schema) for ref in plan.projection))
     body = _body((*base_body, *roots))
     rules = (Rule(head, body), *ctx.rules) if ctx.holds(body) else ()
     return DatalogProgram(rules, edb)
@@ -729,7 +729,6 @@ def evaluate(program: DatalogProgram, facts: FactSet) -> FactSet:
                     if step.index.pred not in delta:
                         continue
                     fresh = _eval_rule(plan, store, k, seeds) - rels[pred]
-                    fresh -= next_delta.get(pred, set())
                     if fresh:
                         next_delta.setdefault(pred, set()).update(fresh)
             delta = next_delta

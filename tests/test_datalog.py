@@ -744,14 +744,15 @@ def test_cross_check_projects_null():
 
 def test_equality_across_column_kinds_never_holds():
     # Each column kind is its own sort, so eid = cid never holds, even where
-    # both read "x": the query translates to no rule, as the relational side
-    # selects no event. An equality within one kind selects the event.
+    # both read "x", and a timestamp never equals a quoted value, even "1" at
+    # 1: the query translates to no rule, as the relational side selects no
+    # event. An equality within one sort selects the event.
     log = load_event_log("eid,cid,ts,a\nx,x,1,x\n")
-    for condition in ("eid = cid", "eid = a", "cid = a"):
+    for condition in ("eid = cid", "eid = a", "cid = a", "ts = 'x'", "TS = '1'"):
         query = parse_query(f"SELECT eid FROM eventlog WHERE {condition}")
         assert translate_query(query, log.schema).rules == (), condition
         assert cross_check(query, log).summary() == "EQUAL (0 distinct tuples)", condition
-    for condition in ("a = a", "eid = eid"):
+    for condition in ("a = a", "eid = eid", "ts = 1"):
         report = cross_check(parse_query(f"SELECT eid FROM eventlog WHERE {condition}"), log)
         assert report.equal and report.datalog_rows == {("x",)}, condition
 
@@ -819,6 +820,38 @@ def seeded(pair, seed, size):
     with `seed`."""
     rng = random.Random(seed)
     return tuple(pair(rng) for _ in range(size))
+
+
+def null_equality_pair(rng):
+    """A log of two or three cases of up to six events, each of whose two
+    attributes is null with probability 0.5 and else one of two values, and
+    a query on a failed a = b of the two: NOT (q), NOT (q) ~> X or
+    X -> NOT (q), X a random pattern of depth one over q."""
+    values, schema = DEFAULT_VALUES[:2], ("event_name", "resource")
+    events = []
+    for c in range(rng.randint(2, 3)):
+        for i in range(rng.randint(1, 6)):
+            attrs = tuple((name, None if rng.random() < 0.5 else rng.choice(values)) for name in schema)
+            events.append(Event(f"e{len(events)}", f"c{c}", 10 * (i + 1), attrs))
+    fails = Identifier(NotExpr(BehaviourRef("q")))
+    other = random_pattern(rng, depth=1, behaviour_names=("q",))
+    pattern = rng.choice([fails, Follows(fails, other), DirectlyFollows(other, fails)])
+    match = BehaviourMatch((BehaviourDef("q", (AttrEqAttr(*rng.sample(schema, 2)),)),), pattern)
+    return Query(("cid",), "eventlog", (match,)), EventLog(schema, tuple(events))
+
+
+def test_cross_check_null_equality_corpus():
+    # a = b fails on an event where both are null, through its null body
+    # alone. Half the values are null, so about a quarter of the events are
+    # such an event.
+    mismatches, both_null = [], 0
+    for i, (query, log) in enumerate(seeded(null_equality_pair, 32, 150)):
+        report = cross_check(query, log)
+        if not report.equal:
+            mismatches.append(f"pair {i}: {report.summary()}  {pretty_print(query)}")
+        both_null += any(all(value is None for _, value in event.attrs) for event in log.events)
+    assert mismatches == []
+    assert both_null >= 100, both_null
 
 
 def nested_identifier_pair(rng, behaviour):
@@ -1129,7 +1162,7 @@ def test_identifier_conjunctions_name_only_multi_body_parts():
     # the output rule included, lists a body item twice.
     repeated = translate_query(parse_query("SELECT cid FROM eventlog WHERE a = b AND a = b AND a = b"), ("a", "b"))
     assert rule_to_text(repeated.rules[0]) == (
-        "output(C) :- event(C,E,T), attr_a(C,E,V0), attr_b(C,E,V1), V0 = V1, !null(V0)."
+        "output(C) :- event(C,E,T), attr_a(C,E,V0), attr_b(C,E,V0), !null(V0)."
     )
     t_c = (Var("T"), Var("C"))
     for name, corpus in translation_corpora():
@@ -1147,6 +1180,32 @@ def test_identifier_conjunctions_name_only_multi_body_parts():
                     rules += translate_pattern(compile_pattern(match, log.schema))
             for rule in rules:
                 assert len(set(rule.body)) == len(rule.body), f"{name}: {rule_to_text(rule)}"
+
+
+def test_row_filters_are_behaviour_conjunct_bodies():
+    # A row filter on attributes is translated by the code of the behaviour
+    # conjunct it equals: the output body is that conjunct's body.
+    for condition in ("a = b", "a = 'x'"):
+        row = translate_query(parse_query(f"SELECT cid FROM eventlog WHERE {condition}"), ("a", "b"))
+        behaviour = translate_query(
+            parse_query(f"SELECT cid FROM eventlog WHERE BEHAVIOUR {condition} AS w MATCHES (w)"), ("a", "b")
+        )
+        (output,) = [r for r in row.rules if r.head.pred == OUTPUT_PRED]
+        (p0,) = [r for r in behaviour.rules if r.head.pred == "p0"]
+        assert output.body == p0.body, condition
+
+
+def test_output_rules_equate_no_attribute_values():
+    # Attribute a is V<i> wherever a rule reads it, so an output rule needs
+    # no = between attribute values: only eid, cid and ts filters add one.
+    for name, corpus in translation_corpora():
+        for query, log in corpus:
+            for rule in translate_query(query, log.schema).rules:
+                if rule.head.pred == OUTPUT_PRED:
+                    equated = [t for i in rule.body if isinstance(i, Cmp) and i.op == "=" for t in (i.left, i.right)]
+                    assert [t for t in equated if isinstance(t, Var) and t.name[0] == "V"] == [], (
+                        f"{name}: {rule_to_text(rule)}"
+                    )
 
 
 def _contradictory_rules(rules):
@@ -1242,9 +1301,11 @@ _COLUMN_SORTS = {
 
 def _mixed_sorts(rule):
     """The names of the variables that a rule puts in columns of two sorts:
-    EDB columns, the time operands of <, and variables joined by =."""
+    EDB columns, the time operands of <, and variables joined by =; or
+    equates, through =, with a constant of another sort: a timestamp with a
+    str, or anything else with an int."""
     sorts = defaultdict(set)
-    joined = []
+    joined, constants = [], []
     for i in rule.body:
         if isinstance(i, Cmp):
             if i.op == "<":
@@ -1252,6 +1313,8 @@ def _mixed_sorts(rule):
                     sorts[term].add("time")
             elif isinstance(i.left, Var) and isinstance(i.right, Var):
                 joined.append((i.left, i.right))
+            else:
+                constants.append((i.left, i.right) if isinstance(i.left, Var) else (i.right, i.left))
         elif i.pred in _COLUMN_SORTS or i.pred.startswith("attr_"):
             for term, sort in zip(i.args, _COLUMN_SORTS.get(i.pred, ("case", "event", "value"))):
                 sorts[term].add(sort)
@@ -1262,7 +1325,9 @@ def _mixed_sorts(rule):
             union = sorts[left] | sorts[right]
             changed |= union != sorts[left] or union != sorts[right]
             sorts[left] = sorts[right] = union
-    return sorted(t.name for t, found in sorts.items() if isinstance(t, Var) and len(found) > 1)
+    mixed = {t for t, found in sorts.items() if len(found) > 1}
+    mixed |= {var for var, const in constants if ("time" in sorts[var]) != isinstance(const, int)}
+    return sorted(t.name for t in mixed if isinstance(t, Var))
 
 
 def test_translated_variables_keep_one_sort():
@@ -1276,6 +1341,11 @@ def test_translated_variables_keep_one_sort():
                     rules += translate_pattern(compile_pattern(match, log.schema))
             for rule in rules:
                 assert _mixed_sorts(rule) == [], f"{name}: {rule_to_text(rule)}"
+    # A timestamp equated with a str, or an id with an int, mixes sorts.
+    event = Atom("event", (_C, _E, _T))
+    assert _mixed_sorts(Rule(Atom(OUTPUT_PRED, (_E,)), (event, Cmp("=", _T, "x")))) == ["T"]
+    assert _mixed_sorts(Rule(Atom(OUTPUT_PRED, (_E,)), (event, Cmp("=", _E, 1)))) == ["E"]
+    assert _mixed_sorts(Rule(Atom(OUTPUT_PRED, (_E,)), (event, Cmp("=", _T, 1), Cmp("=", _E, "x")))) == []
 
 
 def test_audit_reports_and_evaluate_runs_unsatisfiable_rules():
