@@ -18,9 +18,9 @@ that can never hold is emitted, so a subformula may be empty, and so is
 every operator over it. A predicate is its definition, so a query derives
 each relation once; only a star read at both ends recurses. A query adds
 one ``output`` rule: the base body, in which a row filter on attributes is
-the body of the behaviour conjunct it equals, and the root atom of each
-pattern that is not a star (a star holds on every case). A query that can
-never match has no rule.
+the body of the behaviour conjunct it equals and attributes that row filters
+equate share one variable, and the root atom of each pattern that is not a
+star (a star holds on every case). A query that can never match has no rule.
 
 Every negated atom is an EDB atom, so a translated program is semi-positive
 by construction: START and END join ``first`` and ``last``, a failed
@@ -70,7 +70,7 @@ from .ast import (
     Start,
     matches_empty,
 )
-from .engine import ColumnEquality, ColumnRef, ConstEquality, Plan, compile_plan, execute
+from .engine import ColumnRef, Plan, compile_plan, execute, row_columns
 from .errors import MalformedCsv, StratificationViolation, UnsafeRule
 from .eventlog import EventLog, event_sets
 from .matcher import CompiledPattern
@@ -387,30 +387,31 @@ def _column_term(ref: ColumnRef, schema: tuple[str, ...]) -> Term:
 def translate_query(query: Query | Plan, schema: tuple[str, ...]) -> DatalogProgram:
     """Translate a whole query, compiled for `schema` unless it is a compiled
     plan already: the output rule, then the pattern rules. A row filter on
-    attributes is the body of the behaviour conjunct it equals, and attribute
-    a is read as V<i>, i being a's schema position. A row filter that
-    compares two sorts, such as eid = cid or ts = 'x', never holds, as in
-    engine._row_test: its query has no rule."""
+    attributes is a behaviour conjunct, and its body is the conjunct's.
+    Attribute a is read as V<i>, i being a's schema position, but attributes
+    that row filters equate share the one variable that _conjunct names
+    their value by, so the output reads each attribute once. A row filter
+    that compares two sorts, such as eid = cid or ts = 'x', never holds, as
+    on the relational side: its query has no rule."""
     plan = query if isinstance(query, Plan) else compile_plan(query, schema)
     schema, edb = plan.schema, edb_predicates(plan.schema)
-    if any(
-        sel.left.kind != sel.right.kind if isinstance(sel, ColumnEquality)
-        else sel.column.kind == "ts" and not isinstance(sel.value, int)
-        for sel in plan.row_selections
-    ):
-        return DatalogProgram((), edb)
     base_body: list[BodyItem] = [_EVENT]
     base_body += (_attr_atom(ref.name, _column_term(ref, schema)) for ref in plan.projection if ref.kind == "attr")
+    named = list(range(len(schema)))  # per attribute, the position its value is named after
     for sel in plan.row_selections:
-        if isinstance(sel, ConstEquality) and sel.column.kind == "attr":
-            base_body += _conjunct(AttrEqConst(sel.column.name, sel.value), schema, False)[0]
-        elif isinstance(sel, ConstEquality):  # an int for ts, which no quoted value reaches; a str for an id
-            value = sel.value if sel.column.kind == "ts" else str(sel.value)
-            base_body.append(Cmp("=", _column_term(sel.column, schema), value))
-        elif sel.left.kind == "attr":
-            base_body += _conjunct(AttrEqAttr(sel.left.name, sel.right.name), schema, False)[0]
+        refs = row_columns(sel, schema)
+        kind = refs[0].kind
+        if refs[-1].kind != kind or (kind == "ts" and isinstance(sel, AttrEqConst) and isinstance(sel.value, str)):
+            return DatalogProgram((), edb)  # it compares two sorts
+        if kind == "attr":
+            base_body += _conjunct(sel, schema, False)[0]
+            if isinstance(sel, AttrEqAttr):
+                new, old = (named[schema.index(name)] for name in (sel.left, sel.right))
+                named = [new if i == old else i for i in named]
+        elif isinstance(sel, AttrEqConst):  # an int for ts; a str for an id
+            base_body.append(Cmp("=", _column_term(refs[0], schema), sel.value if kind == "ts" else str(sel.value)))
         else:
-            base_body.append(Cmp("=", _column_term(sel.left, schema), _column_term(sel.right, schema)))
+            base_body.append(Cmp("=", *(_column_term(ref, schema) for ref in refs)))
 
     # A star pattern holds on every case through the empty segment, which no
     # derived tuple witnesses, so its atom could never narrow the output: it
@@ -420,6 +421,13 @@ def translate_query(query: Query | Plan, schema: tuple[str, ...]) -> DatalogProg
     roots = [ctx.root(p, frozenset())[0] for p in plan.pattern_selections if not matches_empty(p.formula)]
     head = Atom(OUTPUT_PRED, tuple(_column_term(ref, schema) for ref in plan.projection))
     body = _body((*base_body, *roots))
+    # Attributes that row filters equate hold one value, which _conjunct names
+    # after the left one of a = b: the output reads each attribute by that name.
+    value = {Var(f"V{i}"): Var(f"V{j}") for i, j in enumerate(named) if i != j}
+    if value:
+        head, *items = (Atom(i.pred, tuple(value.get(t, t) for t in i.args), i.negated) if isinstance(i, Atom) else i
+                        for i in (head, *body))
+        body = _body(items)
     rules = (Rule(head, body), *ctx.rules) if ctx.holds(body) else ()
     return DatalogProgram(rules, edb)
 

@@ -13,8 +13,11 @@ attributes live in separate value sorts, so an equality across sorts is
 false even when the printed values coincide. The Datalog back end settles
 it the same way, when translating: such a query has no rule.
 
-``execute`` turns each row selection and projection column, once per query,
-into a reader by schema position; an equality across sorts is decided false
+Row selections are the query's equalities as written. ``execute`` turns
+each, once per query, into a test on one event: an equality of attributes
+through ``matcher.conjunct_test``, which behaviour conjuncts and literals
+compile through too, and one of eid, cid or ts through readers by schema
+position, as for the projection. An equality across sorts is decided false
 before any event is read, and cases are grouped only when the plan has a
 pattern selection.
 """
@@ -32,8 +35,8 @@ from typing import Callable, Iterable, Sequence
 from .ast import AttrEqAttr, AttrEqConst, BehaviourMatch, Query, SimpleMatch
 from .errors import SccError, UnknownColumn, UnknownSource
 from .eventlog import CID_ALIASES, EID_ALIASES, TS_ALIASES, Event, EventLog, event_sets
-from .matcher import CompiledPattern, case_satisfies, compile_pattern
-from .parser import behaviour_defs_text, const_text, pretty_print_pattern
+from .matcher import CompiledPattern, case_satisfies, compile_pattern, conjunct_test
+from .parser import behaviour_defs_text, condition_text, pretty_print_pattern
 
 DEFAULT_SOURCE = "eventlog"
 
@@ -50,25 +53,14 @@ class ColumnRef:
     name: str
 
 
-@dataclass(frozen=True)
-class ColumnEquality:
-    left: ColumnRef
-    right: ColumnRef
-
-
-@dataclass(frozen=True)
-class ConstEquality:
-    column: ColumnRef
-    value: str | int
-
-
-RowSelection = ColumnEquality | ConstEquality
+RowSelection = AttrEqAttr | AttrEqConst
 
 
 @dataclass(frozen=True)
 class Plan:
     """A query bound to the schema it was compiled for: its columns and
-    pattern leaves read attributes by position in that schema."""
+    pattern leaves read attributes by position in that schema. Its row
+    selections are the query's equalities as written, each name resolved."""
 
     schema: tuple[str, ...]
     projection: tuple[ColumnRef, ...]
@@ -142,10 +134,9 @@ def compile_plan(query: Query, schema: tuple[str, ...]) -> Plan:
     rows: list[RowSelection] = []
     patterns: list[CompiledPattern] = []
     for cond in query.conditions:
-        if isinstance(cond, AttrEqAttr):
-            rows.append(ColumnEquality(resolve_column(cond.left, schema), resolve_column(cond.right, schema)))
-        elif isinstance(cond, AttrEqConst):
-            rows.append(ConstEquality(resolve_column(cond.attr, schema), cond.value))
+        if isinstance(cond, (AttrEqAttr, AttrEqConst)):
+            row_columns(cond, schema)  # every name resolves
+            rows.append(cond)
         elif isinstance(cond, (SimpleMatch, BehaviourMatch)):
             patterns.append(compile_pattern(cond, schema))
         else:
@@ -161,24 +152,29 @@ def _reader(ref: ColumnRef, schema: tuple[str, ...]) -> Callable[[Event], str | 
     return itemgetter(Event._fields.index(ref.kind))  # eid, cid and ts are Event fields
 
 
+def row_columns(selection: RowSelection, schema: tuple[str, ...]) -> tuple[ColumnRef, ...]:
+    """The columns a row selection reads, resolved against the schema."""
+    names = (selection.attr,) if isinstance(selection, AttrEqConst) else (selection.left, selection.right)
+    return tuple(resolve_column(name, schema) for name in names)
+
+
 def _row_test(selection: RowSelection, schema: tuple[str, ...]) -> Callable[[Event], bool] | None:
     """The selection as a test on one event, or None when no event can pass
     it because it compares values of different sorts. Each column kind is
-    its own sort."""
-    if isinstance(selection, ConstEquality):
-        column, value = selection.column, selection.value
-        if column.kind == "ts" and not isinstance(value, int):
-            return None  # a quoted string never equals a timestamp
-        const = value if column.kind == "ts" else str(value)
-        read = _reader(column, schema)
-        return lambda event: read(event) == const  # const is never None, so null fails
-    left, right = selection.left, selection.right
-    if left.kind != right.kind:
-        return None
-    read_left, read_right = _reader(left, schema), _reader(right, schema)
-    if left.kind != "attr":  # eid, cid and ts are never null
-        return lambda event: read_left(event) == read_right(event)
-    return lambda event: (lhs := read_left(event)) is not None and lhs == read_right(event)
+    its own sort; an equality of attributes is the conjunct it equals."""
+    refs = row_columns(selection, schema)
+    kind = refs[0].kind
+    quoted = isinstance(selection, AttrEqConst) and isinstance(selection.value, str)
+    if refs[-1].kind != kind or (kind == "ts" and quoted):
+        return None  # two column kinds, or a timestamp and a quoted string
+    if kind == "attr":
+        return conjunct_test(selection, schema.index)
+    read = _reader(refs[0], schema)
+    if isinstance(selection, AttrEqConst):
+        const = selection.value if kind == "ts" else str(selection.value)
+        return lambda event: read(event) == const
+    read_right = _reader(refs[1], schema)
+    return lambda event: read(event) == read_right(event)  # eid, cid and ts are never null
 
 
 def execute(plan: Plan, log: EventLog, *, set_semantics: bool = False) -> ResultTable:
@@ -215,17 +211,11 @@ def _pattern_selection_text(pattern: CompiledPattern) -> str:
     return f"{behaviour_defs_text(pattern.behaviours)}: {body}"
 
 
-def _row_selection_text(selection: RowSelection) -> str:
-    if isinstance(selection, ConstEquality):
-        return f"{selection.column.name} = {const_text(selection.value)}"
-    return f"{selection.left.name} = {selection.right.name}"
-
-
 def explain(plan: Plan) -> str:
     """Render the plan as a select-project expression, innermost applied first."""
     expr = DEFAULT_SOURCE
     for pattern in plan.pattern_selections:
         expr = f"σ_P[{_pattern_selection_text(pattern)}]({expr})"
     for selection in plan.row_selections:
-        expr = f"σ[{_row_selection_text(selection)}]({expr})"
+        expr = f"σ[{condition_text(selection)}]({expr})"
     return f"π[{','.join(ref.name for ref in plan.projection)}]({expr})"

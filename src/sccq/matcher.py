@@ -42,12 +42,13 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from operator import itemgetter
 from typing import Callable
 
 from .ast import (
     AnyEvent,
+    AttrEqAttr,
     AttrEqConst,
     BehaviourDef,
     BehaviourMatch,
@@ -98,23 +99,20 @@ class CompiledPattern:
             raise SccError(f"pattern compiled for the schema {list(self.schema)} run on {list(schema)}")
 
 
+def conjunct_test(conj: AttrEqAttr | AttrEqConst, position: Callable[[str], int]) -> LeafTest:
+    """The conjunct as a test on one event that reads attributes by schema
+    position, position(name) giving each. A null value equals nothing, not
+    even itself, so a = a holds where a is not null."""
+    if isinstance(conj, AttrEqConst):
+        i, value = position(conj.attr), str(conj.value)  # never None, so a null fails it
+        return lambda event: event.attrs[i][1] == value
+    i, j = position(conj.left), position(conj.right)
+    return lambda event: (value := event.attrs[i][1]) is not None and value == event.attrs[j][1]
+
+
 def _behaviour_test(defn: BehaviourDef, position: Callable[[str, str], int]) -> LeafTest:
-    # Per conjunct (i, j, const): attribute i equals attribute j, or const if j is None.
-    checks = [
-        (position(c.attr, defn.name), None, str(c.value)) if isinstance(c, AttrEqConst)
-        else (position(c.left, defn.name), position(c.right, defn.name), None)
-        for c in defn.conjuncts
-    ]
-
-    def holds(event: Event) -> bool:
-        attrs = event.attrs
-        for i, j, const in checks:
-            value = attrs[i][1]
-            if value is None or value != (const if j is None else attrs[j][1]):
-                return False
-        return True
-
-    return holds
+    tests = [conjunct_test(c, lambda attr: position(attr, defn.name)) for c in defn.conjuncts]
+    return reduce(lambda first, then: lambda event: first(event) and then(event), tests)
 
 
 def compile_pattern(condition: SimpleMatch | BehaviourMatch, schema: tuple[str, ...]) -> CompiledPattern:
@@ -135,20 +133,26 @@ def compile_pattern(condition: SimpleMatch | BehaviourMatch, schema: tuple[str, 
 
     # An event's class is what every leaf test on it depends on; the lazy DFA
     # keys its transitions on it (see _Nfa.accepts_some_segment).
-    literals: dict[str, str] = {}  # each literal, to itself, as _leaf_test compiles it
     if isinstance(condition, SimpleMatch):
         attribute, behaviours = condition.attribute, ()
-        column: int | None = position(attribute)
-        named: dict[str, LeafTest] = {}
+        column = position(attribute)
+        literals: dict[str, str] = {}  # each literal, to itself, as literal compiles it
+
+        def literal(value: str) -> LeafTest:
+            literals[value] = value
+            return conjunct_test(AttrEqConst(attribute, value), position)
+
+        leaf: Callable[[IdentifierExpr], LeafTest] = lambda expr: _leaf_test(expr, literal, None)
         # The column's value when a literal names it, else None: the
         # pattern, not the log, fixes the number of classes.
         event_class: EventClass = lambda attrs: literals.get(attrs[column][1])
     else:
-        attribute, behaviours, column = None, condition.behaviours, None
+        attribute, behaviours = None, condition.behaviours
         names = [d.name for d in behaviours]
         if len(set(names)) != len(names):
             raise UnboundBehaviourName(f"duplicate behaviour names in {names}")
         named = {d.name: _behaviour_test(d, position) for d in behaviours}
+        leaf = lambda expr: _leaf_test(expr, None, named)
         # The event's values in the columns the behaviours read, as they
         # are, since a behaviour may compare two columns.
         columns = {
@@ -159,34 +163,33 @@ def compile_pattern(condition: SimpleMatch | BehaviourMatch, schema: tuple[str, 
         }
         event_class = itemgetter(*columns) if columns else lambda attrs: None
 
-    nfa = _Nfa(condition.pattern, lambda expr: _leaf_test(expr, column, named, literals), event_class)
+    nfa = _Nfa(condition.pattern, leaf, event_class)
     return CompiledPattern(condition.pattern, schema, nfa, attribute, behaviours)
 
 
 def _leaf_test(
-    expr: IdentifierExpr, column: int | None, named: dict[str, LeafTest], literals: dict[str, str]
+    expr: IdentifierExpr, literal: Callable[[str], LeafTest] | None, named: dict[str, LeafTest] | None
 ) -> LeafTest:
-    """The identifier as a test on one event. Literals read position column
-    and are recorded in literals; in a BEHAVIOUR match column is None and
-    named holds each behaviour's test."""
+    """The identifier as a test on one event. In a plain match literal
+    compiles each literal and named is None; in a BEHAVIOUR match literal is
+    None and named holds each behaviour's test."""
     if isinstance(expr, Literal):
-        if column is None:
+        if literal is None:
             raise UnboundBehaviourName(
                 f"literal {expr.value!r} in a BEHAVIOUR pattern; identifiers must be behaviour names"
             )
-        value = literals[expr.value] = expr.value  # never None, so a null fails it
-        return lambda event: event.attrs[column][1] == value
+        return literal(expr.value)
     if isinstance(expr, BehaviourRef):
-        if column is not None:
+        if named is None:
             raise UnboundBehaviourName(f"behaviour name {expr.name!r} used outside a BEHAVIOUR match")
         if expr.name not in named:
             raise UnboundBehaviourName(f"behaviour name {expr.name!r} is not defined")
         return named[expr.name]
     if isinstance(expr, OrExpr):
-        left, right = _leaf_test(expr.left, column, named, literals), _leaf_test(expr.right, column, named, literals)
+        left, right = _leaf_test(expr.left, literal, named), _leaf_test(expr.right, literal, named)
         return lambda event: left(event) or right(event)
     if isinstance(expr, NotExpr):
-        inner = _leaf_test(expr.inner, column, named, literals)
+        inner = _leaf_test(expr.inner, literal, named)
         return lambda event: not inner(event)
     raise TypeError(f"not an identifier expression: {expr!r}")
 

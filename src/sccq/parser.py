@@ -439,21 +439,18 @@ def pretty_print_pattern(node: PatternFormula) -> str:
     return _pattern_text(node, 0)
 
 
-def const_text(value: str | int) -> str:
-    return str(value) if isinstance(value, int) else quote_string(value)
-
-
 def behaviour_defs_text(defs: tuple[BehaviourDef, ...]) -> str:
     return ", ".join(
-        " AND ".join(_condition_text(c) for c in d.conjuncts) + f" AS {d.name}" for d in defs
+        " AND ".join(condition_text(c) for c in d.conjuncts) + f" AS {d.name}" for d in defs
     )
 
 
-def _condition_text(cond: Condition) -> str:
+def condition_text(cond: Condition) -> str:
+    """Canonical text for a WHERE condition, as pretty_print writes it."""
     if isinstance(cond, AttrEqAttr):
         return f"{cond.left} = {cond.right}"
     if isinstance(cond, AttrEqConst):
-        return f"{cond.attr} = {const_text(cond.value)}"
+        return f"{cond.attr} = {cond.value if isinstance(cond.value, int) else quote_string(cond.value)}"
     if isinstance(cond, SimpleMatch):
         return f"{cond.attribute} MATCHES ({pretty_print_pattern(cond.pattern)})"
     if isinstance(cond, BehaviourMatch):
@@ -466,5 +463,5 @@ def pretty_print(query: Query) -> str:
     """Canonical text for a query; parse_query of it reproduces the AST."""
     text = f"SELECT {', '.join(query.projection)} FROM {query.source}"
     if query.conditions:
-        text += " WHERE " + " AND ".join(_condition_text(c) for c in query.conditions)
+        text += " WHERE " + " AND ".join(condition_text(c) for c in query.conditions)
     return text

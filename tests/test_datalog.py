@@ -47,7 +47,13 @@ from sccq.engine import compile_plan, execute
 from sccq.errors import MalformedCsv, StratificationViolation, UnsafeRule
 from sccq.eventlog import Event, EventLog, event_sets, load_event_log, merge_cases
 from sccq.gen import DEFAULT_VALUES, display_log, random_event_log, random_pair, random_pattern, random_query
-from sccq.matcher import compile_pattern, oracle_satisfying_segments, satisfying_segments
+from sccq.matcher import (
+    _oracle_identifier,
+    compile_pattern,
+    conjunct_test,
+    oracle_satisfying_segments,
+    satisfying_segments,
+)
 from sccq.parser import parse_pattern, parse_query, pretty_print, pretty_print_pattern
 
 
@@ -822,6 +828,27 @@ def seeded(pair, seed, size):
     return tuple(pair(rng) for _ in range(size))
 
 
+def test_conjunct_test_agrees_with_oracle():
+    # Row filters, behaviour conjuncts and literals all compile through
+    # conjunct_test, so only the oracle's own reading can check its null rule.
+    logs = [log for _, log in seeded(null_bearing_pair, 85, 100)]
+    outcomes = Counter()
+    for log in logs:
+        values = sorted({v for e in log.events for _, v in e.attrs if v is not None})
+        conjuncts = [AttrEqConst(a, v) for a in log.schema for v in (*values, 5)]
+        conjuncts += [AttrEqAttr(a, b) for a in log.schema for b in log.schema]
+        for conj in conjuncts:
+            test = conjunct_test(conj, log.schema.index)
+            match = BehaviourMatch((BehaviourDef("q", (conj,)),), Identifier(BehaviourRef("q")))
+            pattern = compile_pattern(match, log.schema)
+            for event in log.events:
+                expected = _oracle_identifier(BehaviourRef("q"), event, pattern)
+                assert test(event) == expected, (conj, event)
+                outcomes[expected, None in dict(event.attrs).values()] += 1
+    # Both outcomes, on events with and without a null.
+    assert len(outcomes) == 4, outcomes
+
+
 def null_equality_pair(rng):
     """A log of two or three cases of up to six events, each of whose two
     attributes is null with probability 0.5 and else one of two values, and
@@ -974,6 +1001,25 @@ def test_cross_check_run_corpus():
         recursive += bool(_recursive_rules(translate_query(query, log.schema)))
     assert mismatches == []
     assert recursive >= len(corpus) / 10, recursive
+
+
+def test_listing_agrees_with_datalog_on_run_corpus():
+    # The listing of each case is the rows of its case in the root relation
+    # of translate_pattern, a star read at both ends recursing through runs.
+    mismatches, listed = [], 0
+    for i, (query, log) in enumerate(seeded(run_pair, 31, 150)):
+        (match,) = query.conditions
+        pattern = compile_pattern(match, log.schema)
+        rules = translate_pattern(pattern)
+        derived = evaluate(DatalogProgram(tuple(rules), edb_predicates(log.schema)), facts_from_log(log))
+        root = derived[rules[-1].head.pred] if rules else set()
+        for es in event_sets(log):
+            pairs = satisfying_segments(pattern, es).pairs
+            if sorted(pairs) != sorted((s, e) for s, e, c in root if c == es.cid):
+                mismatches.append(f"pair {i}, case {es.cid}: {pretty_print(query)}")
+            listed += len(pairs)
+    assert mismatches == []
+    assert listed >= 800, listed
 
 
 def _recursive_rules(program):
@@ -1206,6 +1252,25 @@ def test_output_rules_equate_no_attribute_values():
                     assert [t for t in equated if isinstance(t, Var) and t.name[0] == "V"] == [], (
                         f"{name}: {rule_to_text(rule)}"
                     )
+
+
+def test_output_rules_read_each_attribute_once():
+    # Attributes that row filters equate share one value variable, so the
+    # output reads each attribute of its event once, however the filters and
+    # the projection name them.
+    text = program_to_text(translate_query(
+        parse_query("SELECT eid, resource FROM eventlog WHERE event_name = resource"), ("event_name", "resource")
+    ))
+    assert text == "output(E,V0) :- event(C,E,T), attr_resource(C,E,V0), attr_event_name(C,E,V0), !null(V0)."
+    for name, corpus in translation_corpora():
+        for query, log in corpus:
+            for rule in translate_query(query, log.schema).rules:
+                if rule.head.pred == OUTPUT_PRED:
+                    reads = Counter(
+                        i.args[:2] + (i.pred,) for i in rule.body
+                        if isinstance(i, Atom) and not i.negated and isinstance(i.args[-1], Var)
+                    )
+                    assert max(reads.values(), default=1) == 1, f"{name}: {rule_to_text(rule)}"
 
 
 def _contradictory_rules(rules):
