@@ -13,14 +13,16 @@ timestamp column for both. START and END are anchors: the single event or
 star read at both ends that owns the endpoint joins ``first`` or ``last``.
 The value of attribute a at an event is always ``V<i>``, i being a's schema
 position, so rule bodies over one event compose: only a conjunction's part
-of several bodies gets a predicate; no body lists an item twice, and none
-that can never hold is emitted, so a subformula may be empty, and so is
-every operator over it. A predicate is its definition, so a query derives
-each relation once; only a star read at both ends recurses. A query adds
-one ``output`` rule: the base body, in which a row filter on attributes is
-the body of the behaviour conjunct it equals and attributes that row filters
-equate share one variable, and the root atom of each pattern that is not a
-star (a star holds on every case). A query that can never match has no rule.
+of several bodies gets a predicate. Each rule is normalized: the terms that
+its body equates, through ``=`` and two values of one attribute of one
+event, are one term, so no rule holds ``=``, reads an attribute of an event
+twice or lists an item twice; and none that can never hold is emitted, so a
+subformula may be empty, and so is every operator over it. A predicate is
+its definition, so a query derives each relation once; only a star read at
+both ends recurses. A query adds one ``output`` rule: the base body, with
+the body of the behaviour conjunct that each row filter on attributes
+equals, and the root atom of each pattern that is not a star (a star holds
+on every case). A query that can never match has no rule.
 
 Every negated atom is an EDB atom, so a translated program is semi-positive
 by construction: START and END join ``first`` and ``last``, a failed
@@ -174,18 +176,28 @@ def _body(items: Iterable[BodyItem]) -> tuple[BodyItem, ...]:
     return tuple(dict.fromkeys(items))
 
 
-def _never_holds(body: tuple[BodyItem, ...], edb: Container[str], derived: Container[str]) -> str | None:
-    """Why a rule body can never hold, or None: it reads a derived predicate
-    with no rule, `derived` holding those with one; or it holds an atom
-    beside its negation; or the terms that it equates, through = and through
-    the values of two attr_a(C,E,·) atoms of one event (attr_a is a function
-    of (C, E)), include two constants."""
+def _normalize(head: Atom, body: tuple[BodyItem, ...], edb: Container[str], derived: Container[str]) -> Rule | str:
+    """The rule head :- body with each value named by one term, or why its
+    body can never hold: it holds null or !null of a constant that fails it,
+    an atom beside its negation, or a read of a derived predicate with no
+    rule, `derived` holding those with one; or it equates two constants. The
+    terms that it equates, through = and through the values of two
+    attr_a(C,E,·) atoms of one event (attr_a is a function of (C, E)), become
+    one term: their constant, else their shortest variable, first by name,
+    so a value is V<i> of the attribute first in the schema. No = is left,
+    and a null or !null of a constant that holds is dropped."""
     pairs: list[tuple[Term, Term]] = []  # the terms equated
     values: dict[tuple[str, Term, Term], Term] = {}  # an attribute's first value at an event
+    items: list[BodyItem] = []  # the body without = and decided nulls
     for i in body:
         if isinstance(i, Cmp):
             if i.op == "=":
                 pairs.append((i.left, i.right))
+                continue
+        elif i.pred == "null" and "null" in edb and not isinstance(i.args[0], Var):
+            if (i.args[0] is NULL) == i.negated:
+                return f"holds {_atom_text(i)}, which is false"
+            continue
         elif i.negated:
             if Atom(i.pred, i.args) in body:
                 return f"holds {_atom_text(i)} beside its negation"
@@ -193,29 +205,30 @@ def _never_holds(body: tuple[BodyItem, ...], edb: Container[str], derived: Conta
             if i.pred not in derived:
                 return f"reads {i.pred!r}, which no rule derives"
         elif i.pred.startswith("attr_"):
-            event = (i.pred, *i.args[:2])
-            if event in values:
-                pairs.append((values[event], i.args[2]))
-            else:
-                values[event] = i.args[2]
-    same: dict[Term, Term] = {}  # a term to one it equals; a constant is last
+            if (value := values.setdefault((i.pred, *i.args[:2]), i.args[2])) != i.args[2]:
+                pairs.append((value, i.args[2]))
+        items.append(i)
+    if not pairs:
+        return Rule(head, tuple(items))
+    same: dict[Term, Term] = {}  # a merged variable to a term it equals
 
     def find(term: Term) -> Term:
         while term in same:
             term = same[term]
         return term
 
-    for left, right in pairs:
-        left, right = find(left), find(right)
-        if left == right:
+    for pair in pairs:  # constants first, then variables by length and name: V2 before V10
+        kept, merged = sorted(map(find, pair), key=lambda t: (1, len(t.name), t.name) if isinstance(t, Var) else (0,))
+        if kept == merged:
             continue
-        if isinstance(left, Var):
-            same[left] = right
-        elif isinstance(right, Var):
-            same[right] = left
-        else:
-            return f"equates {_term_text(left)} and {_term_text(right)}"
-    return None
+        if not isinstance(merged, Var):
+            return f"equates {_term_text(kept)} and {_term_text(merged)}"
+        same[merged] = kept
+    # Name each value by its term, then normalize that rule: it decides the
+    # nulls of a constant, and pairs the atoms of events that it merges.
+    head = Atom(head.pred, tuple(map(find, head.args)))
+    return _normalize(head, _body(Cmp(i.op, find(i.left), find(i.right)) if isinstance(i, Cmp)
+                                  else Atom(i.pred, tuple(map(find, i.args)), i.negated) for i in items), edb, derived)
 
 
 def _ends(need: frozenset[str], start: Term, end: Term) -> tuple[Term, ...]:
@@ -260,14 +273,11 @@ class _Translation:
         self.defined: dict[object, str] = {}  # by definition; a star by its inner atom
         self.names = map("p{}".format, count())  # fresh predicate names
 
-    def holds(self, body: tuple[BodyItem, ...]) -> bool:
-        """Whether the body can hold, over the rules emitted so far."""
-        return _never_holds(body, self.edb, self.heads) is None
-
     def emit(self, head: Atom, body: tuple[BodyItem, ...]) -> None:
-        """Add the rule head :- body, unless its body can never hold."""
-        if self.holds(body):
-            self.rules.append(Rule(head, body))
+        """Add the rule head :- body, normalized, unless its body can never hold."""
+        rule = _normalize(head, body, self.edb, self.heads)
+        if isinstance(rule, Rule):
+            self.rules.append(rule)
             self.heads.add(head.pred)
 
     def define(self, head: tuple[Term, ...], bodies: list[tuple[BodyItem, ...]]) -> str:
@@ -314,7 +324,8 @@ class _Translation:
             return min(parts, key=len)
         bodies = [part[0] if len(part) == 1 else (Atom(self.define((_T, _C), part), (_T, _C)),) for part in parts]
         body = _body(item for body in bodies for item in body)
-        return [body] if self.holds(body) else []
+        rule = _normalize(Atom("", (_T, _C)), body, self.edb, self.heads)  # its reader's head is over T and C
+        return [rule.body] if isinstance(rule, Rule) else []
 
     # -- pattern formulas ----------------------------------------------------
 
@@ -387,17 +398,16 @@ def _column_term(ref: ColumnRef, schema: tuple[str, ...]) -> Term:
 def translate_query(query: Query | Plan, schema: tuple[str, ...]) -> DatalogProgram:
     """Translate a whole query, compiled for `schema` unless it is a compiled
     plan already: the output rule, then the pattern rules. A row filter on
-    attributes is a behaviour conjunct, and its body is the conjunct's.
-    Attribute a is read as V<i>, i being a's schema position, but attributes
-    that row filters equate share the one variable that _conjunct names
-    their value by, so the output reads each attribute once. A row filter
-    that compares two sorts, such as eid = cid or ts = 'x', never holds, as
-    on the relational side: its query has no rule."""
+    attributes is a behaviour conjunct, and its body is the conjunct's; one
+    on eid, cid or ts is an = item. The output rule is normalized as every
+    rule is, so each value is one term: the output reads each attribute
+    once, and a filtered column holds its constant, as in event(C,"e1",1).
+    A row filter that compares two sorts, such as eid = cid or ts = 'x',
+    never holds, as on the relational side: its query has no rule."""
     plan = query if isinstance(query, Plan) else compile_plan(query, schema)
     schema, edb = plan.schema, edb_predicates(plan.schema)
     base_body: list[BodyItem] = [_EVENT]
     base_body += (_attr_atom(ref.name, _column_term(ref, schema)) for ref in plan.projection if ref.kind == "attr")
-    named = list(range(len(schema)))  # per attribute, the position its value is named after
     for sel in plan.row_selections:
         refs = row_columns(sel, schema)
         kind = refs[0].kind
@@ -405,9 +415,6 @@ def translate_query(query: Query | Plan, schema: tuple[str, ...]) -> DatalogProg
             return DatalogProgram((), edb)  # it compares two sorts
         if kind == "attr":
             base_body += _conjunct(sel, schema, False)[0]
-            if isinstance(sel, AttrEqAttr):
-                new, old = (named[schema.index(name)] for name in (sel.left, sel.right))
-                named = [new if i == old else i for i in named]
         elif isinstance(sel, AttrEqConst):  # an int for ts; a str for an id
             base_body.append(Cmp("=", _column_term(refs[0], schema), sel.value if kind == "ts" else str(sel.value)))
         else:
@@ -420,16 +427,8 @@ def translate_query(query: Query | Plan, schema: tuple[str, ...]) -> DatalogProg
     ctx = _Translation(edb)
     roots = [ctx.root(p, frozenset())[0] for p in plan.pattern_selections if not matches_empty(p.formula)]
     head = Atom(OUTPUT_PRED, tuple(_column_term(ref, schema) for ref in plan.projection))
-    body = _body((*base_body, *roots))
-    # Attributes that row filters equate hold one value, which _conjunct names
-    # after the left one of a = b: the output reads each attribute by that name.
-    value = {Var(f"V{i}"): Var(f"V{j}") for i, j in enumerate(named) if i != j}
-    if value:
-        head, *items = (Atom(i.pred, tuple(value.get(t, t) for t in i.args), i.negated) if isinstance(i, Atom) else i
-                        for i in (head, *body))
-        body = _body(items)
-    rules = (Rule(head, body), *ctx.rules) if ctx.holds(body) else ()
-    return DatalogProgram(rules, edb)
+    rule = _normalize(head, _body((*base_body, *roots)), edb, ctx.heads)
+    return DatalogProgram((rule, *ctx.rules) if isinstance(rule, Rule) else (), edb)
 
 
 # --- static audit (safety + semi-positive negation) ---------------------------
@@ -468,7 +467,7 @@ def audit_program(program: DatalogProgram) -> list[tuple[str, str]]:
                 findings.append(
                     ("stratification", f"negated predicate {item.pred!r} in rule for {head!r} is not EDB")
                 )
-        if (reason := _never_holds(rule.body, program.edb_predicates, derived)) is not None:
+        if isinstance(reason := _normalize(rule.head, rule.body, program.edb_predicates, derived), str):
             findings.append(("unsatisfiable", f"rule for {head!r} {reason}"))
     return findings
 

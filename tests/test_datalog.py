@@ -460,12 +460,14 @@ def test_translate_query_output_rules(quotes_log):
     out = [r for r in program.rules if r.head.pred == OUTPUT_PRED]
     assert len(out) == 1
     body = out[0].body
-    cmps = [b for b in body if isinstance(b, Cmp)]
-    assert [(c.op, c.right) for c in cmps] == [("=", 5), ("=", "0001")]
+    # The filters on ts and cid hold no = item: the timestamp and the case
+    # are their constants wherever the rule reads them.
+    assert [b for b in body if isinstance(b, Cmp)] == []
+    assert body[0] == Atom("event", ("0001", Var("E"), 5))
     assert any(isinstance(b, Atom) and b.pred == "attr_status" for b in body)
-    # pattern atom joins on the case variable
+    # pattern atom joins on the case
     pattern_atom = [b for b in body if isinstance(b, Atom) and b.pred.startswith("p")][-1]
-    assert pattern_atom.args[-1] == Var("C")
+    assert pattern_atom.args[-1] == "0001"
     # the pattern rules close the program; ~> uses no helper, and reads each
     # single-event operand at its one timestamp
     assert [r.head.pred for r in program.rules] == [OUTPUT_PRED, "p0", "p1", "p2"]
@@ -1241,36 +1243,44 @@ def test_row_filters_are_behaviour_conjunct_bodies():
         assert output.body == p0.body, condition
 
 
+def _query_and_pattern_rules(query, schema):
+    """The rules of a query's program, then those of each of its patterns."""
+    rules = list(translate_query(query, schema).rules)
+    for match in query.conditions:
+        if isinstance(match, (SimpleMatch, BehaviourMatch)):
+            rules += translate_pattern(compile_pattern(match, schema))
+    return rules
+
+
 def test_output_rules_equate_no_attribute_values():
-    # Attribute a is V<i> wherever a rule reads it, so an output rule needs
-    # no = between attribute values: only eid, cid and ts filters add one.
+    # Terms that a body equates are one term, so no translated rule holds an
+    # = item: a filter on eid, cid or ts puts its constant in the columns.
     for name, corpus in translation_corpora():
         for query, log in corpus:
-            for rule in translate_query(query, log.schema).rules:
-                if rule.head.pred == OUTPUT_PRED:
-                    equated = [t for i in rule.body if isinstance(i, Cmp) and i.op == "=" for t in (i.left, i.right)]
-                    assert [t for t in equated if isinstance(t, Var) and t.name[0] == "V"] == [], (
-                        f"{name}: {rule_to_text(rule)}"
-                    )
+            for rule in _query_and_pattern_rules(query, log.schema):
+                assert not any(isinstance(i, Cmp) and i.op == "=" for i in rule.body), f"{name}: {rule_to_text(rule)}"
+    text = program_to_text(translate_query(parse_query("SELECT eid, a FROM eventlog WHERE eid = 'e1' AND ts = 1"), ("a",)))
+    assert text == 'output("e1",V0) :- event(C,"e1",1), attr_a(C,"e1",V0).'
 
 
 def test_output_rules_read_each_attribute_once():
-    # Attributes that row filters equate share one value variable, so the
-    # output reads each attribute of its event once, however the filters and
-    # the projection name them.
-    text = program_to_text(translate_query(
-        parse_query("SELECT eid, resource FROM eventlog WHERE event_name = resource"), ("event_name", "resource")
-    ))
-    assert text == "output(E,V0) :- event(C,E,T), attr_resource(C,E,V0), attr_event_name(C,E,V0), !null(V0)."
+    # The values that a body equates are one term, a constant if it has one,
+    # so every rule reads each attribute of its event once, however the
+    # filters, the behaviours and the projection name it.
+    schema = ("event_name", "resource")
+    for condition, text in (
+        ("event_name = resource",
+         "output(E,V0) :- event(C,E,T), attr_resource(C,E,V0), attr_event_name(C,E,V0), !null(V0)."),
+        ("resource = 'x'", 'output(E,"x") :- event(C,E,T), attr_resource(C,E,"x").'),
+    ):
+        query = parse_query(f"SELECT eid, resource FROM eventlog WHERE {condition}")
+        assert program_to_text(translate_query(query, schema)) == text
     for name, corpus in translation_corpora():
         for query, log in corpus:
-            for rule in translate_query(query, log.schema).rules:
-                if rule.head.pred == OUTPUT_PRED:
-                    reads = Counter(
-                        i.args[:2] + (i.pred,) for i in rule.body
-                        if isinstance(i, Atom) and not i.negated and isinstance(i.args[-1], Var)
-                    )
-                    assert max(reads.values(), default=1) == 1, f"{name}: {rule_to_text(rule)}"
+            for rule in _query_and_pattern_rules(query, log.schema):
+                reads = Counter(i.args[:2] + (i.pred,) for i in rule.body if isinstance(i, Atom) and not i.negated
+                                and i.pred.startswith("attr_"))
+                assert max(reads.values(), default=1) == 1, f"{name}: {rule_to_text(rule)}"
 
 
 def _contradictory_rules(rules):
@@ -1342,9 +1352,12 @@ def test_translated_rules_can_fire():
     # holds on no event, no event is both 'c' and 'a', and no row has two
     # event names.
     behaviours = "SELECT cid FROM eventlog WHERE BEHAVIOUR event_name = {} AS x, event_name = {} AS y MATCHES ({})"
+    # Nor is an event 'x' where its event name is null: NOT (y) is
+    # null(V0), and V0 is "x".
     for text in (
         behaviours.format("'b'", "'b'", "NOT (NOT (x) OR x)"),
         behaviours.format("'c'", "'a'", "NOT (NOT (x) OR NOT (y)) ~> ANY"),
+        behaviours.format("'x'", "event_name", "NOT (NOT (x) OR y)"),
         "SELECT cid, event_name FROM eventlog WHERE event_name = 'b' AND event_name = 'a'",
     ):
         query = parse_query(text)
@@ -1368,7 +1381,9 @@ def _mixed_sorts(rule):
     """The names of the variables that a rule puts in columns of two sorts:
     EDB columns, the time operands of <, and variables joined by =; or
     equates, through =, with a constant of another sort: a timestamp with a
-    str, or anything else with an int."""
+    str, or anything else with an int. Then the text of each constant that
+    an EDB column holds beside that sort: a str in a time column, or an int
+    in a case, event or value column."""
     sorts = defaultdict(set)
     joined, constants = [], []
     for i in rule.body:
@@ -1392,7 +1407,11 @@ def _mixed_sorts(rule):
             sorts[left] = sorts[right] = union
     mixed = {t for t, found in sorts.items() if len(found) > 1}
     mixed |= {var for var, const in constants if ("time" in sorts[var]) != isinstance(const, int)}
-    return sorted(t.name for t in mixed if isinstance(t, Var))
+    misplaced = {
+        t for t, found in sorts.items()
+        if not isinstance(t, Var) and any((sort == "time") != isinstance(t, int) for sort in found)
+    }
+    return sorted(t.name for t in mixed if isinstance(t, Var)) + sorted(map(repr, misplaced))
 
 
 def test_translated_variables_keep_one_sort():
@@ -1400,17 +1419,23 @@ def test_translated_variables_keep_one_sort():
     # of one sort, and a query that equates two column kinds has no rule.
     for name, corpus in translation_corpora():
         for query, log in corpus:
-            rules = list(translate_query(query, log.schema).rules)
-            for match in query.conditions:
-                if isinstance(match, (SimpleMatch, BehaviourMatch)):
-                    rules += translate_pattern(compile_pattern(match, log.schema))
-            for rule in rules:
+            for rule in _query_and_pattern_rules(query, log.schema):
                 assert _mixed_sorts(rule) == [], f"{name}: {rule_to_text(rule)}"
-    # A timestamp equated with a str, or an id with an int, mixes sorts.
+    # The corpora compare ts with ints alone; a filter that compares two
+    # sorts translates to no rule, and one within a sort to none that mixes.
+    for condition in ("eid = cid", "eid = a", "ts = 'x'", "TS = '1'", "ts = 1", "eid = 'e1'", "cid = 'c'"):
+        query = parse_query(f"SELECT eid, ts FROM eventlog WHERE {condition}")
+        for rule in _query_and_pattern_rules(query, ("a",)):
+            assert _mixed_sorts(rule) == [], f"{condition}: {rule_to_text(rule)}"
+    # A timestamp equated with a str, or an id with an int, mixes sorts, and
+    # so does a str in a time column; an id and a timestamp in theirs do not.
     event = Atom("event", (_C, _E, _T))
     assert _mixed_sorts(Rule(Atom(OUTPUT_PRED, (_E,)), (event, Cmp("=", _T, "x")))) == ["T"]
     assert _mixed_sorts(Rule(Atom(OUTPUT_PRED, (_E,)), (event, Cmp("=", _E, 1)))) == ["E"]
     assert _mixed_sorts(Rule(Atom(OUTPUT_PRED, (_E,)), (event, Cmp("=", _T, 1), Cmp("=", _E, "x")))) == []
+    assert _mixed_sorts(Rule(Atom(OUTPUT_PRED, (_E,)), (Atom("event", (_C, _E, "x")),))) == ["'x'"]
+    assert _mixed_sorts(Rule(Atom(OUTPUT_PRED, (_C,)), (Atom("event", (_C, "e1", 1)),))) == []
+    assert _mixed_sorts(Rule(Atom(OUTPUT_PRED, (_C,)), (Atom("attr_a", (_C, _E, 1)),))) == ["1"]
 
 
 def test_audit_reports_and_evaluate_runs_unsatisfiable_rules():
@@ -1423,6 +1448,7 @@ def test_audit_reports_and_evaluate_runs_unsatisfiable_rules():
         "holds !attr_a(C,E,V) beside its negation": (*body, Atom("attr_a", (_C, _E, v), negated=True)),
         'equates "x" and "y"': (*body, Atom("attr_a", (_C, _E, "x")), Atom("attr_a", (_C, _E, "y"))),
         'equates "a" and "b"': (*body, Cmp("=", v, "a"), Cmp("=", v, "b")),
+        'holds null("x"), which is false': (*body, Atom("attr_a", (_C, _E, "x")), Atom("null", (v,))),
         "reads 'q', which no rule derives": (*body, Atom("q", (_C,))),
     }
     log = EventLog(("a",), (Event("e1", "c", 1, (("a", "x"),)), Event("e2", "c", 2, (("a", None),))))
