@@ -8,10 +8,12 @@ case timestamps are therefore unique, which totally orders the case.
 Timestamps are integer epoch milliseconds everywhere inside the package;
 ISO-8601 text is converted once at ingestion.
 
-EventLog is the one type that enforces the keys and the order: it sorts its
-events by (cid, ts) and checks them in one pass. Sorting makes each case one
-run, so (eid, cid) is checked against the eids of the current run only, and
-(cid, ts) against the previous event. Event, EventSet and Segment are
+EventLog is the one type that enforces the keys and the order. One pass over
+the events as given checks the keys, proves the (cid, ts) order and records
+where each case's run starts, so (eid, cid) is checked against the eids of
+the current run only, and (cid, ts) against the previous event. Only input
+that descends is sorted by (cid, ts) and passed over once more, so the error
+raised is the first fault in (cid, ts) order. Event, EventSet and Segment are
 immutable values derived from it and are not checked again.
 
 ``load_event_log`` streams the CSV and takes one step per row: check the
@@ -22,7 +24,7 @@ CSV share their ``attrs`` tuples: all events whose attribute fields are
 equal hold one and the same tuple, so a log of many events over few
 distinct attribute combinations builds, and name-checks, each combination
 once. From the first data row until the EventLog is built, including its
-sort and key checks, ``load_event_log`` pauses CPython's cyclic garbage
+key checks, ``load_event_log`` pauses CPython's cyclic garbage
 collector, which would otherwise re-scan the growing list of events many
 times. This is safe because every value it builds (strings, ints, Event
 and attrs tuples) is acyclic, so reference counting alone frees it. The
@@ -36,10 +38,9 @@ from __future__ import annotations
 import csv
 import gc
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import NamedTuple, TextIO
 
 from .errors import BadTimestamp, KeyViolation, MalformedCsv
@@ -111,48 +112,69 @@ class Event(NamedTuple):
 _CID_TS = itemgetter(1, 2)  # an Event's (cid, ts)
 
 
+def _case_starts(schema: tuple[str, ...], events: tuple[Event, ...]) -> list[int] | None:
+    """Check the keys of `events` in order and return where each case's run
+    starts, or None at the first descent: a cid below the last, or a ts below
+    the last of its case. A fault seen is raised only if no descent follows."""
+    # The names of an attrs tuple are checked the first time that object
+    # occurs; loaded events share one tuple per distinct combination of
+    # values, and `events` keeps every tuple, so no id is reused.
+    named: set[int] = set()
+    starts: list[int] = []
+    fault: Exception | None = None
+    # Each case is one run: eids holds the run's event ids so far, and equal
+    # (cid, ts) pairs are side by side.
+    eids: set[str] = set()
+    prev_cid = prev_ts = None
+    for i, (eid, cid, ts, attrs) in enumerate(events):
+        if ts < 0:
+            fault = fault or BadTimestamp(f"event {eid!r}: negative timestamp {ts}")
+        if id(attrs) not in named:
+            if tuple(name for name, _ in attrs) != schema:
+                fault = fault or KeyViolation(f"event {eid!r} attribute names do not match schema {schema}")
+            named.add(id(attrs))
+        if cid != prev_cid:
+            if starts and cid < prev_cid:
+                return None
+            starts.append(i)
+            eids = {eid}
+            prev_cid = cid
+        elif ts < prev_ts:
+            return None
+        elif eid in eids:
+            fault = fault or KeyViolation(f"duplicate (eid, cid) pair ({eid!r}, {cid!r})")
+        elif ts == prev_ts:
+            fault = fault or KeyViolation(f"duplicate (cid, ts) pair ({cid!r}, {ts})")
+        else:
+            eids.add(eid)
+        prev_ts = ts
+    if fault:
+        raise fault
+    return starts
+
+
 @dataclass(frozen=True)
 class EventLog:
     """Immutable event log. Events are kept in canonical (cid, ts) order and
-    the key candidates are enforced at construction time."""
+    the key candidates are enforced at construction time. Events given in
+    that order are kept as given, and only input that descends is sorted."""
 
     schema: tuple[str, ...]
     events: tuple[Event, ...]
+    _starts: list[int] = field(init=False, repr=False, compare=False)  # each case run's first index
 
     def __post_init__(self) -> None:
         schema = tuple(self.schema)
         if len(set(schema)) != len(schema):
             raise MalformedCsv(f"duplicate attribute names in schema {schema}")
-        ordered = tuple(sorted(self.events, key=_CID_TS))
-        # The names of an attrs tuple are checked the first time that object
-        # occurs; loaded events share one tuple per distinct combination of
-        # values, and `ordered` keeps every tuple, so no id is reused.
-        named: set[int] = set()
-        # Sorting made each case one run: eids holds the run's event ids so
-        # far, and equal (cid, ts) pairs are side by side.
-        eids: set[str] = set()
-        prev_cid = prev_ts = None
-        for eid, cid, ts, attrs in ordered:
-            if ts < 0:
-                raise BadTimestamp(f"event {eid!r}: negative timestamp {ts}")
-            if id(attrs) not in named:
-                if tuple(name for name, _ in attrs) != schema:
-                    raise KeyViolation(
-                        f"event {eid!r} attribute names do not match schema {schema}"
-                    )
-                named.add(id(attrs))
-            if cid != prev_cid:
-                eids = {eid}
-                prev_cid = cid
-            elif eid in eids:
-                raise KeyViolation(f"duplicate (eid, cid) pair ({eid!r}, {cid!r})")
-            elif ts == prev_ts:
-                raise KeyViolation(f"duplicate (cid, ts) pair ({cid!r}, {ts})")
-            else:
-                eids.add(eid)
-            prev_ts = ts
+        events = tuple(self.events)
+        starts = _case_starts(schema, events)
+        if starts is None:  # out of order: the first fault is the sorted log's
+            events = tuple(sorted(events, key=_CID_TS))
+            starts = _case_starts(schema, events)
         object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "events", ordered)
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "_starts", starts)
 
 
 @dataclass(frozen=True)
@@ -286,7 +308,7 @@ def load_event_log(
     except csv.Error as exc:  # raised while reading the row after `lineno`
         raise MalformedCsv(f"row {lineno + 1}: {exc}") from None
     else:
-        del shared  # free before sorting: one entry per event when values are all distinct
+        del shared  # free before the check: one entry per event when values are all distinct
         return EventLog(schema=schema, events=tuple(events))
     finally:
         if collecting:
@@ -306,12 +328,14 @@ def serialize_event_log(log: EventLog) -> str:
 
 def cases(log: EventLog) -> frozenset[str]:
     """The distinct case ids of the log."""
-    return frozenset(e.cid for e in log.events)
+    return frozenset(log.events[i].cid for i in log._starts)
 
 
 def event_sets(log: EventLog) -> list[EventSet]:
-    """All per-case event sets, ordered by case id."""
-    return [EventSet(cid, tuple(run)) for cid, run in groupby(log.events, key=attrgetter("cid"))]
+    """All per-case event sets, ordered by case id: a slice of the log's
+    events per case run that its check recorded."""
+    events, starts = log.events, log._starts
+    return [EventSet(events[a].cid, events[a:b]) for a, b in zip(starts, [*starts[1:], len(events)])]
 
 
 def merge_cases(log: EventLog) -> EventLog:

@@ -2,6 +2,7 @@ import csv
 import gc
 import io
 import random
+from itertools import groupby
 
 import pytest
 
@@ -10,6 +11,7 @@ from sccq.eventlog import (
     EMPTY_SEGMENT,
     Event,
     EventLog,
+    EventSet,
     Segment,
     cases,
     event_sets,
@@ -106,6 +108,66 @@ def test_log_checks_eids_per_case_run():
     # an event that repeats both keys of its neighbour reports (eid, cid)
     with pytest.raises(KeyViolation, match=r"duplicate \(eid, cid\) pair"):
         EventLog((), (Event("e1", "c1", 1, ()), Event("e1", "c1", 1, ())))
+
+
+def test_ordered_log_is_kept_as_given():
+    evs = tuple(Event(f"e{i}", f"c{i // 3}", i, ()) for i in range(9))
+    log = EventLog((), evs)
+    assert log.events is evs
+    assert [es.events for es in event_sets(log)] == [evs[0:3], evs[3:6], evs[6:9]]
+
+
+def test_first_fault_in_case_order_whatever_the_input_order():
+    # e1 comes first in the input, but e2's case sorts first
+    with pytest.raises(BadTimestamp, match=r"^event 'e2': negative timestamp -1$"):
+        EventLog((), (Event("e1", "c2", -1, ()), Event("e2", "c1", -1, ())))
+
+
+def _sort_then_check(schema, events):
+    """The reference order of work: sort by (cid, ts), then check each event
+    in that order and raise at its first fault."""
+    ordered = tuple(sorted(events, key=lambda e: (e.cid, e.ts)))
+    for k, (eid, cid, ts, attrs) in enumerate(ordered):
+        prev = ordered[k - 1] if k and ordered[k - 1].cid == cid else None
+        if ts < 0:
+            raise BadTimestamp(f"event {eid!r}: negative timestamp {ts}")
+        if tuple(name for name, _ in attrs) != schema:
+            raise KeyViolation(f"event {eid!r} attribute names do not match schema {schema}")
+        if prev and eid in {e.eid for e in ordered[:k] if e.cid == cid}:
+            raise KeyViolation(f"duplicate (eid, cid) pair ({eid!r}, {cid!r})")
+        if prev and ts == prev.ts:
+            raise KeyViolation(f"duplicate (cid, ts) pair ({cid!r}, {ts})")
+    return ordered
+
+
+def test_one_pass_agrees_with_sorting_first():
+    rng = random.Random(35)
+    schema = ("a",)
+    for n in range(5000):
+        events = [
+            Event(
+                rng.choice("123"),
+                rng.choice(("c1", "c2", "c3")),
+                rng.choice((0, 1, 2, 3, 4, 5, -1) if rng.random() < 0.1 else (0, 1, 2, 3, 4, 5)),
+                (("b", "x"),) if rng.random() < 0.03 else (("a", rng.choice(("x", None))),),
+            )
+            for _ in range(rng.randint(0, 8))
+        ]
+        if n % 2:
+            rng.shuffle(events)
+        else:
+            events.sort(key=lambda e: (e.cid, e.ts))
+        try:
+            expected = _sort_then_check(schema, events)
+        except (BadTimestamp, KeyViolation) as exc:
+            with pytest.raises(type(exc)) as got:
+                EventLog(schema, tuple(events))
+            assert str(got.value) == str(exc), events
+            continue
+        log = EventLog(schema, tuple(events))
+        assert log.events == expected
+        assert event_sets(log) == [EventSet(cid, tuple(run)) for cid, run in groupby(log.events, key=lambda e: e.cid)]
+        assert cases(log) == {e.cid for e in events}
 
 
 def test_log_rejects_schema_mismatch_and_duplicate_schema():
