@@ -20,6 +20,11 @@ compile through too, and one of eid, cid or ts through readers by schema
 position, as for the projection. An equality across sorts is decided false
 before any event is read, and cases are grouped only when the plan has a
 pattern selection.
+
+The log's events come proven to be in (cid, ts) order, by the loader or by
+EventLog's own pass, so ``execute`` never sorts or regroups them: it takes
+``event_sets`` once and lets each pattern selection filter the cases that
+the one before kept, one ``case_satisfies`` call per surviving case.
 """
 
 from __future__ import annotations
@@ -179,8 +184,10 @@ def _row_test(selection: RowSelection, schema: tuple[str, ...]) -> Callable[[Eve
 
 def execute(plan: Plan, log: EventLog, *, set_semantics: bool = False) -> ResultTable:
     """Run the plan. Pattern selections see the full per-case event sets,
-    and a case is kept before row filtering only if it satisfies them all;
-    a case that fails one pattern is not matched against the later ones.
+    grouped once from the log's proven (cid, ts) order, and a case is kept
+    before row filtering only if it satisfies them all. Each pattern filters
+    the cases the one before kept, in case order, so a case that fails one
+    pattern is not matched against the later ones.
     Raises SccError when the plan was compiled for another schema than the log's."""
     if log.schema != plan.schema:
         raise SccError(f"plan compiled for the schema {list(plan.schema)} run on {list(log.schema)}")
@@ -190,12 +197,12 @@ def execute(plan: Plan, log: EventLog, *, set_semantics: bool = False) -> Result
         return ResultTable(columns, ())
     events: Sequence[Event] = log.events  # already in (cid, ts) order
     if plan.pattern_selections:
-        # The surviving cases' events, in order, from the groups themselves.
-        events = [
-            e for es in event_sets(log)
-            if all(case_satisfies(pattern, es) for pattern in plan.pattern_selections)
-            for e in es.events
-        ]
+        # Each pattern keeps the cases that satisfy it, in case order; the
+        # survivors' events, in order, come from the groups themselves.
+        groups = event_sets(log)
+        for pattern in plan.pattern_selections:
+            groups = [es for es in groups if case_satisfies(pattern, es)]
+        events = [e for es in groups for e in es.events]
     for test in tests:
         events = list(filter(test, events))
     rows = list(zip(*[map(_reader(ref, log.schema), events) for ref in plan.projection]))

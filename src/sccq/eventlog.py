@@ -8,18 +8,25 @@ case timestamps are therefore unique, which totally orders the case.
 Timestamps are integer epoch milliseconds everywhere inside the package;
 ISO-8601 text is converted once at ingestion.
 
-EventLog is the one type that enforces the keys and the order. One pass over
-the events as given checks the keys, proves the (cid, ts) order and records
-where each case's run starts, so (eid, cid) is checked against the eids of
-the current run only, and (cid, ts) against the previous event. Only input
-that descends is sorted by (cid, ts) and passed over once more, so the error
-raised is the first fault in (cid, ts) order. Event, EventSet and Segment are
-immutable values derived from it and are not checked again.
+Every EventLog holds events whose keys are checked and whose (cid, ts)
+order is proven, with where each case's run starts. For events from any
+source, EventLog's own pass does it: one pass over the events as given
+checks the keys, proves the order and records the runs, so (eid, cid) is
+checked against the eids of the current run only, and (cid, ts) against the
+previous event. Only input that descends is sorted by (cid, ts) and passed
+over once more, so the error raised is the first fault in (cid, ts) order.
+Event, EventSet and Segment are immutable values derived from it and are
+not checked again.
 
 ``load_event_log`` streams the CSV and takes one step per row: check the
 field count, read the timestamp (plain digits through ``int`` directly,
 anything else through ``parse_timestamp``), look up the row's attrs tuple
-and build the Event as a plain tuple of its four fields. Events loaded from
+and build the Event as a plain tuple of its four fields. The same step
+proves the order and the keys, as EventLog's pass would, so a CSV in
+(cid, ts) order with no repeated key is walked once: its log is built
+without that pass. At the first row that descends or repeats a key, the
+loader stops proving, reads on, and leaves the events to EventLog's pass,
+which reports every key fault. Events loaded from
 CSV share their ``attrs`` tuples: all events whose attribute fields are
 equal hold one and the same tuple, so a log of many events over few
 distinct attribute combinations builds, and name-checks, each combination
@@ -39,7 +46,6 @@ import csv
 import gc
 import io
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple, TextIO
 
@@ -156,42 +162,74 @@ def _case_starts(schema: tuple[str, ...], events: tuple[Event, ...]) -> list[int
 @dataclass(frozen=True)
 class EventLog:
     """Immutable event log. Events are kept in canonical (cid, ts) order and
-    the key candidates are enforced at construction time. Events given in
-    that order are kept as given, and only input that descends is sorted."""
+    the key candidates are enforced at construction time, by one pass over
+    the events as given. Events given in that order are kept as given, and
+    only input that descends is sorted. load_event_log, which proves order
+    and keys as it reads, builds its logs through _proven, without the pass."""
 
     schema: tuple[str, ...]
     events: tuple[Event, ...]
     _starts: list[int] = field(init=False, repr=False, compare=False)  # each case run's first index
 
     def __post_init__(self) -> None:
-        schema = tuple(self.schema)
-        if len(set(schema)) != len(schema):
-            raise MalformedCsv(f"duplicate attribute names in schema {schema}")
+        schema = _distinct_names(tuple(self.schema))
         events = tuple(self.events)
         starts = _case_starts(schema, events)
         if starts is None:  # out of order: the first fault is the sorted log's
             events = tuple(sorted(events, key=_CID_TS))
             starts = _case_starts(schema, events)
+        self._set(schema, events, starts)
+
+    @classmethod
+    def _proven(cls, schema: tuple[str, ...], events: tuple[Event, ...], starts: list[int]) -> EventLog:
+        """The log of events already proven as _case_starts proves them, in
+        (cid, ts) order with their keys checked and every attrs tuple named
+        by the schema, whose case runs start at `starts`. Only the schema's
+        names are checked."""
+        log = object.__new__(cls)
+        log._set(_distinct_names(schema), events, starts)
+        return log
+
+    def _set(self, schema: tuple[str, ...], events: tuple[Event, ...], starts: list[int]) -> None:
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "events", events)
         object.__setattr__(self, "_starts", starts)
 
 
-@dataclass(frozen=True)
-class EventSet:
+def _distinct_names(schema: tuple[str, ...]) -> tuple[str, ...]:
+    if len(set(schema)) != len(schema):
+        raise MalformedCsv(f"duplicate attribute names in schema {schema}")
+    return schema
+
+
+class EventSet(tuple):
     """All events of one case, ascending by timestamp: a run of an
     EventLog's ordered events. The matcher names a segment by the positions
-    of its first and last events in ``events``."""
+    of its first and last events in ``events``.
 
-    cid: str
-    events: tuple[Event, ...]
+    It is the tuple (cid, events), so event_sets builds one per case with
+    tuple.__new__ and calls no Python function; its length is its number of
+    events."""
+
+    __slots__ = ()
+    cid = property(itemgetter(0), doc="The case id.")
+    events = property(itemgetter(1), doc="The case's events, ascending by timestamp.")
+
+    def __new__(cls, cid: str, events: tuple[Event, ...]) -> EventSet:
+        return tuple.__new__(cls, (cid, events))
+
+    def __getnewargs__(self) -> tuple[str, tuple[Event, ...]]:  # copy and pickle call __new__ with these
+        return self[0], self[1]
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self[1])
 
-    @cached_property
+    def __repr__(self) -> str:
+        return f"EventSet(cid={self[0]!r}, events={self[1]!r})"
+
+    @property
     def timestamps(self) -> tuple[int, ...]:
-        return tuple(e.ts for e in self.events)
+        return tuple(e.ts for e in self[1])
 
 
 class Segment(NamedTuple):
@@ -251,6 +289,12 @@ def load_event_log(
     order. Empty attribute fields ingest as null. Quoting is strict: a stray
     quote, or one never closed, is an error at its row.
 
+    The row loop proves the (cid, ts) order and both keys. Events that pass
+    make the EventLog without its checking pass; at the first descent or
+    repeated key the loop reads on and EventLog's pass checks, or sorts,
+    the events, so a row error still comes at its row and a key error is
+    the one EventLog reports.
+
     The cyclic garbage collector is paused from the first data row until
     the EventLog is built: the values built are acyclic, so reference
     counting frees them. This changes a process-wide setting for the length
@@ -282,6 +326,13 @@ def load_event_log(
     append = events.append
     new = tuple.__new__  # Event's own __new__ is a Python function; the tuple is the same
     lineno = 1
+    # The proof of order that EventLog's pass would make, made row by row:
+    # starts holds each case run's first index, eids the run's event ids so
+    # far. At the first descent or repeated key it is dropped (None), and
+    # EventLog's pass finds the fault, or sorts.
+    starts: list[int] | None = []
+    eids: set[str] = set()
+    prev_cid = prev_ts = None
     # Nothing built from here to the EventLog can form a reference cycle, so
     # the paused collector has nothing to find in the events as they pile up.
     collecting = gc.isenabled()
@@ -304,12 +355,30 @@ def load_event_log(
             attrs = shared.get(fields)
             if attrs is None:
                 attrs = shared[fields] = tuple((header[i], row[i] or None) for i in attr_cols)
-            append(new(Event, (row[ei], row[ci], ts, attrs)))
+            eid, cid = row[ei], row[ci]
+            if starts is not None:
+                if cid != prev_cid:
+                    if starts and cid < prev_cid:
+                        starts = None
+                    else:
+                        starts.append(len(events))
+                        eids = {eid}
+                        prev_cid = cid
+                elif ts > prev_ts and eid not in eids:
+                    eids.add(eid)
+                else:
+                    starts = None
+                prev_ts = ts
+            append(new(Event, (eid, cid, ts, attrs)))
     except csv.Error as exc:  # raised while reading the row after `lineno`
         raise MalformedCsv(f"row {lineno + 1}: {exc}") from None
     else:
         del shared  # free before the check: one entry per event when values are all distinct
-        return EventLog(schema=schema, events=tuple(events))
+        if starts is None:
+            return EventLog(schema=schema, events=tuple(events))
+        # Proven: attrs tuples are named from the header, as the schema is,
+        # and no parsed timestamp is negative.
+        return EventLog._proven(schema, tuple(events), starts)
     finally:
         if collecting:
             gc.enable()
@@ -333,9 +402,10 @@ def cases(log: EventLog) -> frozenset[str]:
 
 def event_sets(log: EventLog) -> list[EventSet]:
     """All per-case event sets, ordered by case id: a slice of the log's
-    events per case run that its check recorded."""
-    events, starts = log.events, log._starts
-    return [EventSet(events[a].cid, events[a:b]) for a, b in zip(starts, [*starts[1:], len(events)])]
+    events per case run that its proof of order recorded, in EventLog's pass
+    or in load_event_log's row loop."""
+    events, starts, new = log.events, log._starts, tuple.__new__
+    return [new(EventSet, (events[a][1], events[a:b])) for a, b in zip(starts, [*starts[1:], len(events)])]
 
 
 def merge_cases(log: EventLog) -> EventLog:

@@ -396,13 +396,33 @@ class _Nfa:
         RE2: events of one class pass the same leaf tests, so the step from
         a set of active states depends only on the event's class and on
         whether the event is the last, and is computed once and cached. The
-        first accept ends the scan. Once _DFA_CACHE_LIMIT transitions are
-        cached, a missing one ends the DFA scan, and plain NFA steps finish
-        the case."""
+        first accept ends the scan. Inner events read the inner table and
+        the last event the last table; the first transition missing from
+        them hands the case to _build_scan."""
+        last = len(events) - 1
+        event_class, state = self.event_class, self.dfa_first
+        for i in range(last):
+            nxt = state[0].get(event_class(events[i].attrs))
+            if nxt is None:
+                return self._build_scan(events, i, state)
+            if nxt is _ACCEPTING:
+                return True
+            state = nxt
+        if last < 0:
+            return False
+        nxt = state[1].get(event_class(events[last].attrs))
+        if nxt is None:
+            return self._build_scan(events, last, state)
+        return nxt is _ACCEPTING
+
+    def _build_scan(self, events: tuple[Event, ...], start: int, state: _DfaState) -> bool:
+        """accepts_some_segment from events[start] on, in state, caching each
+        transition it misses. Once _DFA_CACHE_LIMIT transitions are cached,
+        a missing one ends the DFA scan, and plain NFA steps finish the
+        case."""
         last = len(events) - 1
         accept, entry, event_class = self.accept, self.entry_later, self.event_class
-        state = self.dfa_first
-        for i, event in enumerate(events):
+        for i, event in enumerate(events[start:], start):
             key = event_class(event.attrs)
             table = state[i == last]
             nxt = table.get(key)

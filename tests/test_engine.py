@@ -172,6 +172,19 @@ def test_execute_skips_later_patterns_for_failed_cases(quotes_log, monkeypatch):
     )
     assert calls == [("event_name", "0001"), ("event_name", "0002"), ("status", "0002")]
     assert set(table.rows) == {("0002",)}
+    # Four cases: each pattern filters the cases in order, so the second
+    # meets each survivor of the first once, in case order.
+    calls.clear()
+    log = EventLog(("a", "b"), tuple(
+        Event(f"e{i}", cid, i, (("a", a), ("b", b)))
+        for i, (cid, a, b) in enumerate([
+            ("c1", "x", "p"), ("c1", "y", "q"), ("c2", "y", "p"), ("c3", "x", "q"),
+            ("c4", "x", "p"), ("c4", "z", "q"),
+        ])
+    ))
+    table = run("SELECT cid FROM eventlog WHERE a MATCHES ('x') AND b MATCHES ('p' ~> 'q')", log, set_semantics=True)
+    assert calls == [("a", "c1"), ("a", "c2"), ("a", "c3"), ("a", "c4"), ("b", "c1"), ("b", "c3"), ("b", "c4")]
+    assert table.rows == (("c1",), ("c4",))
 
 
 def test_const_equalities(quotes_log):

@@ -1,6 +1,8 @@
+import copy
 import csv
 import gc
 import io
+import pickle
 import random
 from itertools import groupby
 
@@ -168,6 +170,100 @@ def test_one_pass_agrees_with_sorting_first():
         assert log.events == expected
         assert event_sets(log) == [EventSet(cid, tuple(run)) for cid, run in groupby(log.events, key=lambda e: e.cid)]
         assert cases(log) == {e.cid for e in events}
+
+
+def _parse_then_build(text):
+    """The reference loader: parse every row, then build the EventLog, whose
+    one pass proves the order and checks the keys."""
+    rows = csv.reader(io.StringIO(text), strict=True)
+    header = next(rows)
+    events = []
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        try:
+            ts = parse_timestamp(row[2])
+        except BadTimestamp as exc:
+            raise BadTimestamp(f"row {lineno}: {exc}") from None
+        events.append(Event(row[0], row[1], ts, tuple(zip(header[3:], [v or None for v in row[3:]]))))
+    return EventLog(tuple(header[3:]), tuple(events))
+
+
+def test_loader_proof_agrees_with_building_after_parsing():
+    # A few eids, cids and timestamps, so keys repeat; even texts are in
+    # (cid, ts) order, odd ones shuffled; a row in 50 has a bad timestamp,
+    # which must be raised at its row even after a key fault.
+    rng = random.Random(37)
+    faults = set()
+    for n in range(5000):
+        rows = [
+            (rng.choice("123"), rng.choice(("c1", "c2", "c3")),
+             "x" if rng.random() < 0.02 else rng.choice("012345"), rng.choice(("x", "")))
+            for _ in range(rng.randint(0, 8))
+        ]
+        if n % 2:
+            rng.shuffle(rows)
+        else:
+            rows.sort(key=lambda r: (r[1], r[2]))
+        lines = ["eid,cid,ts,a", *(",".join(r) for r in rows)]
+        for _ in range(rng.randint(0, 2)):
+            lines.insert(rng.randint(1, len(lines)), "")
+        text = "\n".join(lines) + "\n"
+        try:
+            expected = _parse_then_build(text)
+        except (BadTimestamp, KeyViolation) as exc:
+            with pytest.raises(type(exc)) as got:
+                load_event_log(text)
+            assert str(got.value) == str(exc), text
+            faults.add(type(exc))
+            continue
+        log = load_event_log(text)
+        assert log.events == expected.events, text
+        assert event_sets(log) == event_sets(expected), text
+    assert faults == {BadTimestamp, KeyViolation}
+
+
+def test_loading_ordered_csv_makes_no_second_pass(monkeypatch):
+    import sccq.eventlog
+
+    calls = []
+    original = sccq.eventlog._case_starts
+
+    def counting(schema, events):
+        calls.append(len(events))
+        return original(schema, events)
+
+    monkeypatch.setattr(sccq.eventlog, "_case_starts", counting)
+    # The eids of c1 again in c2: (eid, cid) is checked within each case.
+    load_event_log("eid,cid,ts,a\ne1,c1,1,x\ne2,c1,2,\ne1,c2,1,y\ne2,c2,4,y\n")
+    assert calls == []
+    # A descent leaves the proof to EventLog's pass, which sorts and passes again.
+    log = load_event_log("eid,cid,ts,a\ne1,c2,1,x\ne2,c1,2,\n")
+    assert calls == [2, 2]
+    assert [e.cid for e in log.events] == ["c1", "c2"]
+
+
+def test_proven_log_is_the_publicly_built_one():
+    text = "eid,cid,ts,a,b\ne1,c1,1,x,\ne2,c1,5,y,z\ne1,c2,3,x,\n"
+    loaded = load_event_log(text)
+    built = EventLog(loaded.schema, loaded.events)
+    assert loaded == built and hash(loaded) == hash(built)
+    assert repr(loaded) == repr(built) and str(loaded) == str(built)
+    assert loaded._starts == built._starts == [0, 2]
+    assert event_sets(loaded) == event_sets(built)
+    with pytest.raises(MalformedCsv, match=r"^duplicate attribute names in schema \('a', 'a'\)$"):
+        load_event_log("eid,cid,ts,a,a\ne1,c1,1,x,y\n")
+
+
+def test_event_set_is_a_value_of_its_case():
+    evs = (Event("e1", "c1", 4, ()), Event("e2", "c1", 9, ()))
+    es = EventSet("c1", evs)
+    assert (es.cid, es.events, len(es), es.timestamps) == ("c1", evs, 2, (4, 9))
+    assert es == EventSet("c1", evs) and hash(es) == hash(EventSet("c1", evs))
+    assert es != EventSet("c2", evs) and es != EventSet("c1", evs[:1])
+    assert repr(es) == f"EventSet(cid='c1', events={evs!r})"
+    assert copy.copy(es) == pickle.loads(pickle.dumps(es)) == es
+    assert not EventSet("c1", ())
 
 
 def test_log_rejects_schema_mismatch_and_duplicate_schema():

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -582,6 +583,23 @@ def test_dfa_cache_limit_keeps_the_answers(monkeypatch):
     def states_bounded(pairs):
         return all(len(p.nfa.dfa_states) <= p.nfa.dfa_cached + 1 for p, _ in pairs)
 
+    def tiny_corpus():
+        # Every case of 0-3 events over two values, with START / END shapes
+        # and a root star, against the listing's answer.
+        schema = ("event_name",)
+        shapes = (*_NFA_SHAPES, "ANY", "START (ANY) END", "START ('a') -> ANY", "'b' END", "ANY* END", "('a')*")
+        cases = [
+            EventSet("c", tuple(Event(f"e{i}", "c", i, (("event_name", v),)) for i, v in enumerate(values)))
+            for n in range(4) for values in product("ab", repeat=n)
+        ]
+        return [(simple(text, schema=schema), es) for text in shapes for es in cases]
+
+    def tiny_agrees(pairs):
+        answers = [case_satisfies(p, es) for p, es in pairs]
+        assert answers == [satisfying_segments(p, es).satisfied for p, es in pairs]
+        return sum(answers)
+
+    assert 0 < tiny_agrees(tiny_corpus()) < len(tiny_corpus())
     pairs = corpus()
     expected = [case_satisfies(p, es) for p, es in pairs]
     assert 0 < sum(expected) < len(expected)
@@ -607,6 +625,9 @@ def test_dfa_cache_limit_keeps_the_answers(monkeypatch):
         assert all(p.nfa.dfa_cached <= limit for p, _ in pairs)
         assert finished > len(pairs) // 2
         assert states_bounded(pairs)
+        tiny = tiny_corpus()
+        tiny_agrees(tiny)
+        assert all(p.nfa.dfa_cached <= limit for p, _ in tiny)
 
 
 @pytest.mark.parametrize("text, leaves", _ONE_PASS_PATTERNS)
