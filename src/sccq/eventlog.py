@@ -8,13 +8,12 @@ case timestamps are therefore unique, which totally orders the case.
 Timestamps are integer epoch milliseconds everywhere inside the package;
 ISO-8601 text is converted once at ingestion.
 
-Every EventLog holds events whose keys are checked and whose (cid, ts)
-order is proven, with where each case's run starts. For events from any
-source, EventLog's own pass does it: one pass over the events as given
-checks the keys, proves the order and records the runs, so (eid, cid) is
-checked against the eids of the current run only, and (cid, ts) against the
-previous event. Only input that descends is sorted by (cid, ts) and passed
-over once more, so the error raised is the first fault in (cid, ts) order.
+Every EventLog holds its events in (cid, ts) order with their keys
+checked, and where each case's run starts. For events from any source,
+EventLog sorts them by (cid, ts) and then checks them in one pass that
+records the runs: (eid, cid) is checked against the eids of the current run
+only, and (cid, ts) against the previous event. The pass raises at the
+first fault, so the error raised is the first fault in (cid, ts) order.
 Event, EventSet and Segment are immutable values derived from it and are
 not checked again.
 
@@ -22,22 +21,23 @@ not checked again.
 field count, read the timestamp (plain digits through ``int`` directly,
 anything else through ``parse_timestamp``), look up the row's attrs tuple
 and build the Event as a plain tuple of its four fields. The same step
-proves the order and the keys, as EventLog's pass would, so a CSV in
-(cid, ts) order with no repeated key is walked once: its log is built
-without that pass. At the first row that descends or repeats a key, the
-loader stops proving, reads on, and leaves the events to EventLog's pass,
-which reports every key fault. Events loaded from
-CSV share their ``attrs`` tuples: all events whose attribute fields are
-equal hold one and the same tuple, so a log of many events over few
-distinct attribute combinations builds, and name-checks, each combination
-once. From the first data row until the EventLog is built, including its
-key checks, ``load_event_log`` pauses CPython's cyclic garbage
-collector, which would otherwise re-scan the growing list of events many
-times. This is safe because every value it builds (strings, ints, Event
-and attrs tuples) is acyclic, so reference counting alone frees it. The
-switch is process-wide: for the length of one load no thread's cyclic
-garbage is collected. The caller's setting is restored on return and on
-every error, so a caller that had the collector off keeps it off.
+proves the order and the keys, so a CSV in (cid, ts) order with no
+repeated key is walked once: sorting it would change nothing and EventLog's
+check would pass, so its log is built without either. At the first row
+that descends or repeats a key, the loader stops proving, reads on, and
+hands the events to EventLog, which sorts and checks them and reports the
+first fault in (cid, ts) order. Events loaded from CSV share their
+``attrs`` tuples: all events whose attribute fields are equal hold one
+and the same tuple, so a log of many events over few distinct attribute
+combinations builds, and name-checks, each combination once. From the
+first data row until the EventLog is built, including its key checks,
+``load_event_log`` pauses CPython's cyclic garbage collector, which would
+otherwise re-scan the growing list of events many times. This is safe
+because every value it builds (strings, ints, Event and attrs tuples) is
+acyclic, so reference counting alone frees it. The switch is process-wide:
+for the length of one load no thread's cyclic garbage is collected. The
+caller's setting is restored on return and on every error, so a caller
+that had the collector off keeps it off.
 """
 
 from __future__ import annotations
@@ -118,54 +118,47 @@ class Event(NamedTuple):
 _CID_TS = itemgetter(1, 2)  # an Event's (cid, ts)
 
 
-def _case_starts(schema: tuple[str, ...], events: tuple[Event, ...]) -> list[int] | None:
-    """Check the keys of `events` in order and return where each case's run
-    starts, or None at the first descent: a cid below the last, or a ts below
-    the last of its case. A fault seen is raised only if no descent follows."""
+def _checked_starts(schema: tuple[str, ...], events: tuple[Event, ...]) -> list[int]:
+    """Check the keys of `events`, sorted by (cid, ts), and return where each
+    case's run starts. The first fault in that order is raised."""
     # The names of an attrs tuple are checked the first time that object
     # occurs; loaded events share one tuple per distinct combination of
     # values, and `events` keeps every tuple, so no id is reused.
     named: set[int] = set()
     starts: list[int] = []
-    fault: Exception | None = None
     # Each case is one run: eids holds the run's event ids so far, and equal
     # (cid, ts) pairs are side by side.
     eids: set[str] = set()
     prev_cid = prev_ts = None
     for i, (eid, cid, ts, attrs) in enumerate(events):
         if ts < 0:
-            fault = fault or BadTimestamp(f"event {eid!r}: negative timestamp {ts}")
+            raise BadTimestamp(f"event {eid!r}: negative timestamp {ts}")
         if id(attrs) not in named:
             if tuple(name for name, _ in attrs) != schema:
-                fault = fault or KeyViolation(f"event {eid!r} attribute names do not match schema {schema}")
+                raise KeyViolation(f"event {eid!r} attribute names do not match schema {schema}")
             named.add(id(attrs))
         if cid != prev_cid:
-            if starts and cid < prev_cid:
-                return None
             starts.append(i)
             eids = {eid}
             prev_cid = cid
-        elif ts < prev_ts:
-            return None
         elif eid in eids:
-            fault = fault or KeyViolation(f"duplicate (eid, cid) pair ({eid!r}, {cid!r})")
+            raise KeyViolation(f"duplicate (eid, cid) pair ({eid!r}, {cid!r})")
         elif ts == prev_ts:
-            fault = fault or KeyViolation(f"duplicate (cid, ts) pair ({cid!r}, {ts})")
+            raise KeyViolation(f"duplicate (cid, ts) pair ({cid!r}, {ts})")
         else:
             eids.add(eid)
         prev_ts = ts
-    if fault:
-        raise fault
     return starts
 
 
 @dataclass(frozen=True)
 class EventLog:
     """Immutable event log. Events are kept in canonical (cid, ts) order and
-    the key candidates are enforced at construction time, by one pass over
-    the events as given. Events given in that order are kept as given, and
-    only input that descends is sorted. load_event_log, which proves order
-    and keys as it reads, builds its logs through _proven, without the pass."""
+    the key candidates are enforced at construction time: the events are
+    sorted by (cid, ts), then checked in one pass that raises the first
+    fault in that order. load_event_log, which proves order and keys as it
+    reads, and merge_cases, which builds one case in order with distinct
+    keys, make their logs through _proven, without the sort and the check."""
 
     schema: tuple[str, ...]
     events: tuple[Event, ...]
@@ -173,19 +166,14 @@ class EventLog:
 
     def __post_init__(self) -> None:
         schema = _distinct_names(tuple(self.schema))
-        events = tuple(self.events)
-        starts = _case_starts(schema, events)
-        if starts is None:  # out of order: the first fault is the sorted log's
-            events = tuple(sorted(events, key=_CID_TS))
-            starts = _case_starts(schema, events)
-        self._set(schema, events, starts)
+        events = tuple(sorted(self.events, key=_CID_TS))
+        self._set(schema, events, _checked_starts(schema, events))
 
     @classmethod
     def _proven(cls, schema: tuple[str, ...], events: tuple[Event, ...], starts: list[int]) -> EventLog:
-        """The log of events already proven as _case_starts proves them, in
-        (cid, ts) order with their keys checked and every attrs tuple named
-        by the schema, whose case runs start at `starts`. Only the schema's
-        names are checked."""
+        """The log of events already in (cid, ts) order that would pass
+        _checked_starts, keys and attrs names alike, whose case runs start at
+        `starts`. Only the schema's names are checked."""
         log = object.__new__(cls)
         log._set(_distinct_names(schema), events, starts)
         return log
@@ -286,14 +274,15 @@ def load_event_log(
     The three role columns are located by the given header names, or by the
     usual aliases (event_id/eid, case_id/cid, timestamp/ts/event_time) when
     not given. Every remaining column becomes a schema attribute, in header
-    order. Empty attribute fields ingest as null. Quoting is strict: a stray
-    quote, or one never closed, is an error at its row.
+    order. Empty attribute fields ingest as null. Quoting is strict: text
+    after a quoted field's closing quote, or a quote never closed, is an
+    error at its row; a quote inside an unquoted field is text.
 
     The row loop proves the (cid, ts) order and both keys. Events that pass
-    make the EventLog without its checking pass; at the first descent or
-    repeated key the loop reads on and EventLog's pass checks, or sorts,
-    the events, so a row error still comes at its row and a key error is
-    the one EventLog reports.
+    make the EventLog without its sort and check; at the first descent or
+    repeated key the loop reads on and EventLog sorts and checks the
+    events, so a row error still comes at its row and a key error is the
+    one EventLog reports.
 
     The cyclic garbage collector is paused from the first data row until
     the EventLog is built: the values built are acyclic, so reference
@@ -326,10 +315,10 @@ def load_event_log(
     append = events.append
     new = tuple.__new__  # Event's own __new__ is a Python function; the tuple is the same
     lineno = 1
-    # The proof of order that EventLog's pass would make, made row by row:
-    # starts holds each case run's first index, eids the run's event ids so
-    # far. At the first descent or repeated key it is dropped (None), and
-    # EventLog's pass finds the fault, or sorts.
+    # The proof that sorting would change nothing and EventLog's check would
+    # pass, made row by row: starts holds each case run's first index, eids
+    # the run's event ids so far. At the first descent or repeated key it is
+    # dropped (None), and EventLog sorts the events and finds the fault.
     starts: list[int] | None = []
     eids: set[str] = set()
     prev_cid = prev_ts = None
@@ -402,8 +391,8 @@ def cases(log: EventLog) -> frozenset[str]:
 
 def event_sets(log: EventLog) -> list[EventSet]:
     """All per-case event sets, ordered by case id: a slice of the log's
-    events per case run that its proof of order recorded, in EventLog's pass
-    or in load_event_log's row loop."""
+    events per case run, where the log's builder recorded the runs: EventLog's
+    check, load_event_log's row loop, or merge_cases."""
     events, starts, new = log.events, log._starts, tuple.__new__
     return [new(EventSet, (events[a][1], events[a:b])) for a, b in zip(starts, [*starts[1:], len(events)])]
 
@@ -414,7 +403,9 @@ def merge_cases(log: EventLog) -> EventLog:
     Events are renumbered with timestamps 1..n in ascending original
     (ts, cid, eid) order; attribute tuples are untouched. Event ids are kept
     unless merging would collide two of them, in which case a deterministic
-    suffix is appended.
+    suffix is appended. The one case is thus in order with distinct keys,
+    and its attrs tuples are the checked log's, so the merged log is built
+    without EventLog's sort and check.
     """
     ordered = sorted(log.events, key=lambda e: (e.ts, e.cid, e.eid))
     used: set[str] = set()
@@ -425,4 +416,4 @@ def merge_cases(log: EventLog) -> EventLog:
             eid = f"{eid}_{row}"
         used.add(eid)
         merged.append(Event(eid=eid, cid="merged", ts=row, attrs=ev.attrs))
-    return EventLog(schema=log.schema, events=tuple(merged))
+    return EventLog._proven(log.schema, tuple(merged), [0] if merged else [])

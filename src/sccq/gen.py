@@ -61,6 +61,7 @@ def random_event_log(
 ) -> EventLog:
     """Log with 1..max_events events per case at distinct timestamps."""
     events = []
+    shared: dict[tuple, tuple] = {}  # one attrs tuple per combination of values, as load_event_log
     eid = 1
     for c in range(cases):
         cid = f"{c + 1:04d}"
@@ -70,7 +71,7 @@ def random_event_log(
                 (name, None if allow_null and rng.random() < 0.15 else rng.choice(values))
                 for name in schema
             )
-            events.append(Event(str(eid), cid, ts, attrs))
+            events.append(Event(str(eid), cid, ts, shared.setdefault(attrs, attrs)))
             eid += 1
     return EventLog(schema, tuple(events))
 
@@ -79,6 +80,7 @@ def display_log(rng: random.Random, *, cases: int = 3, max_events: int = 5, extr
     """Readable log for the gen subcommand: activity names and resources."""
     schema = ("event_name", "resource") + tuple(f"attr{i + 1}" for i in range(extra_attrs))
     events = []
+    shared: dict[tuple, tuple] = {}  # one attrs tuple per combination of values, as load_event_log
     eid = 1
     for c in range(cases):
         cid = f"{c + 1:04d}"
@@ -89,7 +91,8 @@ def display_log(rng: random.Random, *, cases: int = 3, max_events: int = 5, extr
             ts += rng.randint(60, 86_400)
             attrs = [("event_name", rng.choice(ACTIVITIES)), ("resource", rng.choice(RESOURCES))]
             attrs += [(f"attr{i + 1}", str(rng.randint(0, 9))) for i in range(extra_attrs)]
-            events.append(Event(str(eid), cid, ts, tuple(attrs)))
+            key = tuple(attrs)
+            events.append(Event(str(eid), cid, ts, shared.setdefault(key, key)))
             eid += 1
     return EventLog(schema, tuple(events))
 

@@ -1,6 +1,7 @@
 import copy
 import csv
 import gc
+import hashlib
 import io
 import pickle
 import random
@@ -22,7 +23,8 @@ from sccq.eventlog import (
     parse_timestamp,
     serialize_event_log,
 )
-from sccq.gen import random_event_log
+from sccq.gen import display_log, random_event_log, random_pair
+from sccq.parser import pretty_print
 
 
 def test_parse_timestamp_plain_millis():
@@ -115,7 +117,6 @@ def test_log_checks_eids_per_case_run():
 def test_ordered_log_is_kept_as_given():
     evs = tuple(Event(f"e{i}", f"c{i // 3}", i, ()) for i in range(9))
     log = EventLog((), evs)
-    assert log.events is evs
     assert [es.events for es in event_sets(log)] == [evs[0:3], evs[3:6], evs[6:9]]
 
 
@@ -173,8 +174,8 @@ def test_one_pass_agrees_with_sorting_first():
 
 
 def _parse_then_build(text):
-    """The reference loader: parse every row, then build the EventLog, whose
-    one pass proves the order and checks the keys."""
+    """The reference loader: parse every row, then build the EventLog, which
+    sorts the events and checks their keys."""
     rows = csv.reader(io.StringIO(text), strict=True)
     header = next(rows)
     events = []
@@ -223,23 +224,39 @@ def test_loader_proof_agrees_with_building_after_parsing():
     assert faults == {BadTimestamp, KeyViolation}
 
 
-def test_loading_ordered_csv_makes_no_second_pass(monkeypatch):
+@pytest.fixture
+def checking_passes(monkeypatch):
+    """The length of the events of each call to EventLog's checking pass."""
     import sccq.eventlog
 
     calls = []
-    original = sccq.eventlog._case_starts
+    original = sccq.eventlog._checked_starts
 
     def counting(schema, events):
         calls.append(len(events))
         return original(schema, events)
 
-    monkeypatch.setattr(sccq.eventlog, "_case_starts", counting)
+    monkeypatch.setattr(sccq.eventlog, "_checked_starts", counting)
+    return calls
+
+
+def test_building_a_log_makes_one_checking_pass(checking_passes):
+    ordered = (Event("e1", "c1", 1, ()), Event("e2", "c1", 2, ()), Event("e1", "c2", 1, ()))
+    faulty = (Event("e1", "c1", 1, ()), Event("e1", "c1", 2, ()))
+    EventLog((), ordered)
+    EventLog((), ordered[::-1])
+    with pytest.raises(KeyViolation):
+        EventLog((), faulty[::-1])
+    assert checking_passes == [3, 3, 2]
+
+
+def test_loading_ordered_csv_makes_no_second_pass(checking_passes):
     # The eids of c1 again in c2: (eid, cid) is checked within each case.
     load_event_log("eid,cid,ts,a\ne1,c1,1,x\ne2,c1,2,\ne1,c2,1,y\ne2,c2,4,y\n")
-    assert calls == []
-    # A descent leaves the proof to EventLog's pass, which sorts and passes again.
+    assert checking_passes == []
+    # A descent leaves the events to EventLog, which sorts them and checks once.
     log = load_event_log("eid,cid,ts,a\ne1,c2,1,x\ne2,c1,2,\n")
-    assert calls == [2, 2]
+    assert checking_passes == [2]
     assert [e.cid for e in log.events] == ["c1", "c2"]
 
 
@@ -445,6 +462,23 @@ def test_loaded_events_share_attrs_and_round_trip_with_nulls():
         assert by_fields.setdefault(ev.att(), ev.attrs) is ev.attrs
 
 
+def test_generators_share_attrs_and_draw_the_same_logs():
+    log = display_log(random.Random(1), cases=40, max_events=20)
+    by_fields = {}
+    for ev in log.events:
+        assert by_fields.setdefault(ev.att(), ev.attrs) is ev.attrs
+    # The text of fixed seeds, pinned before the generators shared their
+    # attrs tuples: sharing draws nothing from the generator.
+    parts = []
+    for seed in range(20):
+        query, pair_log = random_pair(random.Random(seed))
+        parts += [pretty_print(query), serialize_event_log(pair_log)]
+        parts.append(serialize_event_log(random_event_log(random.Random(seed), cases=4, allow_null=True)))
+        parts.append(serialize_event_log(display_log(random.Random(seed), cases=4, extra_attrs=2)))
+    digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    assert digest == "4ca2ca98213b5756fe46290fa42cbb810aa3d7a848d87fb4c24e72c1cdb3fc0f"
+
+
 def test_serialize_null_as_empty_field():
     log = EventLog(("a",), (Event("e1", "c1", 1, (("a", None),)),))
     assert serialize_event_log(log).splitlines()[1] == "e1,c1,1,"
@@ -483,6 +517,24 @@ def test_merge_cases_eid_collision():
 def test_merge_cases_idempotent(quotes_log):
     merged = merge_cases(quotes_log)
     assert merge_cases(merged) == merged
+
+
+@pytest.mark.parametrize("events", [
+    (),
+    (Event("e1", "c1", 5, (("a", "x"),)), Event("e2", "c1", 7, (("a", None),))),
+    # a and a collide, and the renamed a_2 then collides with the third a_2,
+    # which becomes a_2_3
+    (Event("a", "c1", 1, (("a", "x"),)), Event("a", "c2", 2, (("a", "x"),)), Event("a_2", "c3", 3, (("a", "y"),))),
+])
+def test_merged_log_is_built_proven(checking_passes, events):
+    log = EventLog(("a",), events)
+    checking_passes.clear()
+    merged = merge_cases(log)
+    assert checking_passes == []
+    built = EventLog(merged.schema, merged.events)
+    assert merged == built and hash(merged) == hash(built) and repr(merged) == repr(built)
+    assert merged._starts == built._starts == ([0] if events else [])
+    assert event_sets(merged) == event_sets(built)
 
 
 def test_merge_cases_empty_log():
