@@ -190,30 +190,20 @@ def _distinct_names(schema: tuple[str, ...]) -> tuple[str, ...]:
     return schema
 
 
-class EventSet(tuple):
+class EventSet(NamedTuple):
     """All events of one case, ascending by timestamp: a run of an
     EventLog's ordered events. The matcher names a segment by the positions
     of its first and last events in ``events``.
 
-    It is the tuple (cid, events), so event_sets builds one per case with
-    tuple.__new__ and calls no Python function; its length is its number of
-    events."""
+    event_sets builds one per case with tuple.__new__, which calls no Python
+    function. Its length is its number of events, not of fields, so the
+    length-checking _make and _replace do not apply to it."""
 
-    __slots__ = ()
-    cid = property(itemgetter(0), doc="The case id.")
-    events = property(itemgetter(1), doc="The case's events, ascending by timestamp.")
-
-    def __new__(cls, cid: str, events: tuple[Event, ...]) -> EventSet:
-        return tuple.__new__(cls, (cid, events))
-
-    def __getnewargs__(self) -> tuple[str, tuple[Event, ...]]:  # copy and pickle call __new__ with these
-        return self[0], self[1]
+    cid: str
+    events: tuple[Event, ...]
 
     def __len__(self) -> int:
         return len(self[1])
-
-    def __repr__(self) -> str:
-        return f"EventSet(cid={self[0]!r}, events={self[1]!r})"
 
     @property
     def timestamps(self) -> tuple[int, ...]:

@@ -15,17 +15,19 @@ A pattern denotes a set of segments of a case's timeline:
 
 Two evaluators derive the set:
 
-* a Thompson NFA, built once per pattern by ``compile_pattern``, serves both
-  selection and listing. ``compile_pattern`` checks each identifier once
-  and binds it to a test on one event that reads attributes by schema
-  position; one NFA step runs those tests. ``case_satisfies`` decides
+* a Thompson NFA serves both selection and listing: the CompiledPattern
+  that ``compile_pattern`` builds once per pattern is that automaton.
+  ``compile_pattern`` checks each identifier once and binds it to a test on
+  one event that reads attributes by schema position; one NFA step runs
+  those tests. ``satisfying_segments`` lists the segments (for ``sccq
+  match``) in one pass of that step whose runs carry their start
+  positions, as one integer key per segment, sorted once into presentation
+  order and printed from per-position strings. ``case_satisfies`` decides
   whether some segment satisfies the pattern in one pass over the case's
   events that stops at the first accept, through a DFA whose transitions
-  that step builds on demand, bounded in number; ``satisfying_segments``
-  lists the segments (for ``sccq match``) in one pass of that step whose
-  runs carry their start positions, as one integer key per segment,
-  sorted once into presentation order and printed from per-position
-  strings;
+  that step builds on demand. Once the pattern has cached
+  ``_DFA_CACHE_LIMIT`` transitions, a case that misses one is decided by
+  the listing's pass instead;
 * the brute-force oracle re-derives the set top-down by testing every
   candidate segment, named by the positions of its first and last events,
   against the definition clauses, and checks the NFA on small cases. Its
@@ -41,10 +43,9 @@ any length.
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Iterator
-from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .ast import (
     AnyEvent,
@@ -73,30 +74,6 @@ from .eventlog import EMPTY_SEGMENT, Event, EventLog, EventSet, Segment, event_s
 DEFAULT_ORACLE_BOUND = 12
 LeafTest = Callable[[Event], bool]  # a compiled identifier: does one event match it?
 EventClass = Callable[[tuple], Hashable]  # of an event's attrs: equal classes pass the same leaf tests
-
-
-@dataclass(frozen=True)
-class CompiledPattern:
-    """A pattern bound to the schema it was compiled for and to its
-    evaluation mode: a single attribute for plain matches, or a list of named
-    behaviour predicates. Its automaton's leaves read attributes by schema
-    position, so it answers only on event sets of that schema."""
-
-    formula: PatternFormula
-    schema: tuple[str, ...]
-    nfa: _Nfa = field(compare=False, repr=False)
-    attribute: str | None = None
-    behaviours: tuple[BehaviourDef, ...] = ()
-
-    def behaviour(self, name: str) -> BehaviourDef:
-        for d in self.behaviours:
-            if d.name == name:
-                return d
-        raise UnboundBehaviourName(f"behaviour name {name!r} is not defined")
-
-    def check_schema(self, schema: tuple[str, ...]) -> None:
-        if schema != self.schema:
-            raise SccError(f"pattern compiled for the schema {list(self.schema)} run on {list(schema)}")
 
 
 def conjunct_test(conj: AttrEqAttr | AttrEqConst, position: Callable[[str], int]) -> LeafTest:
@@ -132,7 +109,7 @@ def compile_pattern(condition: SimpleMatch | BehaviourMatch, schema: tuple[str, 
         return schema.index(attr)
 
     # An event's class is what every leaf test on it depends on; the lazy DFA
-    # keys its transitions on it (see _Nfa.accepts_some_segment).
+    # keys its transitions on it (see CompiledPattern.accepts_some_segment).
     if isinstance(condition, SimpleMatch):
         attribute, behaviours = condition.attribute, ()
         column = position(attribute)
@@ -163,8 +140,7 @@ def compile_pattern(condition: SimpleMatch | BehaviourMatch, schema: tuple[str, 
         }
         event_class = itemgetter(*columns) if columns else lambda attrs: None
 
-    nfa = _Nfa(condition.pattern, leaf, event_class)
-    return CompiledPattern(condition.pattern, schema, nfa, attribute, behaviours)
+    return CompiledPattern(condition.pattern, schema, attribute, behaviours, leaf, event_class)
 
 
 def _leaf_test(
@@ -201,8 +177,7 @@ def _attr_value(event: Event, name: str) -> str | None:
         raise UnknownAttribute(f"attribute {name!r} is not carried by event {event.eid!r}") from None
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     """The satisfying segments of one pattern over one case: the case's
     timestamps ts, the nonempty segments as sorted integer keys, and whether
     the empty segment is one of them.
@@ -212,7 +187,7 @@ class MatchResult:
     on keys is order by (span, i, j); ts ascends, so i orders as the start
     does, and a span and a start fix the end. Sorted keys are thus the
     presentation order, by (span, start). The pairs, segments and ordered()
-    views are built only when read; the listing itself decodes positions."""
+    views are built on each read; the listing itself decodes positions."""
 
     timestamps: tuple[int, ...]
     keys: tuple[int, ...]
@@ -246,7 +221,7 @@ class MatchResult:
             items += [left[k // n % n] + right[k % n] for k in self.keys]
         return ", ".join(items) or "none"
 
-    @cached_property
+    @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """The nonempty segments as (start, end) timestamp pairs, in
         presentation order."""
@@ -258,22 +233,22 @@ class MatchResult:
         nonempty = [Segment.interval(start, end) for start, end in self.pairs]
         return [EMPTY_SEGMENT, *nonempty] if self.empty else nonempty
 
-    @cached_property
+    @property
     def segments(self) -> frozenset[Segment]:
-        """The same segments as a set, built on first use; the listing
-        itself never needs it."""
+        """The same segments as a set; the listing itself never needs it."""
         return frozenset(self.ordered())
 
 
 # --- the automaton: selection and listing -----------------------------------
 
 _CONSUME, _SPLIT, _AT_START, _AT_END, _ACCEPT = range(5)
-# The most DFA transitions one automaton caches; past it, selection takes
-# plain NFA steps and caches nothing more. Building a transition costs about
-# two NFA steps, which pays only if the transition is used again: in a
-# BEHAVIOUR match an event's class is its values in the columns read, so a
-# log of many such values misses often, and the bound caps that waste. The
-# patterns of the benchmark's workloads cache at most 64 transitions.
+# The most DFA transitions one pattern caches; past it, a case that misses a
+# transition is decided by the listing's pass, and nothing more is cached.
+# Building a transition costs about two NFA steps, which pays only if the
+# transition is used again: in a BEHAVIOUR match an event's class is its
+# values in the columns read, so a log of many such values misses often, and
+# the bound caps that waste. The patterns of the benchmark's workloads cache
+# at most 64 transitions.
 _DFA_CACHE_LIMIT = 1_000
 # A lazy-DFA state: its transitions at an inner event and at the last event
 # (one dict when the pattern has no END), and the NFA states it stands for.
@@ -281,8 +256,13 @@ _DfaState = tuple[dict, dict, frozenset[int]]
 _ACCEPTING: _DfaState = ({}, {}, frozenset())  # the step into any set that holds the accept state
 
 
-class _Nfa:
-    """Thompson automaton for the nonempty segments satisfying the formula.
+class CompiledPattern:
+    """A MATCHES condition bound to the schema it was compiled for and to
+    its evaluation mode, a single attribute for plain matches or a list of
+    named behaviour predicates, as the Thompson automaton for the nonempty
+    segments satisfying its formula. The automaton's leaves read attributes
+    by schema position, so it answers only on event sets of that schema. It
+    compares by identity, as its DFA cache grows while it runs.
 
     Every operand witness is nonempty, so the automaton is compiled over the
     nonempty semantics: an identifier or ANY is one state that consumes an
@@ -301,8 +281,15 @@ class _Nfa:
     """
 
     def __init__(
-        self, formula: PatternFormula, leaf: Callable[[IdentifierExpr], LeafTest], event_class: EventClass
+        self,
+        formula: PatternFormula,
+        schema: tuple[str, ...],
+        attribute: str | None,
+        behaviours: tuple[BehaviourDef, ...],
+        leaf: Callable[[IdentifierExpr], LeafTest],
+        event_class: EventClass,
     ):
+        self.formula, self.schema, self.attribute, self.behaviours = formula, schema, attribute, behaviours
         self.kind: list[int] = []
         self.leaf: list[LeafTest | None] = []  # None: ANY
         self.out: list[list[int]] = []
@@ -324,6 +311,16 @@ class _Nfa:
         self.dfa_states: dict[frozenset[int], _DfaState] = {}
         self.dfa_cached = 0
         self.dfa_first = self._dfa_state(self.entry_first)
+
+    def behaviour(self, name: str) -> BehaviourDef:
+        for d in self.behaviours:
+            if d.name == name:
+                return d
+        raise UnboundBehaviourName(f"behaviour name {name!r} is not defined")
+
+    def check_schema(self, schema: tuple[str, ...]) -> None:
+        if schema != self.schema:
+            raise SccError(f"pattern compiled for the schema {list(self.schema)} run on {list(schema)}")
 
     def _add(self, kind: int, leaf: LeafTest | None, *out: int) -> int:
         self.kind.append(kind)
@@ -417,9 +414,9 @@ class _Nfa:
 
     def _build_scan(self, events: tuple[Event, ...], start: int, state: _DfaState) -> bool:
         """accepts_some_segment from events[start] on, in state, caching each
-        transition it misses. Once _DFA_CACHE_LIMIT transitions are cached,
-        a missing one ends the DFA scan, and plain NFA steps finish the
-        case."""
+        transition it misses. A transition missed while _DFA_CACHE_LIMIT of
+        them are cached hands the case to the listing's pass, spans, whose
+        first satisfying segment decides it."""
         last = len(events) - 1
         accept, entry, event_class = self.accept, self.entry_later, self.event_class
         for i, event in enumerate(events[start:], start):
@@ -427,14 +424,9 @@ class _Nfa:
             table = state[i == last]
             nxt = table.get(key)
             if nxt is None:
+                if self.dfa_cached >= _DFA_CACHE_LIMIT:
+                    return any(self.spans(events))
                 active = self._step(dict.fromkeys(state[2], 1), event, i == last)
-                if self.dfa_cached >= _DFA_CACHE_LIMIT:  # the cache is full: finish with NFA steps
-                    for j in range(i + 1, last + 1):
-                        if accept in active:
-                            break
-                        active.update(dict.fromkeys(entry, 1))
-                        active = self._step(active, events[j], j == last)
-                    return accept in active
                 nxt = table[key] = _ACCEPTING if accept in active else self._dfa_state(entry.union(active))
                 self.dfa_cached += 1
             if nxt is _ACCEPTING:
@@ -466,7 +458,7 @@ def case_satisfies(pattern: CompiledPattern, es: EventSet) -> bool:
     have the schema the pattern was compiled for."""
     if matches_empty(pattern.formula):
         return True
-    return pattern.nfa.accepts_some_segment(es.events)
+    return pattern.accepts_some_segment(es.events)
 
 
 def satisfying_segments(pattern: CompiledPattern, es: EventSet) -> MatchResult:
@@ -482,7 +474,7 @@ def satisfying_segments(pattern: CompiledPattern, es: EventSet) -> MatchResult:
     n = len(ts)
     shifted = [(t * n - i) * n for i, t in enumerate(ts)]
     keys: list[int] = []
-    for j, starts in pattern.nfa.spans(es.events):
+    for j, starts in pattern.spans(es.events):
         base = ts[j] * n * n + j
         # The binary digits of starts, lowest first, line up with shifted.
         keys += [base - offset for offset, bit in zip(shifted, bin(starts)[:1:-1]) if bit == "1"]

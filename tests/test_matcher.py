@@ -21,7 +21,8 @@ from sccq.ast import (
     Start,
     matches_empty,
 )
-from sccq.datalog import DatalogProgram, edb_predicates, evaluate, facts_from_log, translate_pattern
+from sccq.datalog import DatalogProgram, cross_check, edb_predicates, evaluate, facts_from_log, translate_pattern
+from sccq.engine import compile_plan
 from sccq.errors import OracleBoundExceeded, SccError, UnboundBehaviourName, UnknownAttribute
 from sccq.eventlog import EMPTY_SEGMENT, Event, EventLog, EventSet, Segment, cases, event_sets, merge_cases
 from sccq.gen import random_event_log, random_pattern
@@ -32,7 +33,7 @@ from sccq.matcher import (
     pattern_select,
     satisfying_segments,
 )
-from sccq.parser import parse_pattern
+from sccq.parser import parse_pattern, parse_query
 
 
 def simple(text, attribute="event_name", schema=("event_name",)):
@@ -464,7 +465,7 @@ def _count_leaf_tests(pattern):
             return test(event)
         return count
 
-    leaf = pattern.nfa.leaf
+    leaf = pattern.leaf
     leaf[:] = [None if test is None else counted(test) for test in leaf]
     return calls
 
@@ -561,7 +562,7 @@ def test_case_satisfies_tests_leaves_per_dfa_transition(condition, leaves, class
     calls = _count_leaf_tests(pattern)
     for es, answer in cases:
         assert case_satisfies(pattern, es) is answer
-    nfa = pattern.nfa
+    nfa = pattern
     event_classes = {nfa.event_class(event.attrs) for es, _ in cases for event in es.events}
     assert len(event_classes) <= 4
     assert calls[0] <= 40
@@ -572,16 +573,17 @@ def test_case_satisfies_tests_leaves_per_dfa_transition(condition, leaves, class
 
 
 def test_dfa_cache_limit_keeps_the_answers(monkeypatch):
-    # Past the cache limit, selection finishes a case with plain NFA steps;
-    # at a limit of 0, 1 or 2 transitions most cases get there, on every
-    # shape of the corpus (START / END, nested stars, behaviours, nulls).
+    # Past the cache limit, a case that misses a transition is decided by the
+    # listing's pass; at a limit of 0, 1 or 2 transitions most cases get
+    # there, on every shape of the corpus (START / END, nested stars,
+    # behaviours, nulls).
     # Besides the first event's state, a DFA state is made only with a cached
     # transition into it, so the limit bounds the states too.
     def corpus():
         return _nfa_corpus(random.Random(29), 1200, 1, 30)
 
     def states_bounded(pairs):
-        return all(len(p.nfa.dfa_states) <= p.nfa.dfa_cached + 1 for p, _ in pairs)
+        return all(len(p.dfa_states) <= p.dfa_cached + 1 for p, _ in pairs)
 
     def tiny_corpus():
         # Every case of 0-3 events over two values, with START / END shapes
@@ -605,14 +607,14 @@ def test_dfa_cache_limit_keeps_the_answers(monkeypatch):
     assert 0 < sum(expected) < len(expected)
     assert states_bounded(pairs)
     past_limit = [False]
-    nfa_step = matcher._Nfa._step
+    nfa_step = matcher.CompiledPattern._step
 
     def noted_step(self, *args):
         # With the cache full, NFA steps run only to finish a case.
         past_limit[0] |= self.dfa_cached >= matcher._DFA_CACHE_LIMIT
         return nfa_step(self, *args)
 
-    monkeypatch.setattr(matcher._Nfa, "_step", noted_step)
+    monkeypatch.setattr(matcher.CompiledPattern, "_step", noted_step)
     for limit in (0, 1, 2):
         monkeypatch.setattr(matcher, "_DFA_CACHE_LIMIT", limit)
         pairs = corpus()
@@ -622,12 +624,39 @@ def test_dfa_cache_limit_keeps_the_answers(monkeypatch):
             answers.append(case_satisfies(p, es))
             finished += past_limit[0]
         assert answers == expected
-        assert all(p.nfa.dfa_cached <= limit for p, _ in pairs)
+        assert all(p.dfa_cached <= limit for p, _ in pairs)
         assert finished > len(pairs) // 2
         assert states_bounded(pairs)
         tiny = tiny_corpus()
         tiny_agrees(tiny)
-        assert all(p.nfa.dfa_cached <= limit for p, _ in tiny)
+        assert all(p.dfa_cached <= limit for p, _ in tiny)
+
+
+_WIDE_QUERY = (
+    "SELECT cid FROM eventlog WHERE BEHAVIOUR event_name = event_name AND resource = 'a' AS x, "
+    "resource = 'b' AS y MATCHES (x -> y ~> x END)"
+)
+
+
+def test_full_dfa_cache_keeps_the_answers():
+    # Every event has an event_name of its own, which x reads, so each event
+    # is a class of its own and each misses the cache: the first 1,000 fill
+    # it, at the default limit, and the listing's pass decides every later
+    # case. The CI writes the same log to wide.csv for `sccq check`.
+    rng = random.Random(1)
+    events = tuple(
+        Event(f"e{i}", f"c{i // 50:02}", i, (("event_name", f"n{i}"), ("resource", rng.choice("aab"))))
+        for i in range(3000)
+    )
+    log = EventLog(("event_name", "resource"), events)
+    query = parse_query(_WIDE_QUERY)
+    pattern = compile_plan(query, log.schema).pattern_selections[0]
+    sets = event_sets(log)
+    answers = [case_satisfies(pattern, es) for es in sets]
+    assert pattern.dfa_cached == matcher._DFA_CACHE_LIMIT == 1000
+    assert answers == [satisfying_segments(pattern, es).satisfied for es in sets]
+    assert 0 < sum(answers) < len(sets) == 60
+    assert cross_check(query, log).equal
 
 
 @pytest.mark.parametrize("text, leaves", _ONE_PASS_PATTERNS)
