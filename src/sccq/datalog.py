@@ -24,15 +24,20 @@ the body of the behaviour conjunct that each row filter on attributes
 equals, and the root atom of each pattern that is not a star (a star holds
 on every case). A query that can never match has no rule.
 
+A rule body is a tuple of atoms. ``Atom("<", (T1, T2))`` and
+``Atom("=", (a, b))`` are built-in, of two terms and never negated; every
+other predicate names a relation, so ``>`` is one that no rule derives.
+
 Every negated atom is an EDB atom, so a translated program is semi-positive
 by construction: START and END join ``first`` and ``last``, a failed
 conjunction holds where one conjunct fails (De Morgan), and an equality
-between two attributes excludes ``null``. ``evaluate`` audits safety and
-semi-positivity, then evaluates the strongly connected components of the
-predicate graph in dependency order: a component that does not read itself
-runs once, a recursive one by semi-naive iteration on its own new tuples.
-Each rule runs as a pipeline of hash-indexed joins and semi-joins. The same
-audit is exposed for static scans.
+between two attributes excludes ``null``. ``evaluate`` audits safety,
+the shape of built-ins and semi-positivity, then evaluates the strongly
+connected components of the predicate graph in dependency order: a
+component that does not read itself runs once, a recursive one by
+semi-naive iteration on its own new tuples. Each rule runs as a pipeline of
+hash-indexed joins and semi-joins. The same audit is exposed for static
+scans.
 
 Constants are the log's values as they are: a str case id, event id or
 attribute value, an int timestamp, and None for null, printed ``null``.
@@ -48,7 +53,6 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import count, filterfalse
 from operator import itemgetter
 from typing import Callable, Container, Iterable, Iterator, NamedTuple, Union
@@ -80,42 +84,25 @@ from .matcher import CompiledPattern
 Const = Union[int, str, None]  # int = timestamp; str = id or attribute value; None = null
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
 Term = Union[Var, Const]
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     pred: str
     args: tuple[Term, ...]
     negated: bool = False
 
 
-@dataclass(frozen=True)
-class Cmp:
-    """Built-in comparison. < is defined on timestamps only; = is plain
-    equality of values."""
-
-    op: str  # "<" or "="
-    left: Term
-    right: Term
-
-
-BodyItem = Union[Atom, Cmp]
-
-
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     head: Atom
-    body: tuple[BodyItem, ...]
+    body: tuple[Atom, ...]
 
 
-@dataclass(frozen=True)
-class DatalogProgram:
+class DatalogProgram(NamedTuple):
     rules: tuple[Rule, ...]
     edb_predicates: frozenset[str]
 
@@ -123,6 +110,7 @@ class DatalogProgram:
 FactSet = dict[str, set[tuple[Const, ...]]]
 
 OUTPUT_PRED = "output"
+_BUILTINS = frozenset({"<", "="})  # no relation is named by either
 
 _C, _E, _T = Var("C"), Var("E"), Var("T")
 _TS, _TE, _TS2, _TE2 = Var("Ts"), Var("Te"), Var("Ts2"), Var("Te2")  # segment endpoints
@@ -171,12 +159,12 @@ def _attr_atom(attr: str, value: Term, negated: bool = False) -> Atom:
     return Atom(attribute_predicate(attr), (_C, _E, value), negated)
 
 
-def _body(items: Iterable[BodyItem]) -> tuple[BodyItem, ...]:
+def _body(items: Iterable[Atom]) -> tuple[Atom, ...]:
     """A rule body that lists each item once, in the order first given."""
     return tuple(dict.fromkeys(items))
 
 
-def _normalize(head: Atom, body: tuple[BodyItem, ...], edb: Container[str], derived: Container[str]) -> Rule | str:
+def _normalize(head: Atom, body: tuple[Atom, ...], edb: Container[str], derived: Container[str]) -> Rule | str:
     """The rule head :- body with each value named by one term, or why its
     body can never hold: it holds null or !null of a constant that fails it,
     an atom beside its negation, or a read of a derived predicate with no
@@ -186,13 +174,13 @@ def _normalize(head: Atom, body: tuple[BodyItem, ...], edb: Container[str], deri
     one term: their constant, else their shortest variable, first by name,
     so a value is V<i> of the attribute first in the schema. No = is left,
     and a null or !null of a constant that holds is dropped."""
-    pairs: list[tuple[Term, Term]] = []  # the terms equated
+    pairs: list[tuple[Term, ...]] = []  # the pairs of terms equated
     values: dict[tuple[str, Term, Term], Term] = {}  # an attribute's first value at an event
-    items: list[BodyItem] = []  # the body without = and decided nulls
+    items: list[Atom] = []  # the body without = and decided nulls
     for i in body:
-        if isinstance(i, Cmp):
-            if i.op == "=":
-                pairs.append((i.left, i.right))
+        if i.pred in _BUILTINS:
+            if i.pred == "=" and len(i.args) == 2 and not i.negated:  # any other is the audit's unsafe finding
+                pairs.append(i.args)
                 continue
         elif i.pred == "null" and "null" in edb and not isinstance(i.args[0], Var):
             if (i.args[0] is NULL) == i.negated:
@@ -227,8 +215,7 @@ def _normalize(head: Atom, body: tuple[BodyItem, ...], edb: Container[str], deri
     # Name each value by its term, then normalize that rule: it decides the
     # nulls of a constant, and pairs the atoms of events that it merges.
     head = Atom(head.pred, tuple(map(find, head.args)))
-    return _normalize(head, _body(Cmp(i.op, find(i.left), find(i.right)) if isinstance(i, Cmp)
-                                  else Atom(i.pred, tuple(map(find, i.args)), i.negated) for i in items), edb, derived)
+    return _normalize(head, _body(Atom(i.pred, tuple(map(find, i.args)), i.negated) for i in items), edb, derived)
 
 
 def _ends(need: frozenset[str], start: Term, end: Term) -> tuple[Term, ...]:
@@ -241,7 +228,7 @@ def _value(attr: str, schema: tuple[str, ...]) -> Var:
     return Var(f"V{schema.index(attr)}")
 
 
-def _conjunct(conj: AttrEqConst | AttrEqAttr, schema: tuple[str, ...], negated: bool) -> list[tuple[BodyItem, ...]]:
+def _conjunct(conj: AttrEqConst | AttrEqAttr, schema: tuple[str, ...], negated: bool) -> list[tuple[Atom, ...]]:
     """The bodies of the events where conj holds, or fails when `negated`
     is set. Attribute a is always read as _value(a), so bodies over one
     event merge without a clash. a = b fails where a differs from b or a is
@@ -270,17 +257,18 @@ class _Translation:
         self.edb = edb
         self.rules: list[Rule] = []
         self.heads: set[str] = set()  # the predicates with a rule
-        self.defined: dict[object, str] = {}  # by definition; a star by its inner atom
+        self.defined: dict[tuple, str] = {}  # by head arguments and bodies
+        self.stars: dict[Atom, str] = {}  # a recursive star by its inner atom
         self.names = map("p{}".format, count())  # fresh predicate names
 
-    def emit(self, head: Atom, body: tuple[BodyItem, ...]) -> None:
+    def emit(self, head: Atom, body: tuple[Atom, ...]) -> None:
         """Add the rule head :- body, normalized, unless its body can never hold."""
         rule = _normalize(head, body, self.edb, self.heads)
         if isinstance(rule, Rule):
             self.rules.append(rule)
             self.heads.add(head.pred)
 
-    def define(self, head: tuple[Term, ...], bodies: list[tuple[BodyItem, ...]]) -> str:
+    def define(self, head: tuple[Term, ...], bodies: list[tuple[Atom, ...]]) -> str:
         """The predicate with these head arguments and this set of rule
         bodies: the one defined before, or a fresh one with a rule per body
         that can hold."""
@@ -300,7 +288,7 @@ class _Translation:
 
     # -- identifier expressions -------------------------------------------
 
-    def identifier(self, expr: IdentifierExpr, negated: bool = False) -> list[tuple[BodyItem, ...]]:
+    def identifier(self, expr: IdentifierExpr, negated: bool = False) -> list[tuple[Atom, ...]]:
         """The rule bodies, over T and C, of the events that match expr, or
         fail it when `negated` is set; NOT flips the polarity. An OR, or a
         failed conjunction, holds where one part holds: its bodies are theirs.
@@ -347,9 +335,9 @@ class _Translation:
         ts, te, ts2, te2 = _TS, _TE, _TS2, _TE2
         if isinstance(node, Star):  # read at both ends: the one recursion left
             inner, s, e = self.read(node.inner, _BOTH, ts, te)
-            pred = self.defined.get(inner)
+            pred = self.stars.get(inner)
             if pred is None:  # it reads itself, so it is named before its rules
-                pred = self.defined[inner] = next(self.names)
+                pred = self.stars[inner] = next(self.names)
                 self.emit(Atom(pred, (s, e, _C)), (inner,))
                 self.emit(Atom(pred, (s, te2, _C)), (inner, Atom("next", (_C, e, ts2)), Atom(pred, (ts2, te2, _C))))
             if not anchors:
@@ -364,7 +352,7 @@ class _Translation:
             if isinstance(node, DirectlyFollows):
                 bodies = [(first, Atom("next", (_C, te, ts2)), second)]
             else:
-                bodies = [(first, second, Cmp("<", te, ts2))]
+                bodies = [(first, second, Atom("<", (te, ts2)))]
             te = te2
         elif isinstance(node, (Identifier, AnyEvent)):
             ts = te = _T
@@ -406,7 +394,7 @@ def translate_query(query: Query | Plan, schema: tuple[str, ...]) -> DatalogProg
     never holds, as on the relational side: its query has no rule."""
     plan = query if isinstance(query, Plan) else compile_plan(query, schema)
     schema, edb = plan.schema, edb_predicates(plan.schema)
-    base_body: list[BodyItem] = [_EVENT]
+    base_body: list[Atom] = [_EVENT]
     base_body += (_attr_atom(ref.name, _column_term(ref, schema)) for ref in plan.projection if ref.kind == "attr")
     for sel in plan.row_selections:
         refs = row_columns(sel, schema)
@@ -416,9 +404,9 @@ def translate_query(query: Query | Plan, schema: tuple[str, ...]) -> DatalogProg
         if kind == "attr":
             base_body += _conjunct(sel, schema, False)[0]
         elif isinstance(sel, AttrEqConst):  # an int for ts; a str for an id
-            base_body.append(Cmp("=", _column_term(refs[0], schema), sel.value if kind == "ts" else str(sel.value)))
+            base_body.append(Atom("=", (_column_term(refs[0], schema), sel.value if kind == "ts" else str(sel.value))))
         else:
-            base_body.append(Cmp("=", *(_column_term(ref, schema) for ref in refs)))
+            base_body.append(Atom("=", tuple(_column_term(ref, schema) for ref in refs)))
 
     # A star pattern holds on every case through the empty segment, which no
     # derived tuple witnesses, so its atom could never narrow the output: it
@@ -433,37 +421,38 @@ def translate_query(query: Query | Plan, schema: tuple[str, ...]) -> DatalogProg
 
 # --- static audit (safety + semi-positive negation) ---------------------------
 
-def _terms(item: BodyItem) -> tuple[Term, ...]:
-    return (item.left, item.right) if isinstance(item, Cmp) else item.args
-
-
-def _item_vars(item: BodyItem) -> set[Var]:
-    return {t for t in _terms(item) if isinstance(t, Var)}
+def _item_vars(item: Atom) -> set[Var]:
+    return {t for t in item.args if isinstance(t, Var)}
 
 
 def audit_program(program: DatalogProgram) -> list[tuple[str, str]]:
     """Static scan; returns (kind, message) findings, empty when clean.
-    Kinds: "unsafe", "stratification" for a negated atom that is not EDB,
-    and "unsatisfiable" for a body that can never hold: it reads a derived
-    predicate with no rule, equates two constants, or holds an atom beside
-    its negation."""
+    Kinds: "unsafe" for a variable that no positive relation atom binds, or
+    a built-in < or = that is negated or not of two terms; "stratification"
+    for a negated atom that is not EDB; and "unsatisfiable" for a body that
+    can never hold: it reads a derived predicate with no rule, such as >,
+    equates two constants, or holds an atom beside its negation."""
     findings: list[tuple[str, str]] = []
     derived = {rule.head.pred for rule in program.rules}
     for rule in program.rules:
         head = rule.head.pred
         # One set for the whole body: a call of _item_vars per atom, merged,
         # made the audit about 1.4 times slower on translated programs.
-        positive = {t for i in rule.body if isinstance(i, Atom) and not i.negated for t in i.args if isinstance(t, Var)}
+        positive = {
+            t for i in rule.body if not (i.negated or i.pred in _BUILTINS) for t in i.args if isinstance(t, Var)
+        }
         checked = [(rule.head, "the head")] + [
-            (i, f"built-in {i.op}" if isinstance(i, Cmp) else f"negated atom {i.pred}")
-            for i in rule.body if isinstance(i, Cmp) or i.negated
+            (i, f"built-in {i.pred}" if i.pred in _BUILTINS else f"negated atom {i.pred}")
+            for i in rule.body if i.negated or i.pred in _BUILTINS
         ]
         for item, where in checked:
             for name in sorted(v.name for v in _item_vars(item) - positive):
                 findings.append(
                     ("unsafe", f"variable {name} in {where} of rule for {head!r} is not bound by a positive body atom")
                 )
-            if isinstance(item, Atom) and item.negated and item.pred not in program.edb_predicates:
+            if item.pred in _BUILTINS and (item.negated or len(item.args) != 2):
+                findings.append(("unsafe", f"{where} of rule for {head!r} must hold two terms and not be negated"))
+            elif item.negated and item.pred not in program.edb_predicates:
                 findings.append(
                     ("stratification", f"negated predicate {item.pred!r} in rule for {head!r} is not EDB")
                 )
@@ -537,14 +526,14 @@ def _key(positions: tuple[int, ...]) -> _Getter:
 
 
 def _compile_rule(rule: Rule) -> _JoinPlan:
-    atoms: list[tuple[set[Var], BodyItem]] = []
-    pending: list[tuple[set[Var], BodyItem]] = []
+    atoms: list[tuple[set[Var], Atom]] = []
+    pending: list[tuple[set[Var], Atom]] = []
     for item in rule.body:
-        (atoms if isinstance(item, Atom) and not item.negated else pending).append((_item_vars(item), item))
+        (pending if item.negated or item.pred in _BUILTINS else atoms).append((_item_vars(item), item))
     # By constant, then by variable: keyed by the Var itself, so the
     # constant "C" never takes variable C's slot.
     slots: dict[Term, int] = {}
-    for const in dict.fromkeys(t for i in (rule.head, *rule.body) for t in _terms(i) if not isinstance(t, Var)):
+    for const in dict.fromkeys(t for i in (rule.head, *rule.body) for t in i.args if not isinstance(t, Var)):
         slots[const] = len(slots)
     first_row = tuple(slots)
     # A filter that reads an atom's new variable cannot run before that atom.
@@ -567,7 +556,7 @@ def _compile_rule(rule: Rule) -> _JoinPlan:
     return _JoinPlan(first_row, filters, tuple(steps), head)
 
 
-def _ready(pending: list[tuple[set[Var], BodyItem]], slots: dict[Term, int]) -> tuple[_Filter, ...]:
+def _ready(pending: list[tuple[set[Var], Atom]], slots: dict[Term, int]) -> tuple[_Filter, ...]:
     """Take from `pending` the filters whose variables have slots."""
     bound = slots.keys()
     ready = [item for names, item in pending if names <= bound]
@@ -575,7 +564,7 @@ def _ready(pending: list[tuple[set[Var], BodyItem]], slots: dict[Term, int]) -> 
         return ()
     pending[:] = [(names, item) for names, item in pending if not names <= bound]
     return tuple(
-        (item.op, slots[item.left], slots[item.right]) if isinstance(item, Cmp)
+        (item.pred, slots[item.args[0]], slots[item.args[1]]) if item.pred in _BUILTINS
         else ("!", *_probe(item, slots)[:2])
         for item in ready
     )
@@ -688,7 +677,7 @@ def _components(rules: tuple[Rule, ...]) -> list[list[Rule]]:
     each group after every group that it reads."""
     reads: dict[str, set[str]] = {r.head.pred: set() for r in rules}
     for r in rules:
-        reads[r.head.pred].update(a.pred for a in r.body if isinstance(a, Atom) and a.pred in reads)
+        reads[r.head.pred].update(a.pred for a in r.body if a.pred in reads)
     reach: dict[str, set[str]] = {}  # each predicate and every one that it depends on
     for p in reads:
         seen, todo = {p}, [p]
@@ -769,9 +758,9 @@ def _atom_text(atom: Atom) -> str:
     return f"{bang}{atom.pred}({','.join(_term_text(a) for a in atom.args)})"
 
 
-def _body_text(item: BodyItem) -> str:
-    if isinstance(item, Cmp):
-        return f"{_term_text(item.left)} {item.op} {_term_text(item.right)}"
+def _body_text(item: Atom) -> str:
+    if item.pred in _BUILTINS and len(item.args) == 2 and not item.negated:
+        return f"{_term_text(item.args[0])} {item.pred} {_term_text(item.args[1])}"
     return _atom_text(item)
 
 
@@ -793,8 +782,7 @@ def facts_to_text(facts: FactSet) -> str:
 
 # --- differential check -------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Set-normalized comparison of the two back ends on one query."""
 
     ra_rows: frozenset[tuple]

@@ -486,11 +486,18 @@ def pattern_select(pattern: CompiledPattern, log: EventLog) -> EventLog:
     """Keep exactly the events of cases with at least one satisfying segment.
 
     The output is case-closed (a case's events survive together or not at
-    all) and the operator is idempotent. Raises SccError when the log's
+    all) and the operator is idempotent; it is built from the kept case
+    runs, without EventLog's sort and check. Raises SccError when the log's
     schema is not the one the pattern was compiled for.
     """
     pattern.check_schema(log.schema)
-    return EventLog(log.schema, tuple(e for es in event_sets(log) if case_satisfies(pattern, es) for e in es.events))
+    events: list[Event] = []
+    starts: list[int] = []
+    for es in event_sets(log):
+        if case_satisfies(pattern, es):
+            starts.append(len(events))
+            events += es.events
+    return EventLog._proven(log.schema, tuple(events), starts)
 
 
 # --- brute-force oracle ------------------------------------------------------

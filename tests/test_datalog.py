@@ -27,7 +27,6 @@ from sccq.datalog import (
     OUTPUT_PRED,
     Atom,
     CheckReport,
-    Cmp,
     DatalogProgram,
     Rule,
     Var,
@@ -49,6 +48,7 @@ from sccq.eventlog import Event, EventLog, event_sets, load_event_log, merge_cas
 from sccq.gen import DEFAULT_VALUES, display_log, random_event_log, random_pair, random_pattern, random_query
 from sccq.matcher import (
     _oracle_identifier,
+    case_satisfies,
     compile_pattern,
     conjunct_test,
     oracle_satisfying_segments,
@@ -67,13 +67,14 @@ def _resolve(term, subst):
     return subst[term.name] if isinstance(term, Var) else term
 
 
+_BUILT_INS = ("<", "=")  # every other predicate names a relation
+
+
 def _cmp_holds(item, subst):
-    left, right = _resolve(item.left, subst), _resolve(item.right, subst)
-    if item.op == "=":
+    left, right = (_resolve(term, subst) for term in item.args)
+    if item.pred == "=":
         return left == right
-    if not (isinstance(left, int) and isinstance(right, int)):
-        return False
-    return left < right if item.op == "<" else left > right
+    return isinstance(left, int) and isinstance(right, int) and left < right
 
 
 _UNBOUND = object()  # None is the null value, so it cannot mark an unbound variable
@@ -83,15 +84,15 @@ def _naive_eval_rule(rule, rels, delta_pos=None, delta=None):
     """Every positive atom scans its whole relation; filters run once all
     positive atoms are bound."""
     positives = [
-        (i, item) for i, item in enumerate(rule.body) if isinstance(item, Atom) and not item.negated
+        (i, item) for i, item in enumerate(rule.body) if not (item.negated or item.pred in _BUILT_INS)
     ]
-    filters = [item for item in rule.body if not (isinstance(item, Atom) and not item.negated)]
+    filters = [item for item in rule.body if item.negated or item.pred in _BUILT_INS]
     out = set()
 
     def walk(k, subst):
         if k == len(positives):
             for item in filters:
-                if isinstance(item, Cmp):
+                if item.pred in _BUILT_INS:
                     if not _cmp_holds(item, subst):
                         return
                 else:
@@ -128,8 +129,9 @@ def _naive_eval_rule(rule, rels, delta_pos=None, delta=None):
 
 
 def naive_evaluate(program, facts):
-    """The same semi-naive fixpoint as evaluate, over the nested-loop join."""
-    assert audit_program(program) == []
+    """The same semi-naive fixpoint as evaluate, over the nested-loop join.
+    Like evaluate, it runs a rule whose body can never hold."""
+    assert [f for f in audit_program(program) if f[0] != "unsatisfiable"] == []
     rels = {p: set(ts) for p, ts in facts.items()}
     for rule in program.rules:
         rels.setdefault(rule.head.pred, set())
@@ -147,7 +149,7 @@ def naive_evaluate(program, facts):
         next_delta = {}
         for rule in program.rules:
             for pos, item in enumerate(rule.body):
-                if not (isinstance(item, Atom) and not item.negated):
+                if item.negated or item.pred in _BUILT_INS:
                     continue
                 seeds = delta.get(item.pred)
                 if not seeds:
@@ -204,7 +206,7 @@ def hand_built_programs(schema):
     # first's T2 is read only by the comparison, so first is joined, not
     # merely tested for a match.
     not_first = Rule(
-        Atom("not_first", (_C, _E)), (Atom("event", (_C, _E, _T)), Atom("first", (_C, t2)), Cmp("<", t2, _T))
+        Atom("not_first", (_C, _E)), (Atom("event", (_C, _E, _T)), Atom("first", (_C, t2)), Atom("<", (t2, _T)))
     )
     # T2 repeats in one atom and nothing else reads it: no event follows
     # itself, while every event stays where it is.
@@ -277,8 +279,8 @@ def hand_built_programs(schema):
                         Atom("attr_event_name", (_C, _E, "a")),
                         Atom("reach", (_C, _T, t2)),
                         Atom("event", (_C, e2, t2)),
-                        Cmp("=", _C, "c"),
-                        Cmp("<", 1, 2),
+                        Atom("=", (_C, "c")),
+                        Atom("<", (1, 2)),
                     ),
                 ),
             ),
@@ -462,7 +464,7 @@ def test_translate_query_output_rules(quotes_log):
     body = out[0].body
     # The filters on ts and cid hold no = item: the timestamp and the case
     # are their constants wherever the rule reads them.
-    assert [b for b in body if isinstance(b, Cmp)] == []
+    assert [b for b in body if b.pred in _BUILT_INS] == []
     assert body[0] == Atom("event", ("0001", Var("E"), 5))
     assert any(isinstance(b, Atom) and b.pred == "attr_status" for b in body)
     # pattern atom joins on the case
@@ -547,7 +549,7 @@ def test_audit_flags_unsafe_rules():
         (
             Rule(
                 Atom("p", (Var("C"),)),
-                (Atom("event", (Var("C"), Var("E"), Var("T"))), Cmp("<", Var("T"), Var("Q"))),
+                (Atom("event", (Var("C"), Var("E"), Var("T"))), Atom("<", (Var("T"), Var("Q")))),
             ),
         ),
         edb,
@@ -560,7 +562,7 @@ def test_audit_flags_unsafe_rules():
     x, w, y, z = Var("X"), Var("W"), Var("Y"), Var("Z")
     rule = Rule(
         Atom("p", (_C, x, w)),
-        (Atom("event", (_C, _E, _T)), Atom("q", (_C, y), negated=True), Cmp("<", _T, z)),
+        (Atom("event", (_C, _E, _T)), Atom("q", (_C, y), negated=True), Atom("<", (_T, z))),
     )
     assert audit_program(DatalogProgram((rule,), frozenset({"event"}))) == [
         ("unsafe", "variable W in the head of rule for 'p' is not bound by a positive body atom"),
@@ -569,6 +571,36 @@ def test_audit_flags_unsafe_rules():
         ("stratification", "negated predicate 'q' in rule for 'p' is not EDB"),
         ("unsafe", "variable Z in built-in < of rule for 'p' is not bound by a positive body atom"),
     ]
+
+
+def test_audit_flags_malformed_built_ins():
+    # < and = are built-ins of two terms, never negated. Any other shape is
+    # unsafe, so evaluate raises before it compiles a join.
+    event = Atom("event", (_C, _E, _T))
+    log = EventLog(("a",), (Event("e1", "c", 1, (("a", "x"),)),))
+    for item in (Atom("<", (_T,)), Atom("=", (_E, "e1"), negated=True)):
+        program = DatalogProgram((Rule(Atom("p", (_C,)), (event, item)),), edb_predicates(log.schema))
+        message = f"built-in {item.pred} of rule for 'p' must hold two terms and not be negated"
+        assert audit_program(program) == [("unsafe", message)]
+        with pytest.raises(UnsafeRule, match=message):
+            evaluate(program, facts_from_log(log))
+
+
+def test_unknown_comparison_is_a_relation():
+    # Only < and = are built-ins, so > names a relation that no rule
+    # derives: the rule never holds, where a > read as < would derive (a, b).
+    t1, t2, e1, e2 = Var("T1"), Var("T2"), Var("E1"), Var("E2")
+    events = (Atom("event", (_C, e1, t1)), Atom("event", (_C, e2, t2)))
+    log = EventLog(("a",), (Event("a", "c", 1, (("a", "x"),)), Event("b", "c", 2, (("a", "x"),))))
+    facts = facts_from_log(log)
+    later = DatalogProgram((Rule(Atom("later", (e1, e2)), (*events, Atom(">", (t1, t2)))),), edb_predicates(log.schema))
+    assert program_to_text(later) == "later(E1,E2) :- event(C,E1,T1), event(C,E2,T2), >(T1,T2)."
+    assert audit_program(later) == [("unsatisfiable", "rule for 'later' reads '>', which no rule derives")]
+    derived = evaluate(later, facts)
+    assert derived["later"] == set() and derived == naive_evaluate(later, facts)
+    # T2 < T1 says what > meant.
+    swapped = DatalogProgram((Rule(Atom("later", (e1, e2)), (*events, Atom("<", (t2, t1)))),), later.edb_predicates)
+    assert evaluate(swapped, facts)["later"] == {("b", "a")}
 
 
 def test_audit_flags_negation_strata():
@@ -1024,6 +1056,59 @@ def test_listing_agrees_with_datalog_on_run_corpus():
     assert listed >= 800, listed
 
 
+def _mirror(node):
+    """The pattern read backwards: the operands of -> and ~> swap, and START
+    and END trade places; stars and single events stay."""
+    if isinstance(node, (Follows, DirectlyFollows)):
+        return type(node)(_mirror(node.right), _mirror(node.left))
+    if isinstance(node, (Start, End)):
+        return (End if isinstance(node, Start) else Start)(_mirror(node.inner))
+    if isinstance(node, Star):
+        return Star(_mirror(node.inner))
+    return node
+
+
+def _listers(match, log):
+    """Per case id: whether case_satisfies selects the case, its NFA listing
+    and the rows of its case in the translate_pattern root, both sorted."""
+    pattern = compile_pattern(match, log.schema)
+    rules = translate_pattern(pattern)
+    derived = evaluate(DatalogProgram(tuple(rules), edb_predicates(log.schema)), facts_from_log(log))
+    root = derived[rules[-1].head.pred] if rules else set()
+    return {
+        es.cid: (
+            case_satisfies(pattern, es),
+            sorted(satisfying_segments(pattern, es).pairs),
+            sorted((s, e) for s, e, c in root if c == es.cid),
+        )
+        for es in event_sets(log)
+    }
+
+
+def test_mirror_law_on_both_listers():
+    # Read backwards, an event at t is at M - t, M being the log's largest
+    # timestamp, and the pattern is its mirror. A segment (s, e) maps to
+    # (M - e, M - s): each lister's listing maps onto its own listing of the
+    # mirror, and a case is selected as its mirror is. No oracle is needed,
+    # so the law holds each back end to itself on cases of up to 150 events;
+    # the two listers must also agree.
+    corpus = seeded(run_pair, 31, 150) + dict(translation_corpora())["long-case"]
+    violations, listed, selected = [], 0, 0
+    for i, (query, log) in enumerate(corpus):
+        (match,) = query.conditions
+        m = max(e.ts for e in log.events)
+        mirrored_log = EventLog(log.schema, tuple(Event(e.eid, e.cid, m - e.ts, e.attrs) for e in log.events))
+        backward = _listers(SimpleMatch(match.attribute, _mirror(match.pattern)), mirrored_log)
+        for cid, (satisfied, nfa, root) in _listers(match, log).items():
+            mirrored = sorted((m - e, m - s) for s, e in nfa), sorted((m - e, m - s) for s, e in root)
+            if (satisfied, *mirrored) != backward[cid] or nfa != root:
+                violations.append(f"pair {i}, case {cid}: {pretty_print(query)}")
+            listed += len(nfa)
+            selected += satisfied
+    assert violations == []
+    assert listed >= 30000 and selected >= 200, (listed, selected)
+
+
 def _recursive_rules(program):
     """Rules whose body reads their own head predicate."""
     return [r for r in program.rules if any(isinstance(b, Atom) and b.pred == r.head.pred for b in r.body)]
@@ -1258,7 +1343,7 @@ def test_output_rules_equate_no_attribute_values():
     for name, corpus in translation_corpora():
         for query, log in corpus:
             for rule in _query_and_pattern_rules(query, log.schema):
-                assert not any(isinstance(i, Cmp) and i.op == "=" for i in rule.body), f"{name}: {rule_to_text(rule)}"
+                assert not any(i.pred == "=" for i in rule.body), f"{name}: {rule_to_text(rule)}"
     text = program_to_text(translate_query(parse_query("SELECT eid, a FROM eventlog WHERE eid = 'e1' AND ts = 1"), ("a",)))
     assert text == 'output("e1",V0) :- event(C,"e1",1), attr_a(C,"e1",V0).'
 
@@ -1301,8 +1386,8 @@ def _constant_clashes(rules):
         for i in r.body:
             if isinstance(i, Atom) and not i.negated and i.pred.startswith("attr_") and not isinstance(i.args[2], Var):
                 attrs[i.pred, i.args[:2]].add(i.args[2])
-            elif isinstance(i, Cmp) and i.op == "=" and isinstance(i.left, Var) and not isinstance(i.right, Var):
-                variables[i.left].add(i.right)
+            elif i.pred == "=" and isinstance(i.args[0], Var) and not isinstance(i.args[1], Var):
+                variables[i.args[0]].add(i.args[1])
         for found, values in zip(clashes, (attrs, variables)):
             if any(len(v) > 1 for v in values.values()):
                 found.append(rule_to_text(r))
@@ -1311,8 +1396,8 @@ def _constant_clashes(rules):
 
 def _empty_reads(program):
     """The derived predicates that a rule reads and no rule derives."""
-    heads = {r.head.pred for r in program.rules} | program.edb_predicates
-    return sorted({i.pred for r in program.rules for i in r.body if isinstance(i, Atom) and i.pred not in heads})
+    heads = {r.head.pred for r in program.rules} | program.edb_predicates | set(_BUILT_INS)
+    return sorted({i.pred for r in program.rules for i in r.body if i.pred not in heads})
 
 
 def test_translated_rules_can_fire():
@@ -1387,14 +1472,15 @@ def _mixed_sorts(rule):
     sorts = defaultdict(set)
     joined, constants = [], []
     for i in rule.body:
-        if isinstance(i, Cmp):
-            if i.op == "<":
-                for term in (i.left, i.right):
-                    sorts[term].add("time")
-            elif isinstance(i.left, Var) and isinstance(i.right, Var):
-                joined.append((i.left, i.right))
+        if i.pred == "<":
+            for term in i.args:
+                sorts[term].add("time")
+        elif i.pred == "=":
+            left, right = i.args
+            if isinstance(left, Var) and isinstance(right, Var):
+                joined.append((left, right))
             else:
-                constants.append((i.left, i.right) if isinstance(i.left, Var) else (i.right, i.left))
+                constants.append((left, right) if isinstance(left, Var) else (right, left))
         elif i.pred in _COLUMN_SORTS or i.pred.startswith("attr_"):
             for term, sort in zip(i.args, _COLUMN_SORTS.get(i.pred, ("case", "event", "value"))):
                 sorts[term].add(sort)
@@ -1430,9 +1516,9 @@ def test_translated_variables_keep_one_sort():
     # A timestamp equated with a str, or an id with an int, mixes sorts, and
     # so does a str in a time column; an id and a timestamp in theirs do not.
     event = Atom("event", (_C, _E, _T))
-    assert _mixed_sorts(Rule(Atom(OUTPUT_PRED, (_E,)), (event, Cmp("=", _T, "x")))) == ["T"]
-    assert _mixed_sorts(Rule(Atom(OUTPUT_PRED, (_E,)), (event, Cmp("=", _E, 1)))) == ["E"]
-    assert _mixed_sorts(Rule(Atom(OUTPUT_PRED, (_E,)), (event, Cmp("=", _T, 1), Cmp("=", _E, "x")))) == []
+    assert _mixed_sorts(Rule(Atom(OUTPUT_PRED, (_E,)), (event, Atom("=", (_T, "x"))))) == ["T"]
+    assert _mixed_sorts(Rule(Atom(OUTPUT_PRED, (_E,)), (event, Atom("=", (_E, 1))))) == ["E"]
+    assert _mixed_sorts(Rule(Atom(OUTPUT_PRED, (_E,)), (event, Atom("=", (_T, 1)), Atom("=", (_E, "x"))))) == []
     assert _mixed_sorts(Rule(Atom(OUTPUT_PRED, (_E,)), (Atom("event", (_C, _E, "x")),))) == ["'x'"]
     assert _mixed_sorts(Rule(Atom(OUTPUT_PRED, (_C,)), (Atom("event", (_C, "e1", 1)),))) == []
     assert _mixed_sorts(Rule(Atom(OUTPUT_PRED, (_C,)), (Atom("attr_a", (_C, _E, 1)),))) == ["1"]
@@ -1447,7 +1533,7 @@ def test_audit_reports_and_evaluate_runs_unsatisfiable_rules():
     never = {
         "holds !attr_a(C,E,V) beside its negation": (*body, Atom("attr_a", (_C, _E, v), negated=True)),
         'equates "x" and "y"': (*body, Atom("attr_a", (_C, _E, "x")), Atom("attr_a", (_C, _E, "y"))),
-        'equates "a" and "b"': (*body, Cmp("=", v, "a"), Cmp("=", v, "b")),
+        'equates "a" and "b"': (*body, Atom("=", (v, "a")), Atom("=", (v, "b"))),
         'holds null("x"), which is false': (*body, Atom("attr_a", (_C, _E, "x")), Atom("null", (v,))),
         "reads 'q', which no rule derives": (*body, Atom("q", (_C,))),
     }

@@ -9,6 +9,7 @@ from itertools import groupby
 
 import pytest
 
+from sccq.ast import SimpleMatch
 from sccq.errors import BadTimestamp, KeyViolation, MalformedCsv
 from sccq.eventlog import (
     EMPTY_SEGMENT,
@@ -24,7 +25,8 @@ from sccq.eventlog import (
     serialize_event_log,
 )
 from sccq.gen import display_log, random_event_log, random_pair
-from sccq.parser import pretty_print
+from sccq.matcher import compile_pattern, pattern_select
+from sccq.parser import parse_pattern, pretty_print
 
 
 def test_parse_timestamp_plain_millis():
@@ -535,6 +537,26 @@ def test_merged_log_is_built_proven(checking_passes, events):
     assert merged == built and hash(merged) == hash(built) and repr(merged) == repr(built)
     assert merged._starts == built._starts == ([0] if events else [])
     assert event_sets(merged) == event_sets(built)
+
+
+@pytest.mark.parametrize("pattern, kept", [
+    ("'x' ~> 'y'", ["c1", "c3"]),
+    ("'z'", []),
+    ("ANY", ["c1", "c2", "c3"]),
+])
+def test_pattern_select_is_built_proven(checking_passes, pattern, kept):
+    # pattern_select filters a checked log: the kept case runs are in order
+    # with distinct keys, so it builds its log from them with no checking pass.
+    rows = [("c1", "x"), ("c1", "y"), ("c2", "y"), ("c2", "x"), ("c3", "x"), ("c3", None), ("c3", "y")]
+    log = EventLog(("a",), tuple(Event(f"e{i}", c, i, (("a", v),)) for i, (c, v) in enumerate(rows)))
+    checking_passes.clear()
+    selected = pattern_select(compile_pattern(SimpleMatch("a", parse_pattern(pattern)), log.schema), log)
+    assert checking_passes == []
+    built = EventLog(selected.schema, selected.events)
+    assert selected == built and hash(selected) == hash(built) and repr(selected) == repr(built)
+    assert selected._starts == built._starts
+    assert event_sets(selected) == event_sets(built)
+    assert [es.cid for es in event_sets(selected)] == kept
 
 
 def test_merge_cases_empty_log():
